@@ -2,7 +2,7 @@
 elastic constants.
 
 Subpackages:
-    legendre    - exact polynomial basis machinery (NT integrals)
+    legendre    - closed-form Legendre-basis integral tables (NT1/NT2)
     dispersion  - eigenproblem assembly, solvers, curve tracing
     wavefield   - synthetic wavefields, 2DFT, ridge picking
     bayes       - likelihood, priors, adaptive Metropolis sampling

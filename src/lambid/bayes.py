@@ -274,13 +274,16 @@ def log_likelihood(
 
     -N log sigma - N/2 log 2pi - 1/2 sum (omega_hat - omega(k_hat))^2/sigma^2
     over all N points; -inf whenever sigma or any stiffness/density is
-    non-positive or the forward solve yields no physical branch pair.
+    non-positive, the 1-3 stiffness block is not positive definite
+    (c13^2 >= c11 c33), or the forward solve yields no physical branch pair.
     """
     if len(obs) == 0:
         raise ValueError("observation set is empty")
     if theta.sigma <= 0:
         return -np.inf
     if min(theta.c11, theta.c13, theta.c33, theta.c55, theta.rho) <= 0:
+        return -np.inf
+    if theta.c13 ** 2 >= theta.c11 * theta.c33:
         return -np.inf
     pred = _predicted_omegas(obs, theta, plate, order, eig_method, modes)
     if pred is None:

@@ -125,6 +125,31 @@ def cmd_extract(cfg: RunConfig, out: Path) -> None:
     wavefield.write_observations(out / cfg.files["observations"], obs)
 
 
+def _chain_file(name: str, i: int) -> str:
+    """File of chain i in a multi-chain run: chain.csv -> chain_<i>.csv."""
+    stem, dot, ext = name.partition(".")
+    return f"{stem}_{i}{dot}{ext}"
+
+
+def _read_run_chain(out: Path, name: str) -> bayes.Chain:
+    """The named chain file or, when it is absent, the post-warmup rows of
+    every per-chain file of a multi-chain run pooled into one chain."""
+    parts: list[bayes.Chain] = []
+    if not (out / name).exists():
+        while (out / _chain_file(name, len(parts))).exists():
+            parts.append(bayes.read_chain(out / _chain_file(name, len(parts))))
+    if not parts:
+        return bayes.read_chain(out / name)
+    return bayes.Chain(
+        samples=np.concatenate([c.post_warmup for c in parts]),
+        log_posts=np.concatenate([c.log_posts[c.warmup_len:] for c in parts]),
+        accepted=np.concatenate([c.accepted[c.warmup_len:] for c in parts]),
+        warmup_len=0,
+        seed=parts[0].seed,
+        warnings=[w for c in parts for w in c.warnings],
+    )
+
+
 def cmd_identify(cfg: RunConfig, out: Path, n_chains: int) -> None:
     plate = cfg.require_plate()
     obs_path = out / cfg.files["observations"]
@@ -146,8 +171,7 @@ def cmd_identify(cfg: RunConfig, out: Path, n_chains: int) -> None:
             raise CliError("sampler", str(exc))
         name = cfg.files["chain"]
         if n_chains > 1:
-            stem, dot, ext = name.partition(".")
-            name = f"{stem}_{i}{dot}{ext}"
+            name = _chain_file(name, i)
         bayes.write_chain(out / name, chain)
         for w in chain.warnings:
             print(f"warning: chain {i}: {w}", file=sys.stderr)
@@ -157,7 +181,7 @@ def cmd_summarize(cfg: RunConfig, out: Path) -> None:
     plate = cfg.require_plate()
     chain_path = out / cfg.files["chain"]
     try:
-        chain = bayes.read_chain(chain_path)
+        chain = _read_run_chain(out, cfg.files["chain"])
     except (OSError, ValueError, IndexError) as exc:
         raise CliError("io", f"cannot read chain at {chain_path}: {exc}")
     try:

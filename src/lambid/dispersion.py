@@ -13,12 +13,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .legendre import nt1, nt2
+from .legendre import nt_tables
 
 __all__ = [
     "ElasticConstants",
@@ -42,11 +41,6 @@ __all__ = [
     "write_curves",
     "read_curves",
 ]
-
-# Reference kh at which the integral tables are built; NT1 scales as
-# (2/kh)^n and NT2 as (2/kh)^(n+1) relative to kh = 2.
-_KH_REF = 2.0
-
 
 class Mode(str, Enum):
     A0 = "A0"
@@ -95,12 +89,12 @@ class PlateSpec:
 class SystemMatrices:
     """Assembled eigenproblem blocks at one (theta, kh, M).
 
-    a13_im and a31_im hold the imaginary parts of the coupling blocks; the
-    full complex blocks are i * a13_im and i * a31_im (their real parts are
-    identically zero by construction).
+    The basis is orthonormal, so the mass matrix is the identity and is not
+    stored.  a13_im and a31_im hold the imaginary parts of the coupling
+    blocks; the full complex blocks are i * a13_im and i * a31_im (their
+    real parts are identically zero by construction).
     """
 
-    m_mat: np.ndarray
     a11: np.ndarray
     a33: np.ndarray
     a13_im: np.ndarray
@@ -123,11 +117,6 @@ class DispersionCurve:
             raise ValueError("curve arrays must have equal length")
         if n > 1 and not np.all(np.diff(self.k) > 0):
             raise ValueError("k must be strictly increasing")
-
-    @property
-    def fh(self) -> np.ndarray:
-        """Frequency-thickness product is not stored; use omega and a plate."""
-        raise AttributeError("fh depends on the plate; compute f*h externally")
 
 
 def engineering_to_constants(
@@ -165,30 +154,8 @@ def engineering_to_constants(
     return ElasticConstants(c11=c11, c13=c13, c33=c33, c55=g12, rho=rho)
 
 
-@lru_cache(maxsize=8)
-def _nt_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """NT1/NT2 tables at the reference kh, indexed [n, j, m]."""
-    size = order + 1
-    t1 = np.empty((3, size, size))
-    t2 = np.empty((3, size, size))
-    for n in range(3):
-        for j in range(size):
-            for m in range(size):
-                t1[n, j, m] = nt1(m, j, n, _KH_REF)
-                t2[n, j, m] = nt2(m, j, n, _KH_REF)
-    return t1, t2
-
-
-def _nt_at(kh: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scale the reference tables to an arbitrary kh."""
-    t1_ref, t2_ref = _nt_tables(order)
-    s = _KH_REF / kh
-    scale1 = np.array([1.0, s, s * s])[:, None, None]
-    return t1_ref * scale1, t2_ref * (scale1 * s)
-
-
 def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMatrices:
-    """Populate the mass and stiffness blocks of the eigenproblem.
+    """Populate the stiffness blocks of the eigenproblem.
 
     All entries depend on C_ij / rho ratios only, so scaling every material
     parameter by a common factor leaves the system unchanged.
@@ -197,7 +164,7 @@ def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMat
         raise ValueError("kh must be positive")
     if order < 1:
         raise ValueError("expansion order must be at least 1")
-    t1, t2 = _nt_at(kh, order)
+    t1, t2 = nt_tables(kh, order)
     r = theta.rho
     c11, c13, c33, c55 = theta.c11, theta.c13, theta.c33, theta.c55
     a11 = -(c11 / r) * t1[0] + (c55 / r) * t1[2] + (c55 / r) * t2[1]
@@ -205,8 +172,7 @@ def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMat
     a13_im = ((c13 + c55) / r) * t1[1] + (c55 / r) * t2[0]
     # c31 = c13 by stiffness symmetry
     a31_im = ((c13 + c55) / r) * t1[1] + (c13 / r) * t2[0]
-    return SystemMatrices(m_mat=t1[0].copy(), a11=a11, a33=a33,
-                          a13_im=a13_im, a31_im=a31_im)
+    return SystemMatrices(a11=a11, a33=a33, a13_im=a13_im, a31_im=a31_im)
 
 
 def realify(sys: SystemMatrices) -> np.ndarray:
@@ -227,16 +193,11 @@ def complex_block(sys: SystemMatrices) -> np.ndarray:
     )
 
 
-def solve_full(a_hat: np.ndarray, m_mat: np.ndarray | None = None) -> np.ndarray:
-    """All eigenvalues of the generalized problem A_hat p = lambda M p."""
+def solve_full(a_hat: np.ndarray) -> np.ndarray:
+    """All eigenvalues of A_hat p = lambda p."""
     if a_hat.shape[0] != a_hat.shape[1]:
         raise ValueError("matrix must be square")
-    if m_mat is None:
-        vals = scipy.linalg.eigvals(a_hat)
-    else:
-        if m_mat.shape != a_hat.shape:
-            raise ValueError("mass matrix dimension mismatch")
-        vals = scipy.linalg.eigvals(a_hat, m_mat)
+    vals = scipy.linalg.eigvals(a_hat)
     if not np.all(np.isfinite(vals)):
         cond = np.linalg.cond(a_hat)
         raise np.linalg.LinAlgError(
@@ -329,12 +290,13 @@ def phase_velocity(lam: float) -> float | None:
 
 
 def _eigvals_dense(a_hat: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of the realified system (symmetric by construction)."""
-    if np.allclose(a_hat, a_hat.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(a_hat).max())):
-        return np.linalg.eigvalsh(a_hat)
-    vals = np.linalg.eigvals(a_hat)
-    scale = np.abs(vals).max()
-    return vals[np.abs(vals.imag) <= 1e-9 * scale].real
+    """Eigenvalues of the realified system.
+
+    The matrix is symmetric by integration by parts of the NT tables
+    (T1[1] + T1[1]^T = -T2[0], and T1[2] + T2[1] is symmetric), so the
+    symmetric solver applies.
+    """
+    return np.linalg.eigvalsh(a_hat)
 
 
 def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,

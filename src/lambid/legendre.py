@@ -1,218 +1,59 @@
-"""Exact polynomial machinery for the shifted Legendre basis.
+"""Closed-form NT integral tables of the orthonormal Legendre basis.
 
-The through-thickness displacement profiles are expanded in an orthonormal
-Legendre basis on [0, kh].  Everything here is closed-form polynomial
-arithmetic in monomial coefficients -- no quadrature anywhere.  The NT1/NT2
-integrals computed here populate the dispersion eigenproblem blocks.
+The through-thickness displacement profiles are expanded in
+Q_m(x) = sqrt((2m+1)/kh) P_m(2x/kh - 1), orthonormal on [0, kh].  With
+f = Q_j * d^n Q_m / dx^n, the dispersion eigenproblem blocks are built from
 
-Monomial coefficients of Legendre polynomials grow fast enough that naive
-double-precision products lose all accuracy around order 12, so the rational
-part of every NT value is carried in exact ``fractions.Fraction`` arithmetic
-(``Fraction(kh)`` is exact for any binary float) and only the irrational
-normalization sqrt((2m+1)(2j+1))/kh is applied in floating point at the end.
+    NT1[n, j, m] = integral of f over [0, kh]
+    NT2[n, j, m] = f(0) - f(kh)
+
+for n = 0..2.  NT2 is the Dirac-delta weighted integral that enforces the
+traction-free surfaces; the sifting property reduces it to two endpoint
+values.  At the reference kh = 2 the basis is sqrt((2m+1)/2) P_m on [-1, 1],
+so with d^n P_m = sum_k D[k, m] P_k (integer Legendre-series coefficients)
+orthogonality gives NT1[n, j, m] = sqrt((2m+1)(2j+1))/(2j+1) D[j, m], and
+P_k(+-1) = (+-1)^k gives NT2 from sums of D.  Any other kh follows by the
+chain rule: NT1 scales as (2/kh)^n and NT2 as (2/kh)^(n+1).
 """
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 
-__all__ = [
-    "Polynomial",
-    "BasisSpec",
-    "legendre_poly",
-    "q_basis",
-    "nt1",
-    "nt2",
-]
-
-# Float monomial coefficients of P_m degrade double precision noticeably
-# beyond this order; the exact NT path is unaffected but float evaluation
-# of q_basis is not.
-CONDITION_WARN_ORDER = 20
+__all__ = ["nt1", "nt2", "nt_tables"]
 
 
-class Polynomial:
-    """Polynomial in monomial coefficients, canonical (trimmed) form.
-
-    ``coefficients[i]`` multiplies ``x**i``.  Coefficients may be any exact
-    or floating numeric type (int, Fraction, float); arithmetic preserves
-    exactness when the operands are exact.  The zero polynomial has an empty
-    coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        coeffs = list(coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (other * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            a, b = self.coefficients, other.coefficients
-            if not a or not b:
-                return Polynomial([])
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for k, cb in enumerate(b):
-                    out[i + k] += ca * cb
-            return Polynomial(out)
-        return Polynomial([c * other for c in self.coefficients])
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "Polynomial":
-        c = self.coefficients
-        return Polynomial([i * c[i] for i in range(1, len(c))])
-
-    def antiderivative(self) -> "Polynomial":
-        c = self.coefficients
-        if not c:
-            return Polynomial([])
-        out = [0]
-        for i, ci in enumerate(c):
-            if isinstance(ci, float):
-                out.append(ci / (i + 1))
-            else:
-                out.append(Fraction(ci, i + 1) if isinstance(ci, int)
-                           else ci / (i + 1))
-        return Polynomial(out)
-
-    def integrate(self, a, b):
-        """Definite integral over [a, b]; exact for exact coefficients and
-        endpoints."""
-        anti = self.antiderivative()
-        return anti(b) - anti(a)
-
-    def __call__(self, x):
-        c = self.coefficients
-        if isinstance(x, np.ndarray):
-            result = np.zeros_like(np.asarray(x, dtype=float))
-            for coef in reversed(c):
-                result = result * x + float(coef)
-            return result
-        if not c:
-            return 0 * x
-        result = c[-1]
-        for coef in c[-2::-1]:
-            result = result * x + coef
-        return result
-
-    def compose_affine(self, scale, shift) -> "Polynomial":
-        """Return p(scale*x + shift) expanded in monomials."""
-        out = Polynomial([])
-        arg = Polynomial([shift, scale])
-        power = Polynomial([1])
-        for coef in self.coefficients:
-            out = out + power * coef
-            power = power * arg
-        return out
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coefficients)})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash(self.coefficients)
+@lru_cache(maxsize=32)
+def _reference_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """NT1/NT2 at kh = 2 for basis indices 0..order, indexed [n, j, m]."""
+    size = order + 1
+    odd = 2.0 * np.arange(size) + 1.0
+    norm = np.sqrt(np.outer(odd, odd))
+    sign = (-1.0) ** np.arange(size)
+    t1 = np.zeros((3, size, size))
+    t2 = np.empty((3, size, size))
+    for n in range(3):
+        d = npleg.legder(np.eye(size), n)  # column m holds d^n P_m
+        rows = d.shape[0]
+        # round the rational part D/(2j+1) once before applying the
+        # irrational norm, and sum the endpoint values P_k(+-1) = (+-1)^k
+        # in exact integers (legval's recurrence divides and rounds), so
+        # every entry is its exact rational value rounded, times the norm
+        t1[n, :rows] = d / odd[:rows, None] * norm[:rows]
+        ends = np.outer(sign, sign[:rows] @ d) - d.sum(axis=0)
+        t2[n] = ends * norm * 0.5
+    return t1, t2
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Expansion truncation order and dimensionless thickness product."""
-
-    order: int
-    kh: float
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("expansion order must be non-negative")
-        if self.kh <= 0:
-            raise ValueError("kh must be positive")
-
-
-@lru_cache(maxsize=None)
-def _legendre_exact(m: int) -> Polynomial:
-    """P_m with exact Fraction coefficients via Bonnet's recurrence."""
-    if m == 0:
-        return Polynomial([Fraction(1)])
-    if m == 1:
-        return Polynomial([Fraction(0), Fraction(1)])
-    pm2 = Polynomial([Fraction(1)])
-    pm1 = Polynomial([Fraction(0), Fraction(1)])
-    x = Polynomial([Fraction(0), Fraction(1)])
-    for n in range(2, m + 1):
-        # Bonnet: n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}
-        pn = (x * pm1) * Fraction(2 * n - 1, n) - pm2 * Fraction(n - 1, n)
-        pm2, pm1 = pm1, pn
-    return pm1
-
-
-def legendre_poly(m: int) -> Polynomial:
-    """Legendre polynomial P_m in exact monomial coefficients."""
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    if m > CONDITION_WARN_ORDER:
-        warnings.warn(
-            f"Legendre order {m} > {CONDITION_WARN_ORDER}: float evaluation "
-            "of the monomial coefficients loses precision in double "
-            "arithmetic",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _legendre_exact(m)
-
-
-def q_basis(m: int, kh: float) -> Polynomial:
-    """Orthonormal basis member Q_m(q3) = sqrt((2m+1)/kh) P_m(2 q3/kh - 1).
-
-    The {Q_m} are orthonormal on [0, kh]: integral of Q_j * Q_m equals
-    delta_jm.  The returned polynomial carries float coefficients (the
-    normalization is irrational); the NT integrals below avoid that
-    rounding by deferring the normalization.
-    """
-    if kh <= 0:
-        raise ValueError("kh must be positive")
-    khf = Fraction(kh)
-    pm = legendre_poly(m).compose_affine(2 / khf, Fraction(-1))
-    return pm * math.sqrt((2 * m + 1) / kh)
-
-
-@lru_cache(maxsize=None)
-def _mapped_derivative(m: int, n: int, kh: float) -> Polynomial:
-    """n-th derivative of the un-normalized mapped P_m(2x/kh - 1), exact."""
-    khf = Fraction(kh)
-    p = _legendre_exact(m).compose_affine(2 / khf, Fraction(-1))
-    for _ in range(n):
-        p = p.derivative()
-    return p
+def nt_tables(kh: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """NT1/NT2 at kh for basis indices 0..order, indexed [n, j, m]."""
+    t1, t2 = _reference_tables(order)
+    s = 2.0 / kh
+    scale = np.array([1.0, s, s * s])[:, None, None]
+    return t1 * scale, t2 * (scale * s)
 
 
 def _check_nt_args(m: int, j: int, n: int, kh: float) -> None:
@@ -224,30 +65,13 @@ def _check_nt_args(m: int, j: int, n: int, kh: float) -> None:
         raise ValueError("kh must be positive")
 
 
-def _norm(m: int, j: int, kh: float) -> float:
-    return math.sqrt((2 * m + 1) * (2 * j + 1)) / kh
-
-
-@lru_cache(maxsize=None)
 def nt1(m: int, j: int, n: int, kh: float) -> float:
-    """Exact integral over [0, kh] of Q_j times the n-th derivative of Q_m."""
+    """Integral over [0, kh] of Q_j times the n-th derivative of Q_m."""
     _check_nt_args(m, j, n, kh)
-    prod = _mapped_derivative(j, 0, kh) * _mapped_derivative(m, n, kh)
-    exact = prod.integrate(Fraction(0), Fraction(kh))
-    return float(exact) * _norm(m, j, kh)
+    return float(nt_tables(kh, max(m, j))[0][n, j, m])
 
 
-@lru_cache(maxsize=None)
 def nt2(m: int, j: int, n: int, kh: float) -> float:
-    """Boundary bracket f_n(0) - f_n(kh) with f_n = Q_j * d^n Q_m / dq3^n.
-
-    This is the closed-form value of the Dirac-delta weighted integral that
-    enforces the traction-free surfaces; the sifting property reduces it to
-    two endpoint evaluations.
-    """
+    """Boundary bracket f(0) - f(kh) with f = Q_j * d^n Q_m / dq3^n."""
     _check_nt_args(m, j, n, kh)
-    qj = _mapped_derivative(j, 0, kh)
-    qm = _mapped_derivative(m, n, kh)
-    khf = Fraction(kh)
-    exact = qj(Fraction(0)) * qm(Fraction(0)) - qj(khf) * qm(khf)
-    return float(exact) * _norm(m, j, kh)
+    return float(nt_tables(kh, max(m, j))[1][n, j, m])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lambid import cli, wavefield
+from lambid import bayes, cli, wavefield
 from lambid.wavefield import TXField
 
 
@@ -162,6 +162,16 @@ def test_multi_chain_naming(tmp_path):
     assert rc == 0
     assert (tmp_path / "chain_0.csv").exists()
     assert (tmp_path / "chain_1.csv").exists()
+    # summarize finds no chain.csv and pools both chains' post-warmup rows
+    assert cli.main(["summarize", "--config", cfg, "--out", out]) == 0
+    pooled = np.concatenate([
+        bayes.read_chain(tmp_path / f"chain_{i}.csv").post_warmup
+        for i in range(2)
+    ])
+    assert pooled.shape[0] == 2 * payload["sampler"]["n_samples"]
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[2:]
+    means = [float(row.split(",")[1]) for row in rows]
+    assert np.allclose(means, pooled.mean(axis=0), rtol=1e-10)
 
 
 def test_seed_override_changes_synth(tmp_path):

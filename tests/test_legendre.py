@@ -1,22 +1,12 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambid.legendre import (CONDITION_WARN_ORDER, Polynomial, legendre_poly,
-                             nt1, nt2, q_basis)
+from lambid.legendre import nt1, nt2, nt_tables
 from oracles import nt1_quad, nt2_boundary
-
-
-def test_legendre_endpoint_values():
-    # P_m(1) = 1, P_m(-1) = (-1)^m
-    for m in range(12):
-        p = legendre_poly(m)
-        assert p(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert p(-1.0) == pytest.approx((-1.0) ** m, abs=1e-12)
 
 
 def test_known_frozen_values():
@@ -32,19 +22,14 @@ def test_orthonormality(m, j, kh):
                                              abs=1e-12)
 
 
-@given(m=st.integers(0, 6), j=st.integers(0, 6), kh=st.floats(0.1, 20.0))
-@settings(max_examples=60, deadline=None)
-def test_q_basis_float_orthonormality_low_order(m, j, kh):
-    # the float-coefficient basis stays usable (if not exact) at low orders
-    val = (q_basis(m, kh) * q_basis(j, kh)).integrate(0.0, kh)
-    assert val == pytest.approx(1.0 if m == j else 0.0, abs=1e-7)
-
-
 @pytest.mark.parametrize("kh", [0.3, 2.0, 11.0])
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_nt_against_quadrature_oracle(kh, n):
-    for m in range(5):
-        for j in range(5):
+    # the quadrature oracle's own error check holds through order 11 at
+    # kh = 2; elsewhere the low orders suffice to pin the kh scaling
+    size = 12 if kh == 2.0 else 5
+    for m in range(size):
+        for j in range(size):
             ours = nt1(m, j, n, kh)
             ref = nt1_quad(m, j, n, kh)
             assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
@@ -62,31 +47,14 @@ def test_nt_argument_validation():
         nt2(0, 0, 0, 0.0)
 
 
-def test_condition_warning_past_order_threshold():
-    with pytest.warns(RuntimeWarning):
-        legendre_poly(CONDITION_WARN_ORDER + 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        legendre_poly(CONDITION_WARN_ORDER - 1)
-
-
-@given(st.lists(st.floats(-5, 5), min_size=1, max_size=6),
-       st.floats(-2, 2))
-@settings(max_examples=60, deadline=None)
-def test_polynomial_derivative_inverts_antiderivative(coeffs, x):
-    p = Polynomial(coeffs)
-    q = p.antiderivative().derivative()
-    assert q(x) == pytest.approx(p(x), rel=1e-9, abs=1e-9)
-
-
-def test_polynomial_integrate_matches_antiderivative():
-    p = Polynomial([1.0, -2.0, 3.0])
-    f = p.antiderivative()
-    assert p.integrate(-1.0, 2.5) == pytest.approx(f(2.5) - f(-1.0), rel=1e-12)
-
-
-def test_compose_affine():
-    p = Polynomial([0.0, 0.0, 1.0])  # x^2
-    q = p.compose_affine(2.0, -1.0)  # (2x - 1)^2
-    for x in (-1.0, 0.0, 0.3, 2.0):
-        assert q(x) == pytest.approx((2 * x - 1) ** 2, rel=1e-12, abs=1e-12)
+@pytest.mark.parametrize("kh", [0.05, 2.0, 20.0])
+@pytest.mark.parametrize("order", [2, 14, 20])
+def test_integration_by_parts_identities(order, kh):
+    # [Q_j Q_m]_0^kh splits the first-derivative integral, and
+    # [Q_j Q_m']_0^kh leaves the second-derivative one symmetric
+    t1, t2 = nt_tables(kh, order)
+    scale = max(np.abs(t1[1]).max(), np.abs(t2[0]).max())
+    assert np.abs(t1[1] + t1[1].T + t2[0]).max() <= 1e-14 * scale
+    stiff = t1[2] + t2[1]
+    scale = max(np.abs(t1[2]).max(), np.abs(t2[1]).max())
+    assert np.abs(stiff - stiff.T).max() <= 1e-14 * scale
