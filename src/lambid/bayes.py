@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dispersion import (
-    ElasticConstants,
-    PlateSpec,
-    assemble_system,
-    realify,
-    smallest_physical_cp,
-)
+from .dispersion import ElasticConstants, PlateSpec, TracingError, branch_cp
 from .wavefield import ObservationSet
 
 __all__ = [
@@ -243,23 +237,21 @@ def _predicted_omegas(
         by_mode = {m: v for m, v in by_mode.items() if m in modes}
     if not by_mode:
         raise ValueError("no observations left after mode filtering")
-    material = theta.material()
     # solve once per unique k, both branches at once
     all_k = np.unique(np.concatenate([k for _, k in by_mode.values()]))
-    cp_pairs = {}
-    for k_hat in all_k:
-        sys = assemble_system(material, k_hat * plate.thickness, order)
-        cps = smallest_physical_cp(realify(sys), 2, method=eig_method)
-        if cps.size < 2:
-            return None
-        cp_pairs[k_hat] = cps  # ascending: [A0, S0]
+    try:
+        cps = branch_cp(theta.material(), all_k * plate.thickness, order,
+                        eig_method)
+    except TracingError:  # stiffness not positive definite
+        return None
+    if np.isnan(cps).any():
+        return None
     residual_obs, residual_pred = [], []
     for mode, (oms, kks) in by_mode.items():
         idx = 0 if mode == "A0" else 1
-        for om_hat, k_hat in zip(oms, kks):
-            residual_obs.append(om_hat)
-            residual_pred.append(cp_pairs[k_hat][idx] * k_hat)
-    return np.asarray(residual_obs), np.asarray(residual_pred)
+        residual_obs.append(oms)
+        residual_pred.append(cps[np.searchsorted(all_k, kks), idx] * kks)
+    return np.concatenate(residual_obs), np.concatenate(residual_pred)
 
 
 def log_likelihood(
@@ -282,8 +274,6 @@ def log_likelihood(
     if theta.sigma <= 0:
         return -np.inf
     if min(theta.c11, theta.c13, theta.c33, theta.c55, theta.rho) <= 0:
-        return -np.inf
-    if theta.c13 ** 2 >= theta.c11 * theta.c33:
         return -np.inf
     pred = _predicted_omegas(obs, theta, plate, order, eig_method, modes)
     if pred is None:

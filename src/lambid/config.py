@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 
 _DEFAULTS = {
     "band": {"fh_min_mhz_mm": 0.2, "fh_max_mhz_mm": 4.098, "n_points": 200},
-    "solver": {"order": 14, "auto_converge": False, "eig_method": "power"},
+    "solver": {"order": 14, "auto_converge": False, "eig_method": "dense"},
     "synth": {
         "n_x": 256, "dx_mm": 1.8, "n_t": 4096, "dt_us": 0.9765625,
         "f_lo_khz": 10.0, "f_hi_khz": 500.0, "duration_ms": 1.0,

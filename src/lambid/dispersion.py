@@ -3,9 +3,14 @@
 The through-thickness expansion turns the coupled wave equations into a
 2(M+1) x 2(M+1) eigenvalue problem whose eigenvalues are -c_p^2.  The
 off-diagonal coupling blocks are purely imaginary, so the problem is recast
-with real arithmetic only; the smallest-magnitude eigenvalues (the
-fundamental A0/S0 modes) are found by deflated inverse power iteration with
-a dense solve as fallback.
+with real arithmetic only, and the realified matrix is symmetric.  With
+s = 2/kh it is a quadratic in s whose coefficients depend only on the
+material and the order, A(kh) = D0 + s D1 + s^2 D2, so every wavenumber of
+a grid or an observation set is assembled in one broadcast and solved in
+one batched symmetric eigensolve.  The fundamental A0/S0 modes are its two
+smallest-magnitude negative eigenvalues.  Deflated inverse power iteration
+(method="power") is kept as the paper's solver and gives the same
+eigenvalues at a higher cost per point.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .legendre import nt_tables
+from .legendre import reference_tables
 
 __all__ = [
     "ElasticConstants",
@@ -29,6 +34,8 @@ __all__ = [
     "TracingError",
     "engineering_to_constants",
     "assemble_system",
+    "system_stack",
+    "branch_cp",
     "realify",
     "solve_full",
     "solve_smallest",
@@ -154,25 +161,50 @@ def engineering_to_constants(
     return ElasticConstants(c11=c11, c13=c13, c33=c33, c55=g12, rho=rho)
 
 
-def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMatrices:
-    """Populate the stiffness blocks of the eigenproblem.
+def _operator(theta: ElasticConstants, order: int) -> np.ndarray:
+    """Coefficients [D0, D1, D2] of A(kh) = D0 + s D1 + s^2 D2, s = 2/kh.
 
+    At kh the NT tables are NT1[n] = s^n T1[n] and NT2[n] = s^(n+1) T2[n],
+    with T the reference tables at kh = 2 and T1[0] = I (orthonormal basis).
     All entries depend on C_ij / rho ratios only, so scaling every material
     parameter by a common factor leaves the system unchanged.
     """
-    if kh <= 0:
+    t1, t2 = reference_tables(order)
+    r = theta.rho
+    c11, c13, c33, c55 = theta.c11, theta.c13, theta.c33, theta.c55
+    n = order + 1
+    a, b = slice(0, n), slice(n, 2 * n)
+    diag = np.arange(n)
+    stiff = t1[2] + t2[1]
+    d = np.zeros((3, 2 * n, 2 * n))
+    d[0, diag, diag] = -c11 / r
+    d[0, diag + n, diag + n] = -c55 / r
+    # imaginary parts of the coupling blocks; c31 = c13 by stiffness symmetry
+    d[1, a, b] = -(((c13 + c55) / r) * t1[1] + (c55 / r) * t2[0])
+    d[1, b, a] = ((c13 + c55) / r) * t1[1] + (c13 / r) * t2[0]
+    d[2, a, a] = (c55 / r) * stiff
+    d[2, b, b] = (c33 / r) * stiff
+    return d
+
+
+def system_stack(theta: ElasticConstants, kh, order: int) -> np.ndarray:
+    """Realified system matrices at every kh, stacked [K, n, n]."""
+    kh = np.asarray(kh, dtype=float).reshape(-1, 1, 1)
+    if np.any(kh <= 0):
         raise ValueError("kh must be positive")
     if order < 1:
         raise ValueError("expansion order must be at least 1")
-    t1, t2 = nt_tables(kh, order)
-    r = theta.rho
-    c11, c13, c33, c55 = theta.c11, theta.c13, theta.c33, theta.c55
-    a11 = -(c11 / r) * t1[0] + (c55 / r) * t1[2] + (c55 / r) * t2[1]
-    a33 = -(c55 / r) * t1[0] + (c33 / r) * t1[2] + (c33 / r) * t2[1]
-    a13_im = ((c13 + c55) / r) * t1[1] + (c55 / r) * t2[0]
-    # c31 = c13 by stiffness symmetry
-    a31_im = ((c13 + c55) / r) * t1[1] + (c13 / r) * t2[0]
-    return SystemMatrices(a11=a11, a33=a33, a13_im=a13_im, a31_im=a31_im)
+    d0, d1, d2 = _operator(theta, order)
+    s = 2.0 / kh
+    return d0 + s * d1 + (s * s) * d2
+
+
+def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMatrices:
+    """The eigenproblem blocks at one kh, read off its realified matrix."""
+    a_hat = system_stack(theta, kh, order)[0]
+    n = order + 1
+    return SystemMatrices(a11=a_hat[:n, :n], a33=a_hat[n:, n:],
+                          a13_im=-a_hat[:n, n:], a31_im=a_hat[n:, :n])
 
 
 def realify(sys: SystemMatrices) -> np.ndarray:
@@ -331,13 +363,43 @@ def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
     return np.sort(cps)
 
 
+def branch_cp(theta: ElasticConstants, kh, order: int,
+              method: str = "dense") -> np.ndarray:
+    """Phase velocities [A0, S0] at every kh, one row per kh.
+
+    The two smallest-magnitude negative eigenvalues of each system give the
+    row, ascending.  Rows where fewer than two negative eigenvalues exist
+    are NaN.  Raises TracingError when the 1-3 stiffness block is not
+    positive definite (c13^2 >= c11 c33): such a material has no physical
+    fundamental modes, although the solver would still return a pair.
+    """
+    if theta.c13 ** 2 >= theta.c11 * theta.c33:
+        raise TracingError("stiffness is not positive definite (c13^2 >= c11 c33)")
+    stack = system_stack(theta, kh, order)
+    cps = np.full((stack.shape[0], 2), np.nan)
+    if method == "dense":
+        lams = np.linalg.eigvalsh(stack)  # ascending within each row
+        n_neg = np.count_nonzero(lams < 0, axis=1)
+        rows = np.nonzero(n_neg >= 2)[0]
+        cps[rows, 0] = np.sqrt(-lams[rows, n_neg[rows] - 1])
+        cps[rows, 1] = np.sqrt(-lams[rows, n_neg[rows] - 2])
+    elif method == "power":
+        for i, a_hat in enumerate(stack):
+            row = smallest_physical_cp(a_hat, 2, method="power")
+            if row.size == 2:
+                cps[i] = row
+    else:
+        raise ValueError(f"unknown eigensolver method: {method!r}")
+    return cps
+
+
 def trace_curves(
     theta: ElasticConstants,
     plate: PlateSpec,
     k_grid: np.ndarray,
     order: int = 14,
     auto_converge: bool = False,
-    method: str = "power",
+    method: str = "dense",
     max_excluded_fraction: float = 0.2,
 ) -> tuple[DispersionCurve, DispersionCurve]:
     """Trace the A0 and S0 dispersion branches over a wavenumber grid.
@@ -345,9 +407,10 @@ def trace_curves(
     A0 is seeded as the lower-c_p branch at the smallest grid point and both
     branches are propagated by nearest-neighbour continuity in c_p.  Grid
     points yielding fewer than two physical eigenvalues are excluded with a
-    warning; more than max_excluded_fraction exclusions is a hard error.
-    With auto_converge, the order is raised in steps of 2 until the curves
-    change by less than 1e-6 relative.
+    warning; more than max_excluded_fraction exclusions is a hard error, as
+    is a stiffness that is not positive definite.  With auto_converge, the
+    order is raised in steps of 2 until the curves change by less than 1e-6
+    relative.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
@@ -356,37 +419,28 @@ def trace_curves(
         raise ValueError("k_grid must be positive and strictly increasing")
 
     def trace_at(m_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        kept_k, lo, hi = [], [], []
-        prev: np.ndarray | None = None
-        excluded = 0
-        for k in k_grid:
-            kh = k * plate.thickness
-            sys = assemble_system(theta, kh, m_order)
-            cps = smallest_physical_cp(realify(sys), 2, method=method)
-            if cps.size < 2:
-                excluded += 1
-                warnings.warn(
-                    f"grid point k={k:.6g} excluded: "
-                    f"{cps.size} physical eigenvalue(s) found",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                continue
-            if prev is not None:
-                # nearest-neighbour continuity: keep or swap the pair
-                direct = abs(cps[0] - prev[0]) + abs(cps[1] - prev[1])
-                crossed = abs(cps[1] - prev[0]) + abs(cps[0] - prev[1])
-                if crossed < direct:
-                    cps = cps[::-1]
-            prev = cps
-            kept_k.append(k)
-            lo.append(cps[0])
-            hi.append(cps[1])
+        cps = branch_cp(theta, k_grid * plate.thickness, m_order, method)
+        kept = ~np.isnan(cps[:, 0])
+        for k in k_grid[~kept]:
+            warnings.warn(
+                f"grid point k={k:.6g} excluded: "
+                "fewer than two physical eigenvalues found",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        excluded = k_grid.size - np.count_nonzero(kept)
         if excluded > max_excluded_fraction * k_grid.size:
             raise TracingError(
                 f"{excluded}/{k_grid.size} grid points had no physical solution"
             )
-        return np.array(kept_k), np.array(lo), np.array(hi)
+        lo, hi = cps[kept, 0].tolist(), cps[kept, 1].tolist()
+        for i in range(1, len(lo)):
+            # nearest-neighbour continuity: keep or swap the pair
+            direct = abs(lo[i] - lo[i - 1]) + abs(hi[i] - hi[i - 1])
+            crossed = abs(hi[i] - lo[i - 1]) + abs(lo[i] - hi[i - 1])
+            if crossed < direct:
+                lo[i], hi[i] = hi[i], lo[i]
+        return k_grid[kept], np.array(lo), np.array(hi)
 
     m_order = order
     kk, lo, hi = trace_at(m_order)
@@ -450,7 +504,7 @@ def sensitivity_sweep(
     k_grid: np.ndarray,
     perturbation: float,
     order: int = 14,
-    method: str = "power",
+    method: str = "dense",
 ) -> dict[str, SensitivityResult]:
     """Re-trace both modes at +/- perturbation of each material parameter."""
     if not 0 <= perturbation < 1:
@@ -498,12 +552,11 @@ def k_grid_for_fh_band(
     h = plate.thickness
 
     def fh_of(k: float, idx: int) -> float:
-        sys = assemble_system(theta, k * h, order)
-        cps = smallest_physical_cp(realify(sys), 2, method="dense")
-        if cps.size < 2:
+        cp = branch_cp(theta, k * h, order)[0, idx]
+        if np.isnan(cp):
             raise TracingError(f"no physical solution at k={k}")
         # fh in MHz*mm = f[Hz] * h[m] * 1e-3
-        return cps[idx] * k / (2 * np.pi) * h * 1e-3
+        return cp * k / (2 * np.pi) * h * 1e-3
 
     def bracket_solve(target: float, idx: int) -> float:
         k_lo, k_hi = 1e-2 / h, 1e-2 / h

@@ -23,11 +23,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-__all__ = ["nt1", "nt2", "nt_tables"]
+__all__ = ["nt1", "nt2", "nt_tables", "reference_tables"]
 
 
 @lru_cache(maxsize=32)
-def _reference_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
+def reference_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
     """NT1/NT2 at kh = 2 for basis indices 0..order, indexed [n, j, m]."""
     size = order + 1
     odd = 2.0 * np.arange(size) + 1.0
@@ -50,7 +50,7 @@ def _reference_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def nt_tables(kh: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """NT1/NT2 at kh for basis indices 0..order, indexed [n, j, m]."""
-    t1, t2 = _reference_tables(order)
+    t1, t2 = reference_tables(order)
     s = 2.0 / kh
     scale = np.array([1.0, s, s * s])[:, None, None]
     return t1 * scale, t2 * (scale * s)

@@ -54,3 +54,20 @@ def random_constants(rng):
             return ElasticConstants(c11, c13, c33, c55, rho)
         except ValueError:
             continue
+
+
+_EIGVALSH = np.linalg.eigvalsh
+
+
+def one_negative_at(rows):
+    """np.linalg.eigvalsh, except that each stacked matrix whose index is in
+    rows(stack size) keeps only one negative eigenvalue (still ascending)."""
+
+    def fake(a):
+        lams = _EIGVALSH(a)
+        for i in rows(lams.shape[0]):
+            lams[i] = np.sort(np.abs(lams[i]))
+            lams[i, 0] *= -1.0
+        return lams
+
+    return fake

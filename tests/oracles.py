@@ -46,6 +46,22 @@ def nt2_boundary(m: int, j: int, n: int, kh: float) -> float:
     return f(0.0) - f(kh)
 
 
+def per_k_system(theta, kh: float, order: int) -> np.ndarray:
+    """Realified system matrix at one kh, assembled block by block from the
+    NT tables at that kh: the per-wavenumber loop the batched operator in
+    lambid.dispersion replaced, kept as its reference."""
+    from lambid.legendre import nt_tables
+
+    t1, t2 = nt_tables(kh, order)
+    r = theta.rho
+    c11, c13, c33, c55 = theta.c11, theta.c13, theta.c33, theta.c55
+    a11 = -(c11 / r) * t1[0] + (c55 / r) * t1[2] + (c55 / r) * t2[1]
+    a33 = -(c55 / r) * t1[0] + (c33 / r) * t1[2] + (c33 / r) * t2[1]
+    a13_im = ((c13 + c55) / r) * t1[1] + (c55 / r) * t2[0]
+    a31_im = ((c13 + c55) / r) * t1[1] + (c13 / r) * t2[0]
+    return np.block([[a11, -a13_im], [a31_im, a33]])
+
+
 def _rl_sym(cp, w, cl, ct, h):
     k = w / cp
     p = np.emath.sqrt((w / cl) ** 2 - k**2)

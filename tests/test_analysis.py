@@ -75,6 +75,16 @@ class TestEnsemble:
         assert np.allclose(ens.omega["A0"], a0_ref.omega[None, :], rtol=1e-9)
         assert ens.n_skipped == 0
 
+    def test_indefinite_member_skipped(self, gfrp, plate):
+        row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                        2e3])
+        samples = np.tile(row, (4, 1))
+        samples[1, 1] = 2.0 * np.sqrt(gfrp.c11 * gfrp.c33)  # c13^2 > c11 c33
+        k = k_grid_for_fh_band(gfrp, plate, 0.4, 2.0, n_points=5, order=8)
+        ens = curve_ensemble(_chain_from(samples), plate, k, order=8)
+        assert ens.n_skipped == 1
+        assert list(ens.sample_ids) == [0, 2, 3]
+
     def test_thinning_caps_members(self, gfrp, plate, rng):
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
                         2e3])

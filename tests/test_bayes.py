@@ -9,8 +9,24 @@ from lambid.bayes import (PARAM_NAMES, Chain, GammaPrior, InitializationError,
                           default_priors, laplace_init, log_likelihood,
                           log_posterior, log_prior, mcmc_sample, read_chain,
                           write_chain)
-from lambid.dispersion import PlateSpec, k_grid_for_fh_band, trace_curves
+import oracles
+from conftest import one_negative_at
+from lambid.dispersion import (PlateSpec, k_grid_for_fh_band,
+                               smallest_physical_cp, trace_curves)
 from lambid.wavefield import ObservationSet
+
+
+def per_k_log_likelihood(obs, theta, plate, order):
+    """The likelihood as a loop over unique k of per-k assemblies."""
+    cps = {}
+    for k in sorted({k for _, _, k in obs.points}):
+        a_hat = oracles.per_k_system(theta.material(), k * plate.thickness, order)
+        cps[k] = smallest_physical_cp(a_hat, 2, method="dense")
+    resid = np.array([om - cps[k][0 if mode == "A0" else 1] * k
+                      for mode, om, k in obs.points])
+    n = resid.size
+    return (-n * math.log(theta.sigma) - 0.5 * n * math.log(2 * math.pi)
+            - 0.5 * float(resid @ resid) / theta.sigma ** 2)
 
 
 @pytest.fixture
@@ -94,6 +110,29 @@ class TestLikelihood:
         for c13 in (80e9, 1e9):
             theta = ParamVector(1e9, c13, 1e9, 1e9, 1200.0, 2e3)
             assert log_likelihood(synth_obs, theta, plate) == -np.inf
+
+    def test_matches_per_k_reference(self, synth_obs, gfrp, plate):
+        # the A0 eigenvalue at the smallest kh is ~1e-7 of the spectrum
+        # norm, so any two roundings of the system move the likelihood by
+        # ~1e-11 relative (this per-k loop and the complex-block reference
+        # differ by 1.8e-11 here); 1e-9 is the benchmark's check on it
+        rng = np.random.default_rng(8)
+        truth = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho])
+        for i in range(20):
+            scale = np.exp(rng.normal(0.0, 0.01, 5)) if i else 1.0
+            theta = ParamVector(*(truth * scale), 2e3)
+            ref = per_k_log_likelihood(synth_obs, theta, plate, 10)
+            got = log_likelihood(synth_obs, theta, plate, order=10)
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_rejected_when_a_k_lacks_two_branches(self, synth_obs, gfrp,
+                                                  plate, monkeypatch):
+        theta = ParamVector(gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                            2e3)
+        assert np.isfinite(log_likelihood(synth_obs, theta, plate))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            one_negative_at(lambda n: [n - 1]))
+        assert log_likelihood(synth_obs, theta, plate) == -np.inf
 
     def test_truth_beats_perturbed(self, synth_obs, gfrp, plate):
         good = ParamVector(gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,

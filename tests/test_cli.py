@@ -90,6 +90,15 @@ def test_solve_without_material_exits_config(tmp_path, capsys):
     assert "material" in capsys.readouterr().err
 
 
+def test_indefinite_stiffness_exits_solver(tmp_path, capsys):
+    payload = base_cfg()
+    payload["material"]["elastic"].update(c11_gpa=1.0, c13_gpa=5.0, c33_gpa=1.0)
+    cfg = write_cfg(tmp_path, payload)
+    rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["solver"] == 6
+    assert "positive definite" in capsys.readouterr().err
+
+
 def test_extract_missing_wavefield_exits_io(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_cfg())
     rc = cli.main(["extract", "--config", cfg, "--out", str(tmp_path)])

@@ -51,7 +51,7 @@ def test_section_override_merges(tmp_path):
     cfg = load_config(write_cfg(tmp_path, payload))
     assert cfg.solver["order"] == 10
     # untouched defaults survive
-    assert cfg.solver["eig_method"] == "power"
+    assert cfg.solver["eig_method"] == "dense"
 
 
 def test_unknown_key_rejected(tmp_path):

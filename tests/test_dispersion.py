@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import random_constants
+import oracles
+from conftest import one_negative_at, random_constants
 from lambid.dispersion import (ElasticConstants, Mode, PlateSpec, SolveFallback,
-                               TracingError, assemble_system, complex_block,
-                               engineering_to_constants, group_velocity,
-                               k_grid_for_fh_band, phase_velocity, read_curves,
-                               realify, sensitivity_sweep, smallest_physical_cp,
-                               solve_full, solve_smallest, trace_curves,
-                               write_curves)
+                               TracingError, assemble_system, branch_cp,
+                               complex_block, engineering_to_constants,
+                               group_velocity, k_grid_for_fh_band,
+                               phase_velocity, read_curves, realify,
+                               sensitivity_sweep, smallest_physical_cp,
+                               solve_full, solve_smallest, system_stack,
+                               trace_curves, write_curves)
 
 
 class TestEngineeringConversion:
@@ -44,9 +46,17 @@ class TestConstants:
             ElasticConstants(1e9, 1e9, 1e9, 1e9, 0.0)
 
     def test_loss_of_definiteness_not_rejected_at_type_level(self):
-        # c13 >= sqrt(c11 c33) is surfaced by the solver, not the dataclass
+        # c13 >= sqrt(c11 c33) is rejected by the forward model (see
+        # test_indefinite_stiffness_rejected_by_forward_model), not the dataclass
         theta = ElasticConstants(1e9, 5e9, 1e9, 1e9, 1000.0)
         assert theta.c13 == 5e9
+
+    def test_indefinite_stiffness_rejected_by_forward_model(self, plate):
+        theta = ElasticConstants(1e9, 5e9, 1e9, 1e9, 1000.0)
+        with pytest.raises(TracingError, match="positive definite"):
+            trace_curves(theta, plate, np.linspace(200, 2000, 10), order=8)
+        with pytest.raises(TracingError, match="positive definite"):
+            k_grid_for_fh_band(theta, plate, 0.3, 2.5, n_points=10, order=8)
 
 
 class TestRealification:
@@ -69,6 +79,29 @@ class TestRealification:
             kh = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
             a_hat = realify(assemble_system(theta, kh, order))
             assert np.abs(a_hat - a_hat.T).max() <= 1e-13 * np.abs(a_hat).max()
+
+    def test_batched_operator_matches_per_k_loop(self, rng):
+        # A0's eigenvalue falls to ~1e-12 of the spectrum norm at kh ~ 0.05
+        # and order >= 10, where rounding of either assembly moves its c_p by
+        # up to ~2e-5; there the check is on the eigenvalue, as for the rest
+        for _ in range(300):
+            theta = random_constants(rng)
+            order = int(rng.integers(2, 16))
+            kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
+            stack = system_stack(theta, kh, order)
+            lams = np.linalg.eigvalsh(stack)
+            cps = branch_cp(theta, kh, order)
+            for i in range(kh.size):
+                a_hat = oracles.per_k_system(theta, kh[i], order)
+                assert np.abs(stack[i] - a_hat).max() <= 1e-14 * np.abs(a_hat).max()
+                ref_lams = np.linalg.eigvalsh(a_hat)
+                scale = np.abs(ref_lams).max()
+                assert np.abs(lams[i] - ref_lams).max() <= 1e-13 * scale
+                ref = smallest_physical_cp(a_hat, 2, method="dense")
+                assert ref.size == 2
+                assert np.all(np.abs(cps[i] ** 2 - ref ** 2) <= 1e-13 * scale)
+                well = ref ** 2 >= 1e-6 * scale
+                assert np.all(np.abs(cps[i] - ref)[well] <= 1e-8 * ref[well])
 
 
 class TestEigensolvers:
@@ -153,7 +186,7 @@ class TestTracing:
         monkeypatch.setattr(dp, "smallest_physical_cp", flaky)
         k = np.linspace(200, 2000, 10)
         with pytest.warns(RuntimeWarning), pytest.raises(TracingError):
-            dp.trace_curves(gfrp, plate, k, order=8)
+            dp.trace_curves(gfrp, plate, k, order=8, method="power")
 
     def test_small_exclusion_fraction_warns_only(self, gfrp, plate,
                                                  monkeypatch):
@@ -171,8 +204,20 @@ class TestTracing:
         monkeypatch.setattr(dp, "smallest_physical_cp", once_flaky)
         k = np.linspace(200, 2000, 10)
         with pytest.warns(RuntimeWarning):
-            a0, s0 = dp.trace_curves(gfrp, plate, k, order=8)
+            a0, s0 = dp.trace_curves(gfrp, plate, k, order=8, method="power")
         assert a0.k.size == 9
+
+    def test_dense_exclusion_warns_then_errors(self, gfrp, plate, monkeypatch):
+        k = np.linspace(200, 2000, 10)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            one_negative_at(lambda n: [2]))
+        with pytest.warns(RuntimeWarning, match="excluded"):
+            a0, s0 = trace_curves(gfrp, plate, k, order=8, method="dense")
+        assert np.array_equal(a0.k, np.delete(k, 2))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            one_negative_at(lambda n: range(1, n, 2)))
+        with pytest.warns(RuntimeWarning), pytest.raises(TracingError):
+            trace_curves(gfrp, plate, k, order=8, method="dense")
 
     def test_bad_grid_rejected(self, gfrp, plate):
         with pytest.raises(ValueError):
