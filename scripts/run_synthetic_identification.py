@@ -1,11 +1,11 @@
 """End-to-end synthetic identification study.
 
 Generates noisy dispersion observations from known GFRP constants, runs the
-adaptive Metropolis sampler, and writes posterior summaries, marginal KDE
-grids, and a forward-solved curve ensemble.  This is the scripted analogue of
-the CLI pipeline, but with direct (curve-level) observation synthesis instead
-of the full wavefield round trip, which keeps it fast enough for parameter
-studies.
+adaptive Metropolis sampler from the true constants, and writes the
+observations, the chain, the posterior summary and a forward-solved curve
+ensemble.  This is the scripted analogue of the CLI pipeline, but with
+direct (curve-level) observation synthesis instead of the full wavefield
+round trip, which keeps it fast enough for parameter studies.
 
 Usage:
     python scripts/run_synthetic_identification.py --out results/synth \
@@ -53,7 +53,6 @@ def main():
     ap.add_argument("--data-seed", type=int, default=2)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--thickness-mm", type=float, default=2.0)
-    ap.add_argument("--init-at-truth", action="store_true", default=True)
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 

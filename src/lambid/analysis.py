@@ -46,17 +46,16 @@ class PosteriorSummary:
         return self.params[name]
 
 
-def _kde_mode(x: np.ndarray, grid_points: int = 512,
-              bw_method: str | float = "silverman") -> float:
+def _kde_mode(x: np.ndarray) -> float:
     lo, hi = x.min(), x.max()
     if lo == hi:
         return float(lo)
-    kde = gaussian_kde(x, bw_method=bw_method)
-    grid = np.linspace(lo, hi, grid_points)
+    kde = gaussian_kde(x, "silverman")
+    grid = np.linspace(lo, hi, 512)
     return float(grid[np.argmax(kde(grid))])
 
 
-def summarize(chain: Chain, bw_method: str | float = "silverman") -> PosteriorSummary:
+def summarize(chain: Chain) -> PosteriorSummary:
     """Mean, unbiased variance, KDE mode, and 95% equal-tailed interval."""
     draws = chain.post_warmup
     if draws.shape[0] < MIN_SUMMARY_SAMPLES:
@@ -70,7 +69,7 @@ def summarize(chain: Chain, bw_method: str | float = "silverman") -> PosteriorSu
         params[name] = ParamSummary(
             mean=float(np.mean(x)),
             variance=float(np.var(x, ddof=1)),
-            kde_mode=_kde_mode(x, bw_method=bw_method),
+            kde_mode=_kde_mode(x),
             ci_lo=float(lo),
             ci_hi=float(hi),
         )
@@ -81,9 +80,9 @@ def kde_bivariate(
     chain: Chain,
     param_pair: tuple[str, str],
     grid_size: int = 128,
-    bw_method: str | float = "silverman",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bivariate Gaussian KDE on a grid padded by three bandwidths.
+    """Bivariate Gaussian KDE (Silverman bandwidth) on a grid padded by
+    three bandwidths.
 
     Returns (x_axis, y_axis, density[y, x]); the density integrates to one
     within 1% on the returned grid (trapezoidal check).
@@ -98,7 +97,7 @@ def kde_bivariate(
             raise ValueError(f"parameter {name} has zero variance")
         cols.append(x)
     data = np.vstack(cols)
-    kde = gaussian_kde(data, bw_method=bw_method)
+    kde = gaussian_kde(data, "silverman")
     bw = np.sqrt(np.diag(kde.covariance))
     axes = []
     for row, h in zip(data, bw):
@@ -130,23 +129,19 @@ def curve_ensemble(
     chain: Chain,
     plate: PlateSpec,
     k_grid: np.ndarray,
-    thin: int | None = None,
     with_cg: bool = False,
     order: int = 10,
     max_solves: int = 500,
 ) -> CurveEnsemble:
-    """Forward-solve every thin-th post-warmup sample over the grid.
+    """Forward-solve evenly thinned post-warmup samples over the grid.
 
-    Samples whose solve fails anywhere on the grid are skipped and counted;
-    more than half skipped raises (the posterior is inconsistent with the
-    model).  Default thinning caps the ensemble at max_solves members.
+    The thinning step caps the ensemble at max_solves members.  Samples
+    whose solve fails anywhere on the grid are skipped and counted; more
+    than half skipped raises (the posterior is inconsistent with the model).
     """
-    if thin is not None and thin < 1:
-        raise ValueError("thin must be >= 1")
     draws = chain.post_warmup
-    if thin is None:
-        thin = max(1, math.ceil(draws.shape[0] / max_solves))
-    idx = np.arange(0, draws.shape[0], thin)
+    step = max(1, math.ceil(draws.shape[0] / max_solves))
+    idx = np.arange(0, draws.shape[0], step)
     k_grid = np.asarray(k_grid, dtype=float)
 
     omegas: dict[str, list] = {"A0": [], "S0": []}
@@ -186,14 +181,14 @@ def curve_ensemble(
     )
 
 
-def mc_standard_error(x: np.ndarray, n_batches: int = 50) -> float:
-    """Batch-means Monte Carlo standard error of the sample mean."""
+def mc_standard_error(x: np.ndarray) -> float:
+    """Batch-means Monte Carlo standard error of the sample mean, over 50
+    batches (fewer when x has under 100 entries)."""
     n = x.size
-    if n < 2 * n_batches:
-        n_batches = max(2, n // 2)
-    batch = n // n_batches
-    means = x[: batch * n_batches].reshape(n_batches, batch).mean(axis=1)
-    return float(np.std(means, ddof=1) / np.sqrt(n_batches))
+    batches = 50 if n >= 100 else max(2, n // 2)
+    size = n // batches
+    means = x[: size * batches].reshape(batches, size).mean(axis=1)
+    return float(np.std(means, ddof=1) / np.sqrt(batches))
 
 
 def split_half_diagnostic(chain: Chain) -> dict:

@@ -10,7 +10,7 @@ accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,9 +187,7 @@ class SamplerConfig:
     init_cov: np.ndarray | None = None
     proposal_scale: float = 0.1
     forward_order: int = 10
-    eig_method: str = "dense"
     target_acceptance: float = 0.234
-    modes: tuple[str, ...] | None = None  # None = all modes in the obs set
 
 
 @dataclass
@@ -224,34 +222,17 @@ class Chain:
 
 
 def _predicted_omegas(
-    obs: ObservationSet,
-    theta: ParamVector,
-    plate: PlateSpec,
-    order: int,
-    eig_method: str,
-    modes: tuple[str, ...] | None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Forward solve at every observed k; None when any solve is rejected."""
-    by_mode = obs.by_mode()
-    if modes is not None:
-        by_mode = {m: v for m, v in by_mode.items() if m in modes}
-    if not by_mode:
-        raise ValueError("no observations left after mode filtering")
-    # solve once per unique k, both branches at once
-    all_k = np.unique(np.concatenate([k for _, k in by_mode.values()]))
+    obs: ObservationSet, theta: ParamVector, plate: PlateSpec, order: int
+) -> np.ndarray | None:
+    """Model omega at every observed point, in obs.omega's order; one solve
+    per unique k gives both branches.  None when any solve is rejected."""
     try:
-        cps = branch_cp(theta.material(), all_k * plate.thickness, order,
-                        eig_method)
+        cps = branch_cp(theta.material(), obs.unique_k * plate.thickness, order)
     except TracingError:  # stiffness not positive definite
         return None
     if np.isnan(cps).any():
         return None
-    residual_obs, residual_pred = [], []
-    for mode, (oms, kks) in by_mode.items():
-        idx = 0 if mode == "A0" else 1
-        residual_obs.append(oms)
-        residual_pred.append(cps[np.searchsorted(all_k, kks), idx] * kks)
-    return np.concatenate(residual_obs), np.concatenate(residual_pred)
+    return cps[obs.k_index, obs.branch] * obs.k
 
 
 def log_likelihood(
@@ -259,8 +240,6 @@ def log_likelihood(
     theta: ParamVector,
     plate: PlateSpec,
     order: int = 10,
-    eig_method: str = "dense",
-    modes: tuple[str, ...] | None = None,
 ) -> float:
     """Gaussian log likelihood of the observed (omega, k) points.
 
@@ -275,12 +254,11 @@ def log_likelihood(
         return -np.inf
     if min(theta.c11, theta.c13, theta.c33, theta.c55, theta.rho) <= 0:
         return -np.inf
-    pred = _predicted_omegas(obs, theta, plate, order, eig_method, modes)
-    if pred is None:
+    om_model = _predicted_omegas(obs, theta, plate, order)
+    if om_model is None:
         return -np.inf
-    om_hat, om_model = pred
-    n = om_hat.size
-    resid = om_hat - om_model
+    n = om_model.size
+    resid = obs.omega - om_model
     return float(
         -n * math.log(theta.sigma)
         - 0.5 * n * math.log(2 * math.pi)
@@ -305,8 +283,6 @@ def log_posterior(
     priors: PriorSpec,
     plate: PlateSpec,
     order: int = 10,
-    eig_method: str = "dense",
-    modes: tuple[str, ...] | None = None,
 ) -> float:
     """Unnormalized log posterior; obs=None gives the prior-only target."""
     lp = log_prior(theta, priors)
@@ -314,9 +290,21 @@ def log_posterior(
         return -np.inf
     if obs is None:
         return lp
-    ll = log_likelihood(obs, theta, plate, order=order,
-                        eig_method=eig_method, modes=modes)
-    return lp + ll
+    return lp + log_likelihood(obs, theta, plate, order=order)
+
+
+def _log_posterior_at(x: np.ndarray, obs: ObservationSet | None,
+                      priors: PriorSpec, plate: PlateSpec, order: int) -> float:
+    """log_posterior at an array point; -inf where x is not a ParamVector.
+
+    log_posterior is looked up in the module on every call, so a wrapper
+    installed there sees every evaluation of the sampler and the mode search.
+    """
+    try:
+        theta = ParamVector.from_array(x)
+    except ValueError:
+        return -np.inf
+    return log_posterior(obs, theta, priors, plate, order=order)
 
 
 def mcmc_sample(
@@ -338,12 +326,7 @@ def mcmc_sample(
     rng = np.random.default_rng(cfg.seed)
 
     def target(x: np.ndarray) -> float:
-        try:
-            theta = ParamVector.from_array(x)
-        except ValueError:
-            return -np.inf
-        return log_posterior(obs, theta, priors, plate, order=cfg.forward_order,
-                             eig_method=cfg.eig_method, modes=cfg.modes)
+        return _log_posterior_at(x, obs, priors, plate, cfg.forward_order)
 
     if cfg.init is not None:
         x = cfg.init.to_array()
@@ -430,41 +413,31 @@ def laplace_init(
     obs: ObservationSet,
     priors: PriorSpec,
     plate: PlateSpec,
-    start: ParamVector | None = None,
     order: int = 10,
-    eig_method: str = "dense",
-    modes: tuple[str, ...] | None = None,
-    maxfev: int = 4000,
 ) -> tuple[ParamVector, np.ndarray]:
     """Posterior mode and local Gaussian covariance for seeding the sampler.
 
     The forward model leaves one direction of parameter space (a joint
     rescaling of the stiffnesses and density) constrained only by the
     priors, so a naive proposal covariance adapts far too slowly along it.
-    A mode search in log-parameters followed by a finite-difference Hessian
+    A mode search in log-parameters from the prior means (Nelder-Mead, at
+    most 4000 evaluations) followed by a finite-difference Hessian
     captures that soft direction; the returned covariance is the inverse of
     the negative Hessian and is meant for ``SamplerConfig.init_cov``.
     """
     from scipy.optimize import minimize
 
     def log_post(x: np.ndarray) -> float:
-        try:
-            theta = ParamVector.from_array(x)
-        except ValueError:
-            return -np.inf
-        return log_posterior(obs, theta, priors, plate, order=order,
-                             eig_method=eig_method, modes=modes)
+        return _log_posterior_at(x, obs, priors, plate, order)
 
-    if start is None:
-        start = ParamVector(*(priors.internal_mean(n) for n in PARAM_NAMES))
-    z0 = np.log(start.to_array())
+    z0 = np.log([priors.internal_mean(n) for n in PARAM_NAMES])
 
     def neg_lp_log(z: np.ndarray) -> float:
         lp = log_post(np.exp(z))
         return -lp if np.isfinite(lp) else 1e300
 
     res = minimize(neg_lp_log, z0, method="Nelder-Mead",
-                   options=dict(maxfev=maxfev, xatol=1e-7, fatol=1e-9,
+                   options=dict(maxfev=4000, xatol=1e-7, fatol=1e-9,
                                 adaptive=True))
     if not np.isfinite(res.fun) or res.fun >= 1e300:
         raise InitializationError("mode search did not find a finite posterior")

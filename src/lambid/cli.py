@@ -66,6 +66,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> None:
 
 def cmd_sensitivity(cfg: RunConfig, out: Path, perturbation: float,
                     params: list[str] | None) -> None:
+    if not 0 <= perturbation < 1:
+        raise CliError("args", f"--perturbation {perturbation} is not in [0, 1)")
     material = cfg.require_material()
     plate = cfg.require_plate()
     known = list(dispersion._PARAM_NAMES)
@@ -151,6 +153,8 @@ def _read_run_chain(out: Path, name: str) -> bayes.Chain:
 
 
 def cmd_identify(cfg: RunConfig, out: Path, n_chains: int) -> None:
+    if n_chains < 1:
+        raise CliError("args", f"--chains {n_chains} is not a positive count")
     plate = cfg.require_plate()
     obs_path = out / cfg.files["observations"]
     try:

@@ -39,7 +39,6 @@ __all__ = [
     "realify",
     "solve_full",
     "solve_smallest",
-    "phase_velocity",
     "smallest_physical_cp",
     "trace_curves",
     "group_velocity",
@@ -314,23 +313,6 @@ def solve_smallest(a_hat: np.ndarray, n_modes: int) -> np.ndarray:
     return lams[np.argsort(np.abs(lams))]
 
 
-def phase_velocity(lam: float) -> float | None:
-    """c_p = sqrt(-lambda) for negative eigenvalues; None marks rejection."""
-    if lam < 0:
-        return float(np.sqrt(-lam))
-    return None
-
-
-def _eigvals_dense(a_hat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the realified system.
-
-    The matrix is symmetric by integration by parts of the NT tables
-    (T1[1] + T1[1]^T = -T2[0], and T1[2] + T2[1] is symmetric), so the
-    symmetric solver applies.
-    """
-    return np.linalg.eigvalsh(a_hat)
-
-
 def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
                          method: str = "power") -> np.ndarray:
     """Phase velocities of the up-to-n_modes smallest negative eigenvalues.
@@ -353,9 +335,11 @@ def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
                 raise SolveFallback("not enough negative eigenvalues")
             vals = np.asarray(negatives)
         except SolveFallback:
-            vals = _eigvals_dense(a_hat)
+            vals = np.linalg.eigvalsh(a_hat)
     elif method == "dense":
-        vals = _eigvals_dense(a_hat)
+        # the realified matrix is symmetric by integration by parts of the
+        # NT tables (T1[1] + T1[1]^T = -T2[0], T1[2] + T2[1] symmetric)
+        vals = np.linalg.eigvalsh(a_hat)
     else:
         raise ValueError(f"unknown eigensolver method: {method!r}")
     neg = np.sort(vals[vals < 0])[::-1]  # ascending magnitude
@@ -393,6 +377,9 @@ def branch_cp(theta: ElasticConstants, kh, order: int,
     return cps
 
 
+_MAX_CONVERGE_ORDER = 40  # auto_converge never goes past this order
+
+
 def trace_curves(
     theta: ElasticConstants,
     plate: PlateSpec,
@@ -410,7 +397,8 @@ def trace_curves(
     warning; more than max_excluded_fraction exclusions is a hard error, as
     is a stiffness that is not positive definite.  With auto_converge, the
     order is raised in steps of 2 until the curves change by less than 1e-6
-    relative.
+    relative; raising it past _MAX_CONVERGE_ORDER is a TracingError, since
+    at small kh eigenvalue rounding alone can exceed that tolerance.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
@@ -446,6 +434,10 @@ def trace_curves(
     kk, lo, hi = trace_at(m_order)
     if auto_converge:
         while True:
+            if m_order + 2 > _MAX_CONVERGE_ORDER:
+                raise TracingError(
+                    f"curves did not converge to 1e-6 by order {m_order}"
+                )
             kk2, lo2, hi2 = trace_at(m_order + 2)
             if kk2.shape == kk.shape and np.array_equal(kk2, kk):
                 change = max(

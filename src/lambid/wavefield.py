@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
@@ -70,22 +70,38 @@ class DispersionImage:
     zero_rows: np.ndarray | None = None  # flags for all-zero raw rows
 
 
+_BRANCHES = (Mode.A0.value, Mode.S0.value)  # column 0 / 1 of branch_cp
+
+
 @dataclass
 class ObservationSet:
-    """Mode-tagged (omega_hat, k_hat) points feeding the likelihood."""
+    """Mode-tagged (omega_hat, k_hat) points feeding the likelihood.
+
+    The likelihood's columns are built once, at construction, with the
+    points grouped by mode (A0 first): `branch` (0 = A0, 1 = S0), `omega`,
+    `k`, and the sorted `unique_k` with `k_index`, the index of each
+    point's k in them.  Labels other than A0 and S0 are rejected.
+    """
 
     points: list  # (mode_label: str, omega_hat: float, k_hat: float)
     band: tuple  # (fh_min, fh_max) in MHz*mm
 
+    def __post_init__(self):
+        unknown = sorted({mode for mode, _, _ in self.points} - set(_BRANCHES))
+        if unknown:
+            raise ValueError(f"unknown mode label(s) {unknown}; "
+                             f"expected {list(_BRANCHES)}")
+        branch = np.array([_BRANCHES.index(m) for m, _, _ in self.points], dtype=int)
+        grouped = np.argsort(branch, kind="stable")
+        self.branch = branch[grouped]
+        self.omega = np.array([om for _, om, _ in self.points], dtype=float)[grouped]
+        self.k = np.array([kk for _, _, kk in self.points], dtype=float)[grouped]
+        self.unique_k, self.k_index = np.unique(self.k, return_inverse=True)
+
     def by_mode(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        out: dict[str, tuple[list, list]] = {}
-        for mode, om, kk in self.points:
-            out.setdefault(mode, ([], []))
-            out[mode][0].append(om)
-            out[mode][1].append(kk)
         return {
-            mode: (np.asarray(oms), np.asarray(kks))
-            for mode, (oms, kks) in out.items()
+            label: (self.omega[self.branch == i], self.k[self.branch == i])
+            for i, label in enumerate(_BRANCHES) if np.any(self.branch == i)
         }
 
     def __len__(self) -> int:
@@ -107,15 +123,14 @@ def synth_wavefield(
     excitation: dict,
     noise_rms: float = 0.0,
     seed: int = 0,
-    modes: tuple[str, ...] = ("A0", "S0"),
     order: int = 12,
     amplitude: float = 1.0,
 ) -> TXField:
-    """Superpose dispersive propagation of the fundamental modes plus noise.
+    """Superpose dispersive propagation of the A0 and S0 modes plus noise.
 
     Each positive-frequency bin of the excitation spectrum is advanced in x
-    with phase exp(i k_mode(omega) x) per included mode; the field is the
-    real signal recovered per trace.  geometry: {n_x, dx, n_t, dt};
+    with phase exp(i k_mode(omega) x) per mode; the field is the real
+    signal recovered per trace.  geometry: {n_x, dx, n_t, dt};
     excitation: chirp {f_lo, f_hi, duration}.  Deterministic for fixed seed.
     """
     n_x, dx = int(geometry["n_x"]), float(geometry["dx"])
@@ -151,18 +166,16 @@ def synth_wavefield(
         fh_min = max(f_lo, 0.02 * f_hi) * plate.thickness * 1e-3 * 0.5
         grid = k_grid_for_fh_band(theta, plate, fh_min, fh_max, n_points=300,
                                   order=order)
-        a0, s0 = trace_curves(theta, plate, grid, order=order, method="dense")
-        curve_map = {"A0": a0, "S0": s0}
+        curves = trace_curves(theta, plate, grid, order=order, method="dense")
         k_nyq = np.pi / dx
         active = (np.abs(spec) > 1e-12 * np.abs(spec).max()) & (freqs > 0)
-        for mode in modes:
-            interp = _mode_k_of_omega(curve_map[mode])
-            k_of_w = interp(omega)
+        for curve in curves:
+            k_of_w = _mode_k_of_omega(curve)(omega)
             usable = active & np.isfinite(k_of_w)
             if np.any(k_of_w[usable] >= k_nyq):
                 raise ValueError(
-                    f"mode {mode} wavenumber exceeds spatial Nyquist "
-                    f"{k_nyq:.4g} rad/m (space axis)"
+                    f"mode {curve.mode_label.value} wavenumber exceeds "
+                    f"spatial Nyquist {k_nyq:.4g} rad/m (space axis)"
                 )
             # irfft synthesizes with e^{+i w t}; the conjugate pair below
             # yields the forward-travelling real wave Re[S e^{i(k x - w t)}]
@@ -227,19 +240,19 @@ def ridge_pick(
     image: DispersionImage,
     band: tuple[float, float],
     plate: PlateSpec,
-    n_modes: int = 2,
     min_prominence: float = 0.3,
     max_jump_bins: int = 3,
-    min_coverage: float = 0.3,
 ) -> ObservationSet:
-    """Track up to n_modes energy ridges through the banded image rows.
+    """Track the two energy ridges (A0, S0) through the banded image rows.
 
     Per frequency row inside the band, local maxima exceeding
     min_prominence times the row max are candidates.  Ridges are seeded
     from the strongest maxima at the low-frequency edge and grown upward by
-    nearest-k association within max_jump_bins.  A0 is the larger-k ridge
-    at shared frequencies (lower phase velocity).
+    nearest-k association within max_jump_bins; each must cover 30% of the
+    band rows.  A0 is the larger-k ridge at shared frequencies (lower phase
+    velocity).
     """
+    n_modes = len(_BRANCHES)
     if not image.normalized:
         raise ValueError("ridge_pick requires a normalized image")
     fh = image.f_axis * plate.thickness * 1e-3  # MHz*mm
@@ -292,7 +305,7 @@ def ridge_pick(
 
     ridges.sort(key=len, reverse=True)
     ridges = ridges[:n_modes]
-    need = min_coverage * rows.size
+    need = 0.3 * rows.size
     for i, ridge in enumerate(ridges):
         if len(ridge) < need:
             raise RidgeError(
@@ -305,10 +318,8 @@ def ridge_pick(
     # label: at shared frequencies A0 has the larger k (lower c_p)
     mean_k = [np.mean([kx for _, kx in ridge]) for ridge in ridges]
     ordering = np.argsort(mean_k)[::-1]  # descending k
-    labels = [Mode.A0.value, Mode.S0.value]
     points = []
-    for rank, ridge_idx in enumerate(ordering):
-        label = labels[rank] if rank < len(labels) else f"M{rank}"
+    for label, ridge_idx in zip(_BRANCHES, ordering):
         pts = sorted(
             ((image.k_axis[kx], 2 * np.pi * image.f_axis[ri])
              for ri, kx in ridges[ridge_idx]),

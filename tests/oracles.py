@@ -63,37 +63,41 @@ def per_k_system(theta, kh: float, order: int) -> np.ndarray:
 
 
 def _rl_sym(cp, w, cl, ct, h):
+    """Real part of the symmetric Rayleigh-Lamb function at phase velocity
+    cp, a scalar or an array."""
     k = w / cp
     p = np.emath.sqrt((w / cl) ** 2 - k**2)
     q = np.emath.sqrt((w / ct) ** 2 - k**2)
     val = np.tan(q * h / 2) / q + 4 * k**2 * p * np.tan(p * h / 2) / (q**2 - k**2) ** 2
-    return float(np.real(val))
+    return np.real(val)
 
 
 def _rl_asym(cp, w, cl, ct, h):
+    """Real part of the antisymmetric Rayleigh-Lamb function at phase
+    velocity cp, a scalar or an array."""
     k = w / cp
     p = np.emath.sqrt((w / cl) ** 2 - k**2)
     q = np.emath.sqrt((w / ct) ** 2 - k**2)
     val = q * np.tan(q * h / 2) + (q**2 - k**2) ** 2 * np.tan(p * h / 2) / (4 * k**2 * p)
-    return float(np.real(val))
+    return np.real(val)
 
 
 def rayleigh_lamb_cp(mode: str, f_hz: float, cl: float, ct: float,
                      h: float) -> float:
     """First (fundamental) Rayleigh-Lamb root in phase velocity.
 
-    Scans an ascending phase-velocity grid for sign changes of the real
-    characteristic function, polishes with brentq, and rejects tangent
-    poles by checking residual magnitude.
+    Evaluates the real characteristic function on an ascending
+    phase-velocity grid in one array call, then polishes each sign change
+    in turn with brentq on scalar evaluations, rejecting tangent poles by
+    checking residual magnitude.  Array and scalar evaluations differ by
+    ulps, not in sign, on the grid (see tests/test_oracles.py).
     """
     w = 2 * math.pi * f_hz
     fun = _rl_sym if mode == "S0" else _rl_asym
     grid = np.linspace(50.0, 1.5 * cl, 6000)
-    vals = np.array([fun(c, w, cl, ct, h) for c in grid])
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or a * b >= 0:
-            continue
+    vals = fun(grid, w, cl, ct, h)
+    a, b = vals[:-1], vals[1:]
+    for i in np.nonzero(np.isfinite(a) & np.isfinite(b) & (a * b < 0))[0]:
         root = brentq(fun, grid[i], grid[i + 1], args=(w, cl, ct, h),
                       xtol=1e-10, rtol=1e-13)
         if abs(fun(root, w, cl, ct, h)) < 1e-3:  # not a tangent pole

@@ -63,6 +63,44 @@ def test_sensitivity_unknown_param_exits_args(tmp_path, capsys):
     assert "error:args:" in capsys.readouterr().err
 
 
+def test_sensitivity_perturbation_out_of_range_exits_args(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_cfg())
+    rc = cli.main(["sensitivity", "--config", cfg, "--out", str(tmp_path),
+                   "--perturbation", "1.5"])
+    assert rc == 7
+    assert "error:args:" in capsys.readouterr().err
+
+
+def test_identify_zero_chains_exits_args(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_cfg())
+    rc = cli.main(["identify", "--config", cfg, "--out", str(tmp_path),
+                   "--chains", "0"])
+    assert rc == 7
+    assert "error:args:" in capsys.readouterr().err
+
+
+def test_identify_unknown_mode_label_exits_io(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_cfg())
+    (tmp_path / "observations.csv").write_text(
+        "mode,omega_rad_s,k_rad_m\nA0,150000,900\nS1,200000,400\n")
+    rc = cli.main(["identify", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error:io:" in err and "S1" in err
+    assert not (tmp_path / "chain.csv").exists()
+
+
+def test_solve_auto_converge_bounded_exits_solver(tmp_path, capsys):
+    payload = base_cfg()
+    payload["band"] = {"fh_min_mhz_mm": 0.02, "fh_max_mhz_mm": 4.098,
+                       "n_points": 15}
+    payload["solver"] = {"order": 14, "auto_converge": True}
+    cfg = write_cfg(tmp_path, payload)
+    rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["solver"] == 6
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_bad_config_exits_config(tmp_path, capsys):
     payload = base_cfg()
     payload["solver"] = {"eig_method": "magic"}

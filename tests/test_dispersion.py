@@ -7,7 +7,7 @@ from lambid.dispersion import (ElasticConstants, Mode, PlateSpec, SolveFallback,
                                TracingError, assemble_system, branch_cp,
                                complex_block, engineering_to_constants,
                                group_velocity, k_grid_for_fh_band,
-                               phase_velocity, read_curves, realify,
+                               read_curves, realify,
                                sensitivity_sweep, smallest_physical_cp,
                                solve_full, solve_smallest, system_stack,
                                trace_curves, write_curves)
@@ -139,10 +139,6 @@ class TestEigensolvers:
         cps = smallest_physical_cp(a, n_modes=2, method="power")
         assert np.allclose(np.sort(cps), np.sqrt([2.0, 7.0]))
 
-    def test_phase_velocity_rejects_positive(self):
-        assert phase_velocity(4.0) is None
-        assert phase_velocity(-4.0) == pytest.approx(2.0)
-
 
 class TestTracing:
     def test_scale_invariance(self, gfrp, plate):
@@ -218,6 +214,20 @@ class TestTracing:
                             one_negative_at(lambda n: range(1, n, 2)))
         with pytest.warns(RuntimeWarning), pytest.raises(TracingError):
             trace_curves(gfrp, plate, k, order=8, method="dense")
+
+    def test_auto_converge_default_band_stops_at_order_16(self, gfrp, plate):
+        k = k_grid_for_fh_band(gfrp, plate, 0.2, 4.098, n_points=200, order=14)
+        got = trace_curves(gfrp, plate, k, order=14, auto_converge=True)
+        want = trace_curves(gfrp, plate, k, order=16)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.omega, w.omega)
+
+    def test_auto_converge_is_bounded(self, gfrp, plate):
+        # at kh ~ 0.03 eigenvalue rounding alone moves A0's c_p by more
+        # than the 1e-6 stopping rule, so the order would climb forever
+        k = k_grid_for_fh_band(gfrp, plate, 0.02, 4.098, n_points=30, order=14)
+        with pytest.raises(TracingError, match="by order 40"):
+            trace_curves(gfrp, plate, k, order=14, auto_converge=True)
 
     def test_bad_grid_rejected(self, gfrp, plate):
         with pytest.raises(ValueError):

@@ -146,3 +146,23 @@ class TestIO:
         back = read_observations(path)
         assert back.band == obs.band
         assert back.points == obs.points
+
+    def test_observation_columns(self):
+        pts = [("S0", 2e5, 400.0), ("A0", 1.5e5, 900.0), ("S0", 3e5, 900.0)]
+        obs = ObservationSet(points=pts, band=(0.2, 4.0))
+        # grouped by mode, A0 first, in file order within a mode
+        assert obs.branch.tolist() == [0, 1, 1]
+        assert obs.omega.tolist() == [1.5e5, 2e5, 3e5]
+        assert obs.k.tolist() == [900.0, 400.0, 900.0]
+        assert obs.unique_k.tolist() == [400.0, 900.0]
+        assert np.array_equal(obs.unique_k[obs.k_index], obs.k)
+        assert set(obs.by_mode()) == {"A0", "S0"}
+
+    def test_unknown_mode_labels_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"'S1', 'a0'"):
+            ObservationSet(points=[("A0", 1.5e5, 900.0), ("S1", 2e5, 400.0),
+                                   ("a0", 2e5, 500.0)], band=(0.2, 4.0))
+        path = tmp_path / "obs.csv"
+        path.write_text("mode,omega_rad_s,k_rad_m\nS1,200000,400\n")
+        with pytest.raises(ValueError, match="S1"):
+            read_observations(path)
