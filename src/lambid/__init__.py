@@ -6,7 +6,8 @@ Subpackages:
     dispersion  - eigenproblem assembly, solvers, curve tracing
     wavefield   - synthetic wavefields, 2DFT, ridge picking
     bayes       - likelihood, priors, adaptive Metropolis sampling
-    analysis    - posterior summaries, KDEs, curve ensembles
+    analysis    - posterior summaries, Monte Carlo errors, curve ensembles
+    textio      - the comma-separated table format of every CSV file
     cli         - batch command-line front end
 """
 

@@ -1,4 +1,4 @@
-"""Posterior summaries, kernel density estimates, and curve ensembles."""
+"""Posterior summaries, Monte Carlo standard errors, and curve ensembles."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import gaussian_kde
 
+from . import textio
 from .bayes import PARAM_NAMES, Chain, ParamVector
 from .dispersion import PlateSpec, TracingError, group_velocity, trace_curves
 
@@ -16,14 +17,10 @@ __all__ = [
     "PosteriorSummary",
     "CurveEnsemble",
     "summarize",
-    "kde_bivariate",
     "curve_ensemble",
     "mc_standard_error",
-    "split_half_diagnostic",
     "write_summary",
     "write_ensemble",
-    "write_density_grid",
-    "read_density_grid",
 ]
 
 MIN_SUMMARY_SAMPLES = 100
@@ -74,40 +71,6 @@ def summarize(chain: Chain) -> PosteriorSummary:
             ci_hi=float(hi),
         )
     return PosteriorSummary(params=params)
-
-
-def kde_bivariate(
-    chain: Chain,
-    param_pair: tuple[str, str],
-    grid_size: int = 128,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bivariate Gaussian KDE (Silverman bandwidth) on a grid padded by
-    three bandwidths.
-
-    Returns (x_axis, y_axis, density[y, x]); the density integrates to one
-    within 1% on the returned grid (trapezoidal check).
-    """
-    draws = chain.post_warmup
-    if draws.shape[0] < MIN_SUMMARY_SAMPLES:
-        raise ValueError("too few samples for a bivariate KDE")
-    cols = []
-    for name in param_pair:
-        x = draws[:, PARAM_NAMES.index(name)]
-        if np.var(x) == 0:
-            raise ValueError(f"parameter {name} has zero variance")
-        cols.append(x)
-    data = np.vstack(cols)
-    kde = gaussian_kde(data, "silverman")
-    bw = np.sqrt(np.diag(kde.covariance))
-    axes = []
-    for row, h in zip(data, bw):
-        axes.append(np.linspace(row.min() - 3 * h, row.max() + 3 * h, grid_size))
-    xg, yg = np.meshgrid(axes[0], axes[1])
-    density = kde(np.vstack([xg.ravel(), yg.ravel()])).reshape(grid_size, grid_size)
-    total = np.trapezoid(np.trapezoid(density, axes[0], axis=1), axes[1])
-    if not 0.99 <= total <= 1.01:
-        raise AssertionError(f"bivariate KDE integrates to {total:.4f}")
-    return axes[0], axes[1], density
 
 
 @dataclass
@@ -191,59 +154,31 @@ def mc_standard_error(x: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / np.sqrt(batches))
 
 
-def split_half_diagnostic(chain: Chain) -> dict:
-    """Per-parameter |mean difference| between chain halves in MCSE units."""
-    draws = chain.post_warmup
-    half = draws.shape[0] // 2
-    out = {}
-    for i, name in enumerate(PARAM_NAMES):
-        a, b = draws[:half, i], draws[half: 2 * half, i]
-        se = math.hypot(mc_standard_error(a), mc_standard_error(b))
-        out[name] = abs(a.mean() - b.mean()) / se if se > 0 else 0.0
-    return out
-
-
 _SUMMARY_HEADER = "parameter,mean,mode,variance,ci_lo,ci_hi"
 
 
 def write_summary(path, summary: PosteriorSummary) -> None:
-    with open(path, "w") as fh:
-        fh.write("# units: c11..c55 Pa, rho kg/m^3, sigma rad/s\n")
-        fh.write(_SUMMARY_HEADER + "\n")
-        for name in PARAM_NAMES:
-            s = summary[name]
-            fh.write(
-                f"{name},{s.mean:.12g},{s.kde_mode:.12g},{s.variance:.12g},"
-                f"{s.ci_lo:.12g},{s.ci_hi:.12g}\n"
-            )
+    fields = ("mean", "kde_mode", "variance", "ci_lo", "ci_hi")
+    textio.write_table(
+        path, _SUMMARY_HEADER,
+        [PARAM_NAMES, *([getattr(summary[name], f) for name in PARAM_NAMES]
+                        for f in fields)],
+        comments=[("units: c11..c55 Pa, rho kg/m^3, sigma rad/s",)],
+    )
 
 
 def write_ensemble(path, ens: CurveEnsemble) -> None:
     """Long-format ensemble export: sample_id, mode, k, omega[, c_g]."""
-    with_cg = ens.c_g is not None
-    header = "sample_id,mode,k_rad_m,omega_rad_s" + (",c_g_m_s" if with_cg else "")
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for mode in ("A0", "S0"):
-            om = ens.omega[mode]
-            for row, sid in enumerate(ens.sample_ids):
-                for col, k in enumerate(ens.k_grid):
-                    line = f"{sid},{mode},{k:.12g},{om[row, col]:.12g}"
-                    if with_cg:
-                        line += f",{ens.c_g[mode][row, col]:.12g}"
-                    fh.write(line + "\n")
-
-
-def write_density_grid(path_prefix, x_axis, y_axis, density) -> None:
-    """Delimited density matrix plus axis sidecars."""
-    np.savetxt(f"{path_prefix}.csv", density, delimiter=",")
-    np.savetxt(f"{path_prefix}_x.csv", x_axis, delimiter=",")
-    np.savetxt(f"{path_prefix}_y.csv", y_axis, delimiter=",")
-
-
-def read_density_grid(path_prefix):
-    """Inverse of write_density_grid: (x_axis, y_axis, density)."""
-    density = np.loadtxt(f"{path_prefix}.csv", delimiter=",")
-    x_axis = np.loadtxt(f"{path_prefix}_x.csv", delimiter=",")
-    y_axis = np.loadtxt(f"{path_prefix}_y.csv", delimiter=",")
-    return x_axis, y_axis, density
+    modes = ("A0", "S0")
+    members, n_k = ens.sample_ids.size, ens.k_grid.size
+    columns = [
+        np.tile(np.repeat(ens.sample_ids, n_k), len(modes)),
+        np.repeat(modes, members * n_k),
+        np.tile(ens.k_grid, len(modes) * members),
+        np.concatenate([ens.omega[m].ravel() for m in modes]),
+    ]
+    header = "sample_id,mode,k_rad_m,omega_rad_s"
+    if ens.c_g is not None:
+        columns.append(np.concatenate([ens.c_g[m].ravel() for m in modes]))
+        header += ",c_g_m_s"
+    textio.write_table(path, header, columns)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .dispersion import ElasticConstants, PlateSpec, TracingError, branch_cp
 from .wavefield import ObservationSet
 
@@ -479,48 +480,25 @@ _CHAIN_HEADER = "iter,c11,c13,c33,c55,rho,sigma,log_post,accepted"
 
 def write_chain(path, chain: Chain) -> None:
     """Delimited-text chain export, units in header comments."""
-    with open(path, "w") as fh:
-        fh.write("# units: c11..c55 Pa, rho kg/m^3, sigma rad/s\n")
-        fh.write(f"# warmup_len,{chain.warmup_len}\n")
-        fh.write(f"# seed,{chain.seed}\n")
-        for w in chain.warnings:
-            fh.write(f"# warning,{w}\n")
-        fh.write(_CHAIN_HEADER + "\n")
-        for i in range(chain.samples.shape[0]):
-            row = ",".join(f"{v:.12g}" for v in chain.samples[i])
-            fh.write(
-                f"{i},{row},{chain.log_posts[i]:.12g},{int(chain.accepted[i])}\n"
-            )
+    textio.write_table(
+        path, _CHAIN_HEADER,
+        [np.arange(chain.samples.shape[0]), *chain.samples.T, chain.log_posts,
+         chain.accepted.astype(int)],
+        comments=[("units: c11..c55 Pa, rho kg/m^3, sigma rad/s",),
+                  ("warmup_len", chain.warmup_len), ("seed", chain.seed),
+                  *(("warning", w) for w in chain.warnings)],
+    )
 
 
 def read_chain(path) -> Chain:
-    samples, log_posts, accepted = [], [], []
-    warmup_len, seed, warns = 0, 0, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.lstrip("# ").split(",")
-                if parts[0] == "warmup_len":
-                    warmup_len = int(parts[1])
-                elif parts[0] == "seed":
-                    seed = int(parts[1])
-                elif parts[0] == "warning":
-                    warns.append(",".join(parts[1:]))
-                continue
-            if line == _CHAIN_HEADER:
-                continue
-            vals = line.split(",")
-            samples.append([float(v) for v in vals[1:7]])
-            log_posts.append(float(vals[7]))
-            accepted.append(bool(int(vals[8])))
+    meta, lines = textio.read_table(path, _CHAIN_HEADER)
+    values = textio.float_columns(lines, 1, 8)
+    first = dict(meta)
     return Chain(
-        samples=np.asarray(samples),
-        log_posts=np.asarray(log_posts),
-        accepted=np.asarray(accepted, dtype=bool),
-        warmup_len=warmup_len,
-        seed=seed,
-        warnings=warns,
+        samples=np.ascontiguousarray(values[:, :6]),
+        log_posts=values[:, 6].copy(),
+        accepted=values[:, 7].astype(bool),
+        warmup_len=int(first.get("warmup_len", 0)),
+        seed=int(first.get("seed", 0)),
+        warnings=[value for key, value in meta if key == "warning"],
     )

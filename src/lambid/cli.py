@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, bayes, dispersion, wavefield
+from . import analysis, bayes, dispersion, textio, wavefield
 from .config import ConfigError, RunConfig, load_config
 
 EXIT_CODES = {
@@ -52,7 +52,6 @@ def cmd_solve(cfg: RunConfig, out: Path) -> None:
         material, plate, grid,
         order=cfg.solver["order"],
         auto_converge=cfg.solver["auto_converge"],
-        method=cfg.solver["eig_method"],
     )
     curves = []
     for curve in (a0, s0):
@@ -60,7 +59,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> None:
             curve = dispersion.group_velocity(curve)
         curves.append(curve)
     dispersion.write_curves(out / cfg.files["curves"], curves, plate)
-    print(f"expansion order used: {cfg.solver['order']}"
+    print(f"expansion order used: {a0.order}"
           + (" (auto-converged)" if cfg.solver["auto_converge"] else ""))
 
 
@@ -77,16 +76,13 @@ def cmd_sensitivity(cfg: RunConfig, out: Path, perturbation: float,
             raise CliError("args", f"unknown parameter name(s): {bad}")
     grid = _band_grid(cfg)
     sweep = dispersion.sensitivity_sweep(
-        material, plate, grid, perturbation,
-        order=cfg.solver["order"], method=cfg.solver["eig_method"],
+        material, plate, grid, perturbation, order=cfg.solver["order"],
     )
-    with open(out / cfg.files["sensitivity"], "w") as fh:
-        fh.write("parameter,mode,max_rel_omega_shift\n")
-        for name in known:
-            if params and name not in params:
-                continue
-            for mode in ("A0", "S0"):
-                fh.write(f"{name},{mode},{sweep[name].max_shift[mode]:.12g}\n")
+    rows = [(name, mode, sweep[name].max_shift[mode])
+            for name in known if not params or name in params
+            for mode in ("A0", "S0")]
+    textio.write_table(out / cfg.files["sensitivity"],
+                       "parameter,mode,max_rel_omega_shift", list(zip(*rows)))
 
 
 def cmd_synth(cfg: RunConfig, out: Path) -> None:

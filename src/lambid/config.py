@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 
 _DEFAULTS = {
     "band": {"fh_min_mhz_mm": 0.2, "fh_max_mhz_mm": 4.098, "n_points": 200},
-    "solver": {"order": 14, "auto_converge": False, "eig_method": "dense"},
+    "solver": {"order": 14, "auto_converge": False},
     "synth": {
         "n_x": 256, "dx_mm": 1.8, "n_t": 4096, "dt_us": 0.9765625,
         "f_lo_khz": 10.0, "f_hi_khz": 500.0, "duration_ms": 1.0,
@@ -205,9 +205,6 @@ def load_config(path) -> RunConfig:
     if band["n_points"] < 1:
         raise ConfigError("band.n_points must be positive")
 
-    solver = _merged("solver", raw)
-    if solver["eig_method"] not in ("power", "dense"):
-        raise ConfigError("solver.eig_method must be 'power' or 'dense'")
     sampler = _merged("sampler", raw)
     for key in ("n_samples", "warmup"):
         if sampler[key] < 0 or (key == "n_samples" and sampler[key] == 0):
@@ -219,7 +216,7 @@ def load_config(path) -> RunConfig:
         material=_parse_material(raw),
         plate=plate,
         band=band,
-        solver=solver,
+        solver=_merged("solver", raw),
         synth=_merged("synth", raw),
         extract=_merged("extract", raw),
         sampler=sampler,

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
+from . import textio
 from .legendre import reference_tables
 
 __all__ = [
@@ -116,6 +117,7 @@ class DispersionCurve:
     omega: np.ndarray
     c_p: np.ndarray
     c_g: np.ndarray | None = None
+    order: int | None = None  # expansion order that trace_curves used
 
     def __post_init__(self):
         n = len(self.k)
@@ -398,7 +400,8 @@ def trace_curves(
     is a stiffness that is not positive definite.  With auto_converge, the
     order is raised in steps of 2 until the curves change by less than 1e-6
     relative; raising it past _MAX_CONVERGE_ORDER is a TracingError, since
-    at small kh eigenvalue rounding alone can exceed that tolerance.
+    at small kh eigenvalue rounding alone can exceed that tolerance.  Both
+    curves record the order they were traced at in `order`.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
@@ -432,29 +435,27 @@ def trace_curves(
 
     m_order = order
     kk, lo, hi = trace_at(m_order)
-    if auto_converge:
-        while True:
-            if m_order + 2 > _MAX_CONVERGE_ORDER:
-                raise TracingError(
-                    f"curves did not converge to 1e-6 by order {m_order}"
-                )
-            kk2, lo2, hi2 = trace_at(m_order + 2)
-            if kk2.shape == kk.shape and np.array_equal(kk2, kk):
-                change = max(
-                    np.max(np.abs(lo2 - lo) / np.abs(lo)),
-                    np.max(np.abs(hi2 - hi) / np.abs(hi)),
-                )
-                if change < 1e-6:
-                    kk, lo, hi = kk2, lo2, hi2
-                    break
-            kk, lo, hi = kk2, lo2, hi2
-            m_order += 2
+    while auto_converge:
+        if m_order + 2 > _MAX_CONVERGE_ORDER:
+            raise TracingError(
+                f"curves did not converge to 1e-6 by order {m_order}"
+            )
+        kk2, lo2, hi2 = trace_at(m_order + 2)
+        converged = np.array_equal(kk2, kk) and max(
+            np.max(np.abs(lo2 - lo) / np.abs(lo)),
+            np.max(np.abs(hi2 - hi) / np.abs(hi)),
+        ) < 1e-6
+        kk, lo, hi = kk2, lo2, hi2
+        m_order += 2
+        if converged:
+            break
 
     curves = []
     for label, cp in ((Mode.A0, lo), (Mode.S0, hi)):
         curve = DispersionCurve(
             mode_label=label, k=kk, omega=cp * kk, c_p=cp,
             c_g=np.full(kk.shape, np.nan) if kk.size < 3 else None,
+            order=m_order,
         )
         curves.append(curve)
     return curves[0], curves[1]
@@ -574,37 +575,23 @@ _CURVE_HEADER = "mode,k_rad_m,f_hz,fh_mhz_mm,c_p_m_s,c_g_m_s"
 
 def write_curves(path, curves, plate: PlateSpec) -> None:
     """Delimited-text curve export, one row per grid point."""
-    with open(path, "w") as fh:
-        fh.write(_CURVE_HEADER + "\n")
-        for curve in curves:
-            cg = curve.c_g if curve.c_g is not None else np.full(curve.k.shape, np.nan)
-            for i in range(curve.k.size):
-                f_hz = curve.omega[i] / (2 * np.pi)
-                fh_val = f_hz * plate.thickness * 1e-3
-                fh.write(
-                    f"{curve.mode_label.value},{curve.k[i]:.12g},{f_hz:.12g},"
-                    f"{fh_val:.12g},{curve.c_p[i]:.12g},{cg[i]:.12g}\n"
-                )
+    f_hz = np.concatenate([c.omega for c in curves]) / (2 * np.pi)
+    textio.write_table(path, _CURVE_HEADER, [
+        np.repeat([c.mode_label.value for c in curves], [c.k.size for c in curves]),
+        np.concatenate([c.k for c in curves]), f_hz, f_hz * plate.thickness * 1e-3,
+        np.concatenate([c.c_p for c in curves]),
+        np.concatenate([np.full(c.k.shape, np.nan) if c.c_g is None else c.c_g
+                        for c in curves]),
+    ])
 
 
 def read_curves(path) -> dict[str, dict[str, np.ndarray]]:
     """Read a curve export back as arrays keyed by mode then column."""
-    data: dict[str, dict[str, list]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _CURVE_HEADER:
-            raise ValueError(f"unexpected curve file header: {header!r}")
-        for line in fh:
-            mode, k, f_hz, fh_val, cp, cg = line.strip().split(",")
-            rec = data.setdefault(
-                mode, {"k": [], "f": [], "fh": [], "c_p": [], "c_g": []}
-            )
-            rec["k"].append(float(k))
-            rec["f"].append(float(f_hz))
-            rec["fh"].append(float(fh_val))
-            rec["c_p"].append(float(cp))
-            rec["c_g"].append(float(cg))
+    _, lines = textio.read_table(path, _CURVE_HEADER)
+    modes = np.array(textio.labels(lines))
+    values = textio.float_columns(lines, 1, 5)
     return {
-        mode: {col: np.array(vals) for col, vals in rec.items()}
-        for mode, rec in data.items()
+        mode: dict(zip(("k", "f", "fh", "c_p", "c_g"),
+                       np.ascontiguousarray(values[modes == mode].T)))
+        for mode in dict.fromkeys(modes.tolist())
     }

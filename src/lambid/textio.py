@@ -1,0 +1,68 @@
+"""The delimited-text table format shared by every lambid CSV file.
+
+A table file holds optional ``# `` comment lines, then one exact header
+line, then comma-joined rows.  A comment ``# key,value`` is metadata: the
+key is the text before its first comma and the value everything after it.
+Floats are written as ``%.12g`` and every other cell with ``str``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["write_table", "read_table", "float_columns", "labels"]
+
+
+def _row_format(cells) -> str:
+    """%-format of a row whose cells are the given values or columns."""
+    return ",".join(
+        "%.12g" if np.asarray(cell).dtype.kind == "f" else "%s" for cell in cells
+    )
+
+
+def write_table(path, header: str, columns, comments=()) -> None:
+    """Write equal-length columns row by row under the header.
+
+    Each comment is a sequence of cells, written comma-joined after ``# ``.
+    """
+    row_format = _row_format(columns) + "\n"
+    with open(path, "w") as fh:
+        for comment in comments:
+            fh.write("# " + _row_format(comment) % tuple(comment) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(row_format % row for row in zip(*columns))
+
+
+def read_table(path, header: str) -> tuple[list[tuple[str, str]], list[str]]:
+    """(metadata, data lines) of a table file.
+
+    metadata lists the (key, value) of every comment before the header, in
+    file order.  Blank lines are skipped; a file whose first other line is
+    not a comment or the header raises ValueError.
+    """
+    meta: list[tuple[str, str]] = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                key, _, value = line.lstrip("# ").partition(",")
+                meta.append((key, value))
+            elif line == header:
+                return meta, [ln for ln in fh if ln.strip()]
+            elif line:
+                break
+    raise ValueError(f"{path}: missing header line {header!r}")
+
+
+def float_columns(lines: list[str], first: int, count: int) -> np.ndarray:
+    """Columns first .. first+count-1 of the data lines as a float array
+    [n_lines, count], parsed exactly as float() parses each cell."""
+    if not lines:
+        return np.empty((0, count))
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                      usecols=range(first, first + count))
+
+
+def labels(lines: list[str]) -> list[str]:
+    """The first (text) column of the data lines."""
+    return [line.split(",", 1)[0].strip() for line in lines]

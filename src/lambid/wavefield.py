@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
+from . import textio
 from .dispersion import (
     DispersionCurve,
     ElasticConstants,
@@ -80,7 +81,8 @@ class ObservationSet:
     The likelihood's columns are built once, at construction, with the
     points grouped by mode (A0 first): `branch` (0 = A0, 1 = S0), `omega`,
     `k`, and the sorted `unique_k` with `k_index`, the index of each
-    point's k in them.  Labels other than A0 and S0 are rejected.
+    point's k in them.  Labels other than A0 and S0, and any omega or k
+    that is not finite and positive, are rejected.
     """
 
     points: list  # (mode_label: str, omega_hat: float, k_hat: float)
@@ -92,10 +94,18 @@ class ObservationSet:
             raise ValueError(f"unknown mode label(s) {unknown}; "
                              f"expected {list(_BRANCHES)}")
         branch = np.array([_BRANCHES.index(m) for m, _, _ in self.points], dtype=int)
+        omega = np.array([om for _, om, _ in self.points], dtype=float)
+        k = np.array([kk for _, _, kk in self.points], dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(omega) & np.isfinite(k)
+                               & (omega > 0) & (k > 0)))
+        if bad.size:
+            mode, om, kk = self.points[bad[0]]
+            raise ValueError(f"observation row {bad[0] + 1} ({mode},{om},{kk}): "
+                             "omega and k must be finite and positive")
         grouped = np.argsort(branch, kind="stable")
         self.branch = branch[grouped]
-        self.omega = np.array([om for _, om, _ in self.points], dtype=float)[grouped]
-        self.k = np.array([kk for _, _, kk in self.points], dtype=float)[grouped]
+        self.omega = omega[grouped]
+        self.k = k[grouped]
         self.unique_k, self.k_index = np.unique(self.k, return_inverse=True)
 
     def by_mode(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -364,30 +374,17 @@ _OBS_HEADER = "mode,omega_rad_s,k_rad_m"
 
 def write_observations(path, obs: ObservationSet) -> None:
     """Delimited-text observation export consumed by the identifier."""
-    with open(path, "w") as fh:
-        fh.write(f"# band_mhz_mm,{obs.band[0]:.12g},{obs.band[1]:.12g}\n")
-        fh.write(_OBS_HEADER + "\n")
-        for mode, om, kk in obs.points:
-            fh.write(f"{mode},{om:.12g},{kk:.12g}\n")
+    textio.write_table(path, _OBS_HEADER, list(zip(*obs.points)),
+                       comments=[("band_mhz_mm", *obs.band)])
 
 
 def read_observations(path) -> ObservationSet:
-    points = []
-    band = (0.0, np.inf)
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.lstrip("# ").split(",")
-                if parts[0] == "band_mhz_mm":
-                    band = (float(parts[1]), float(parts[2]))
-                continue
-            if line == _OBS_HEADER:
-                continue
-            mode, om, kk = line.split(",")
-            points.append((mode, float(om), float(kk)))
-    if not points:
+    meta, lines = textio.read_table(path, _OBS_HEADER)
+    if not lines:
         raise ValueError(f"no observations found in {path}")
-    return ObservationSet(points=points, band=band)
+    band = dict(meta).get("band_mhz_mm")
+    values = textio.float_columns(lines, 1, 2).tolist()
+    return ObservationSet(
+        points=[(mode, om, kk) for mode, (om, kk) in zip(textio.labels(lines), values)],
+        band=tuple(float(v) for v in band.split(",")) if band else (0.0, np.inf),
+    )

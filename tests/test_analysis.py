@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from lambid.analysis import (CurveEnsemble, PosteriorSummary, curve_ensemble,
-                             kde_bivariate, mc_standard_error,
-                             read_density_grid, split_half_diagnostic,
-                             summarize, write_density_grid, write_ensemble,
-                             write_summary)
+from lambid.analysis import (curve_ensemble, mc_standard_error, summarize,
+                             write_ensemble, write_summary)
 from lambid.bayes import PARAM_NAMES, Chain
 from lambid.dispersion import k_grid_for_fh_band, trace_curves
 
@@ -48,20 +45,6 @@ class TestSummarize:
         chain = _chain_from(np.ones((20, 6)))
         with pytest.raises(ValueError):
             summarize(chain)
-
-
-class TestBivariateKde:
-    def test_density_integrates_to_one(self, rng):
-        chain = _gaussian_chain(rng)
-        x, y, dens = kde_bivariate(chain, ("c55", "rho"))
-        total = np.trapezoid(np.trapezoid(dens, x, axis=1), y)
-        assert total == pytest.approx(1.0, abs=0.01)
-
-    def test_zero_variance_names_parameter(self, rng):
-        samples = _gaussian_chain(rng).samples.copy()
-        samples[:, 4] = 1200.0
-        with pytest.raises(ValueError, match="rho"):
-            kde_bivariate(_chain_from(samples), ("c55", "rho"))
 
 
 class TestEnsemble:
@@ -111,13 +94,6 @@ class TestDiagnostics:
         se = mc_standard_error(x)
         assert se == pytest.approx(1.0 / np.sqrt(x.size), rel=0.5)
 
-    def test_split_half_on_iid_chain(self, rng):
-        chain = _gaussian_chain(rng)
-        diag = split_half_diagnostic(chain)
-        assert set(diag) == set(PARAM_NAMES)
-        # iid halves agree within a few MCSE
-        assert all(v < 5.0 for v in diag.values())
-
 
 class TestExports:
     def test_summary_file(self, rng, tmp_path):
@@ -137,12 +113,3 @@ class TestExports:
         path = tmp_path / "ensemble.csv"
         write_ensemble(path, ens)
         assert "A0" in path.read_text()
-
-    def test_density_grid_round_trip(self, rng, tmp_path):
-        chain = _gaussian_chain(rng)
-        x, y, dens = kde_bivariate(chain, ("c55", "rho"), grid_size=32)
-        prefix = tmp_path / "kde_c55_rho"
-        write_density_grid(prefix, x, y, dens)
-        bx, by, bd = read_density_grid(prefix)
-        assert np.allclose(bx, x) and np.allclose(by, y)
-        assert np.allclose(bd, dens)

@@ -90,6 +90,41 @@ def test_identify_unknown_mode_label_exits_io(tmp_path, capsys):
     assert not (tmp_path / "chain.csv").exists()
 
 
+@pytest.mark.parametrize("text,why", [
+    ("mode,omega_rad_s,k_rad_m\nA0,150000,900\nS0,200000,-400\n", "observation row 2"),
+    ("mode,omega_rad_s,k_rad_m\nA0,150000,900\nA0,nan,900\n", "observation row 2"),
+    ("A0,150000,900\nS0,200000,400\n", "missing header"),
+])
+def test_identify_bad_observations_exits_io(tmp_path, capsys, text, why):
+    cfg = write_cfg(tmp_path, base_cfg())
+    (tmp_path / "observations.csv").write_text(text)
+    rc = cli.main(["identify", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error:io:" in err and why in err
+    assert not (tmp_path / "chain.csv").exists()
+
+
+def test_summarize_headerless_chain_exits_io(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_cfg())
+    rows = "".join(f"{i},2.8e10,7.8e9,1.67e10,8.2e9,1200,3000,-10,1\n"
+                   for i in range(200))
+    (tmp_path / "chain.csv").write_text("# warmup_len,0\n" + rows)
+    rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert "missing header" in capsys.readouterr().err
+
+
+def test_solve_prints_auto_converged_order(tmp_path, capsys):
+    payload = base_cfg()
+    del payload["band"]  # the default band: order 14 converges at 16
+    payload["solver"] = {"order": 14, "auto_converge": True}
+    cfg = write_cfg(tmp_path, payload)
+    rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    assert "expansion order used: 16 (auto-converged)" in capsys.readouterr().out
+
+
 def test_solve_auto_converge_bounded_exits_solver(tmp_path, capsys):
     payload = base_cfg()
     payload["band"] = {"fh_min_mhz_mm": 0.02, "fh_max_mhz_mm": 4.098,
@@ -103,7 +138,7 @@ def test_solve_auto_converge_bounded_exits_solver(tmp_path, capsys):
 
 def test_bad_config_exits_config(tmp_path, capsys):
     payload = base_cfg()
-    payload["solver"] = {"eig_method": "magic"}
+    payload["sampler"]["n_samples"] = 0
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["config"] == 2

@@ -1,6 +1,8 @@
 """YAML run-configuration loading and validation."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -51,7 +53,7 @@ def test_section_override_merges(tmp_path):
     cfg = load_config(write_cfg(tmp_path, payload))
     assert cfg.solver["order"] == 10
     # untouched defaults survive
-    assert cfg.solver["eig_method"] == "dense"
+    assert cfg.solver["auto_converge"] is False
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -107,13 +109,6 @@ def test_bad_band_ordering(tmp_path):
     payload = full_cfg()
     payload["band"] = {"fh_min_mhz_mm": 3.0, "fh_max_mhz_mm": 1.0}
     with pytest.raises(ConfigError, match="band"):
-        load_config(write_cfg(tmp_path, payload))
-
-
-def test_bad_eig_method(tmp_path):
-    payload = full_cfg()
-    payload["solver"] = {"eig_method": "magic"}
-    with pytest.raises(ConfigError, match="eig_method"):
         load_config(write_cfg(tmp_path, payload))
 
 
@@ -176,3 +171,16 @@ def test_resolved_roundtrip(tmp_path):
     assert set(resolved["priors"]) == {"c11", "c13", "c33", "c55", "rho",
                                        "sigma"}
     assert math.isfinite(resolved["priors"]["rho"]["mean"])
+
+
+def test_readme_config_reference_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config reference", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "readme.yaml"
+    path.write_text(block)
+    cfg = load_config(path)
+    documented = yaml.safe_load(block)
+    for section_name in ("band", "solver", "synth", "extract", "sampler",
+                         "ensemble"):
+        assert set(documented[section_name]) == set(getattr(cfg, section_name))

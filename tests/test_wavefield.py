@@ -166,3 +166,9 @@ class TestIO:
         path.write_text("mode,omega_rad_s,k_rad_m\nS1,200000,400\n")
         with pytest.raises(ValueError, match="S1"):
             read_observations(path)
+
+    @pytest.mark.parametrize("row", [("S0", 2e5, -400.0), ("A0", np.nan, 900.0),
+                                     ("A0", 1.5e5, np.inf), ("S0", 0.0, 400.0)])
+    def test_non_finite_or_non_positive_values_rejected(self, row):
+        with pytest.raises(ValueError, match=r"observation row 2 .*finite and positive"):
+            ObservationSet(points=[("A0", 1.5e5, 900.0), row], band=(0.2, 4.0))
