@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import gaussian_kde
@@ -101,6 +101,10 @@ def curve_ensemble(
     The thinning step caps the ensemble at max_solves members.  Samples
     whose solve fails anywhere on the grid are skipped and counted; more
     than half skipped raises (the posterior is inconsistent with the model).
+    Each member's "A0" is its slower branch at every k and "S0" the
+    faster: the order ensemble files have always had, and the one the
+    benchmark's ensemble check (bench/checks.py) expects.  It differs from
+    trace_curves' parity labels only past an A0/S0 crossing.
     """
     draws = chain.post_warmup
     step = max(1, math.ceil(draws.shape[0] / max_solves))
@@ -124,7 +128,9 @@ def curve_ensemble(
         if a0.k.size != k_grid.size:
             skipped += 1
             continue
-        for mode, curve in (("A0", a0), ("S0", s0)):
+        slow_fast = np.sort([a0.c_p, s0.c_p], axis=0)
+        for mode, curve, cp in zip(("A0", "S0"), (a0, s0), slow_fast):
+            curve = replace(curve, c_p=cp, omega=cp * curve.k)
             if with_cg:
                 curve = group_velocity(curve)
                 cgs[mode].append(curve.c_g)

@@ -5,12 +5,16 @@ The through-thickness expansion turns the coupled wave equations into a
 off-diagonal coupling blocks are purely imaginary, so the problem is recast
 with real arithmetic only, and the realified matrix is symmetric.  With
 s = 2/kh it is a quadratic in s whose coefficients depend only on the
-material and the order, A(kh) = D0 + s D1 + s^2 D2, so every wavenumber of
-a grid or an observation set is assembled in one broadcast and solved in
-one batched symmetric eigensolve.  The fundamental A0/S0 modes are its two
-smallest-magnitude negative eigenvalues.  Deflated inverse power iteration
-(method="power") is kept as the paper's solver and gives the same
-eigenvalues at a higher cost per point.
+material and the order, A(kh) = D0 + s D1 + s^2 D2.  The plate is symmetric
+about its mid-plane and Legendre polynomials have parity (-1)^m, so the
+matrix splits exactly into an antisymmetric block (u1 odd, u3 even), which
+holds A0, and a symmetric block (u1 even, u3 odd), which holds S0, each
+(M+1) x (M+1).  Every wavenumber of a grid or an observation set is
+assembled as both blocks in one broadcast and solved in one batched
+symmetric eigensolve; each mode is the smallest-magnitude negative
+eigenvalue of its own block, so the labels are exact where A0 and S0 cross.
+Deflated inverse power iteration (method="power") is kept as the paper's
+solver and gives the same eigenvalues at a higher cost per point.
 """
 
 from __future__ import annotations
@@ -188,16 +192,36 @@ def _operator(theta: ElasticConstants, order: int) -> np.ndarray:
     return d
 
 
-def system_stack(theta: ElasticConstants, kh, order: int) -> np.ndarray:
-    """Realified system matrices at every kh, stacked [K, n, n]."""
+def _quadratic(d: np.ndarray, kh, order: int) -> np.ndarray:
+    """D0 + s D1 + s^2 D2 at every kh, s = 2/kh, from d = [D0, D1, D2]."""
     kh = np.asarray(kh, dtype=float).reshape(-1, 1, 1)
     if np.any(kh <= 0):
         raise ValueError("kh must be positive")
     if order < 1:
         raise ValueError("expansion order must be at least 1")
-    d0, d1, d2 = _operator(theta, order)
     s = 2.0 / kh
-    return d0 + s * d1 + (s * s) * d2
+    return d[0] + s * d[1] + (s * s) * d[2]
+
+
+def system_stack(theta: ElasticConstants, kh, order: int) -> np.ndarray:
+    """Realified system matrices at every kh, stacked [K, n, n]."""
+    return _quadratic(_operator(theta, order), kh, order)
+
+
+def _parity_stack(theta: ElasticConstants, kh, order: int) -> np.ndarray:
+    """The antisymmetric (A0) and symmetric (S0) blocks of system_stack at
+    every kh, stacked [2, K, M+1, M+1].
+
+    With u1 at indices 0..M and u3 at M+1..2M+1, the antisymmetric set is
+    u1 odd + u3 even and the symmetric set u1 even + u3 odd.  Q_m has parity
+    (-1)^m about the mid-plane; the coupling terms of D1 (T1[1], T2[0]) join
+    orders of opposite parity and those of D2 (T1[2], T2[1]) orders of equal
+    parity, so no entry joins the two sets.
+    """
+    n = order + 1
+    idx = np.array([np.r_[1:n:2, n:2 * n:2], np.r_[0:n:2, n + 1:2 * n:2]])
+    d = _operator(theta, order)[:, idx[:, :, None], idx[:, None, :]]
+    return _quadratic(d[:, :, None], kh, order)
 
 
 def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMatrices:
@@ -319,7 +343,8 @@ def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
                          method: str = "power") -> np.ndarray:
     """Phase velocities of the up-to-n_modes smallest negative eigenvalues.
 
-    Returned ascending (A0 first).  May return fewer than n_modes values
+    Returned ascending, with no mode labels: branch_cp applies it with
+    n_modes=1 to each parity block.  May return fewer than n_modes values
     when not enough negative eigenvalues exist at this kh.
     """
     if method == "power":
@@ -353,29 +378,29 @@ def branch_cp(theta: ElasticConstants, kh, order: int,
               method: str = "dense") -> np.ndarray:
     """Phase velocities [A0, S0] at every kh, one row per kh.
 
-    The two smallest-magnitude negative eigenvalues of each system give the
-    row, ascending.  Rows where fewer than two negative eigenvalues exist
-    are NaN.  Raises TracingError when the 1-3 stiffness block is not
-    positive definite (c13^2 >= c11 c33): such a material has no physical
-    fundamental modes, although the solver would still return a pair.
+    A0 is the smallest-magnitude negative eigenvalue of the antisymmetric
+    parity block and S0 that of the symmetric block, so each column keeps
+    its mode where the two cross.  Rows where either block has no negative
+    eigenvalue are NaN.  Raises TracingError when the 1-3 stiffness block is
+    not positive definite (c13^2 >= c11 c33): such a material has no
+    physical fundamental modes, although the solver would still return a
+    pair.
     """
     if theta.c13 ** 2 >= theta.c11 * theta.c33:
         raise TracingError("stiffness is not positive definite (c13^2 >= c11 c33)")
-    stack = system_stack(theta, kh, order)
-    cps = np.full((stack.shape[0], 2), np.nan)
+    blocks = _parity_stack(theta, kh, order)
     if method == "dense":
-        lams = np.linalg.eigvalsh(stack)  # ascending within each row
-        n_neg = np.count_nonzero(lams < 0, axis=1)
-        rows = np.nonzero(n_neg >= 2)[0]
-        cps[rows, 0] = np.sqrt(-lams[rows, n_neg[rows] - 1])
-        cps[rows, 1] = np.sqrt(-lams[rows, n_neg[rows] - 2])
+        lams = np.linalg.eigvalsh(blocks)  # [2, K, M+1]
+        cps = np.sqrt(-np.where(lams < 0, lams, -np.inf).max(axis=-1).T)
     elif method == "power":
-        for i, a_hat in enumerate(stack):
-            row = smallest_physical_cp(a_hat, 2, method="power")
-            if row.size == 2:
-                cps[i] = row
+        cps = np.full((blocks.shape[1], 2), np.inf)
+        for i, b in np.ndindex(cps.shape):
+            cp = smallest_physical_cp(blocks[b, i], 1, method="power")
+            if cp.size:
+                cps[i, b] = cp[0]
     else:
         raise ValueError(f"unknown eigensolver method: {method!r}")
+    cps[~np.all(np.isfinite(cps), axis=1)] = np.nan  # inf: a block had none
     return cps
 
 
@@ -393,15 +418,16 @@ def trace_curves(
 ) -> tuple[DispersionCurve, DispersionCurve]:
     """Trace the A0 and S0 dispersion branches over a wavenumber grid.
 
-    A0 is seeded as the lower-c_p branch at the smallest grid point and both
-    branches are propagated by nearest-neighbour continuity in c_p.  Grid
-    points yielding fewer than two physical eigenvalues are excluded with a
-    warning; more than max_excluded_fraction exclusions is a hard error, as
-    is a stiffness that is not positive definite.  With auto_converge, the
-    order is raised in steps of 2 until the curves change by less than 1e-6
-    relative; raising it past _MAX_CONVERGE_ORDER is a TracingError, since
-    at small kh eigenvalue rounding alone can exceed that tolerance.  Both
-    curves record the order they were traced at in `order`.
+    Each mode comes from its own parity block (see branch_cp), so no
+    continuity tracking is needed and crossings keep their labels.  Grid
+    points where either block has no physical eigenvalue are excluded with
+    a warning; more than max_excluded_fraction exclusions is a hard error,
+    as is a stiffness that is not positive definite.  With auto_converge,
+    the order is raised in steps of 2 until the curves change by less than
+    1e-6 relative; raising it past _MAX_CONVERGE_ORDER is a TracingError,
+    since below kh ~ 0.03 eigenvalue rounding alone moves A0 by about that
+    tolerance or more.  Both curves record the order they were traced at in
+    `order`.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
@@ -409,13 +435,13 @@ def trace_curves(
     if np.any(k_grid <= 0) or (k_grid.size > 1 and np.any(np.diff(k_grid) <= 0)):
         raise ValueError("k_grid must be positive and strictly increasing")
 
-    def trace_at(m_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def trace_at(m_order: int) -> tuple[np.ndarray, np.ndarray]:
         cps = branch_cp(theta, k_grid * plate.thickness, m_order, method)
         kept = ~np.isnan(cps[:, 0])
         for k in k_grid[~kept]:
             warnings.warn(
                 f"grid point k={k:.6g} excluded: "
-                "fewer than two physical eigenvalues found",
+                "no physical eigenvalue in the A0 or the S0 block",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -424,41 +450,32 @@ def trace_curves(
             raise TracingError(
                 f"{excluded}/{k_grid.size} grid points had no physical solution"
             )
-        lo, hi = cps[kept, 0].tolist(), cps[kept, 1].tolist()
-        for i in range(1, len(lo)):
-            # nearest-neighbour continuity: keep or swap the pair
-            direct = abs(lo[i] - lo[i - 1]) + abs(hi[i] - hi[i - 1])
-            crossed = abs(hi[i] - lo[i - 1]) + abs(lo[i] - hi[i - 1])
-            if crossed < direct:
-                lo[i], hi[i] = hi[i], lo[i]
-        return k_grid[kept], np.array(lo), np.array(hi)
+        return k_grid[kept], cps[kept]
 
     m_order = order
-    kk, lo, hi = trace_at(m_order)
+    kk, cps = trace_at(m_order)
     while auto_converge:
         if m_order + 2 > _MAX_CONVERGE_ORDER:
             raise TracingError(
                 f"curves did not converge to 1e-6 by order {m_order}"
             )
-        kk2, lo2, hi2 = trace_at(m_order + 2)
-        converged = np.array_equal(kk2, kk) and max(
-            np.max(np.abs(lo2 - lo) / np.abs(lo)),
-            np.max(np.abs(hi2 - hi) / np.abs(hi)),
-        ) < 1e-6
-        kk, lo, hi = kk2, lo2, hi2
+        kk2, cps2 = trace_at(m_order + 2)
+        converged = (np.array_equal(kk2, kk)
+                     and np.max(np.abs(cps2 - cps) / cps) < 1e-6)
+        kk, cps = kk2, cps2
         m_order += 2
         if converged:
             break
 
-    curves = []
-    for label, cp in ((Mode.A0, lo), (Mode.S0, hi)):
-        curve = DispersionCurve(
+    a0, s0 = (
+        DispersionCurve(
             mode_label=label, k=kk, omega=cp * kk, c_p=cp,
             c_g=np.full(kk.shape, np.nan) if kk.size < 3 else None,
             order=m_order,
         )
-        curves.append(curve)
-    return curves[0], curves[1]
+        for label, cp in zip((Mode.A0, Mode.S0), np.ascontiguousarray(cps.T))
+    )
+    return a0, s0
 
 
 def group_velocity(curve: DispersionCurve) -> DispersionCurve:

@@ -60,14 +60,15 @@ _EIGVALSH = np.linalg.eigvalsh
 
 
 def one_negative_at(rows):
-    """np.linalg.eigvalsh, except that each stacked matrix whose index is in
-    rows(stack size) keeps only one negative eigenvalue (still ascending)."""
+    """np.linalg.eigvalsh, except that at each kh whose index is in
+    rows(number of kh) no stacked matrix keeps a negative eigenvalue (still
+    ascending).  The kh index is the second-to-last axis of the result, so
+    this fits both the [K, n] and the parity blocks' [2, K, n] stacks."""
 
     def fake(a):
         lams = _EIGVALSH(a)
-        for i in rows(lams.shape[0]):
-            lams[i] = np.sort(np.abs(lams[i]))
-            lams[i, 0] *= -1.0
+        for i in rows(lams.shape[-2]):
+            lams[..., i, :] = np.sort(np.abs(lams[..., i, :]), axis=-1)
         return lams
 
     return fake

@@ -62,6 +62,39 @@ def per_k_system(theta, kh: float, order: int) -> np.ndarray:
     return np.block([[a11, -a13_im], [a31_im, a33]])
 
 
+def parity_sets(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the realified per-k system (u1 at 0..M, u3 at M+1..2M+1)
+    in its antisymmetric set (u1 odd, u3 even about the mid-plane) and its
+    symmetric set (u1 even, u3 odd).  Basis member m is P_m of the mapped
+    thickness coordinate, which has parity (-1)^m."""
+    n = order + 1
+    m = np.arange(n)
+    odd = m % 2 == 1
+    return (np.concatenate([m[odd], n + m[~odd]]),
+            np.concatenate([m[~odd], n + m[odd]]))
+
+
+def labelled_branches(a_hat: np.ndarray, order: int) -> tuple[np.ndarray, float]:
+    """Eigenvalues [A0, S0] of a full realified system, labelled by the
+    parity of their eigenvectors, and the largest weight any eigenvector
+    puts on the other parity's indices.
+
+    Each unit eigenvector from eigh is antisymmetric when most of its weight
+    lies on the antisymmetric set.  A0 (S0) is the smallest-magnitude
+    negative eigenvalue among the antisymmetric (symmetric) ones; NaN when
+    that set has none.
+    """
+    lams, vecs = np.linalg.eigh(a_hat)
+    anti, _ = parity_sets(order)
+    w_anti = np.sum(vecs[anti] ** 2, axis=0)
+    out = np.full(2, np.nan)
+    for b, members in enumerate((w_anti > 0.5, w_anti <= 0.5)):
+        neg = lams[members & (lams < 0)]
+        if neg.size:
+            out[b] = neg.max()
+    return out, float(np.minimum(w_anti, 1.0 - w_anti).max())
+
+
 def _rl_sym(cp, w, cl, ct, h):
     """Real part of the symmetric Rayleigh-Lamb function at phase velocity
     cp, a scalar or an array."""

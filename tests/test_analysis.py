@@ -4,7 +4,7 @@ import pytest
 from lambid.analysis import (curve_ensemble, mc_standard_error, summarize,
                              write_ensemble, write_summary)
 from lambid.bayes import PARAM_NAMES, Chain
-from lambid.dispersion import k_grid_for_fh_band, trace_curves
+from lambid.dispersion import ElasticConstants, k_grid_for_fh_band, trace_curves
 
 
 def _chain_from(samples, warmup=0):
@@ -67,6 +67,20 @@ class TestEnsemble:
         ens = curve_ensemble(_chain_from(samples), plate, k, order=8)
         assert ens.n_skipped == 1
         assert list(ens.sample_ids) == [0, 2, 3]
+
+    def test_members_list_slower_branch_as_a0(self, plate):
+        # A0 and S0 of this material cross between kh 3 and 4; trace_curves
+        # labels past the crossing by parity, the ensemble by speed
+        row = np.array([152.3e9, 86.9e9, 79.6e9, 28.5e9, 1055.0, 2e3])
+        k = np.geomspace(1.0, 6.0, 12) / plate.thickness
+        ens = curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate, k,
+                             order=12, with_cg=True)
+        a0, s0 = trace_curves(ElasticConstants(*row[:5]), plate, k, order=12)
+        assert np.any(a0.omega > s0.omega)
+        assert np.array_equal(ens.omega["A0"][0], np.minimum(a0.omega, s0.omega))
+        assert np.array_equal(ens.omega["S0"][0], np.maximum(a0.omega, s0.omega))
+        assert np.array_equal(ens.c_g["A0"][0],
+                              np.gradient(ens.omega["A0"][0], k, edge_order=2))
 
     def test_thinning_caps_members(self, gfrp, plate, rng):
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,

@@ -4,8 +4,8 @@ import pytest
 import oracles
 from conftest import one_negative_at, random_constants
 from lambid.dispersion import (ElasticConstants, Mode, PlateSpec, SolveFallback,
-                               TracingError, assemble_system, branch_cp,
-                               complex_block, engineering_to_constants,
+                               TracingError, _parity_stack, assemble_system,
+                               branch_cp, complex_block, engineering_to_constants,
                                group_velocity, k_grid_for_fh_band,
                                read_curves, realify,
                                sensitivity_sweep, smallest_physical_cp,
@@ -89,19 +89,61 @@ class TestRealification:
             order = int(rng.integers(2, 16))
             kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
             stack = system_stack(theta, kh, order)
-            lams = np.linalg.eigvalsh(stack)
+            blocks = _parity_stack(theta, kh, order)
+            lams = np.linalg.eigvalsh(blocks)
             cps = branch_cp(theta, kh, order)
+            anti, sym = oracles.parity_sets(order)
             for i in range(kh.size):
                 a_hat = oracles.per_k_system(theta, kh[i], order)
-                assert np.abs(stack[i] - a_hat).max() <= 1e-14 * np.abs(a_hat).max()
+                top = np.abs(a_hat).max()
+                assert np.abs(stack[i] - a_hat).max() <= 1e-14 * top
+                # no entry joins the two parity sets, so the blocks are exact
+                assert np.all(a_hat[np.ix_(anti, sym)] == 0.0)
+                assert np.all(a_hat[np.ix_(sym, anti)] == 0.0)
+                for b, idx in enumerate((anti, sym)):
+                    assert np.abs(blocks[b, i] - a_hat[np.ix_(idx, idx)]).max() \
+                        <= 1e-14 * top
                 ref_lams = np.linalg.eigvalsh(a_hat)
                 scale = np.abs(ref_lams).max()
-                assert np.abs(lams[i] - ref_lams).max() <= 1e-13 * scale
-                ref = smallest_physical_cp(a_hat, 2, method="dense")
-                assert ref.size == 2
-                assert np.all(np.abs(cps[i] ** 2 - ref ** 2) <= 1e-13 * scale)
-                well = ref ** 2 >= 1e-6 * scale
-                assert np.all(np.abs(cps[i] - ref)[well] <= 1e-8 * ref[well])
+                assert np.abs(np.sort(lams[:, i], axis=None) - ref_lams).max() \
+                    <= 1e-13 * scale
+                # each column carries the label of its eigenvector's parity
+                ref, leak = oracles.labelled_branches(a_hat, order)
+                assert leak <= 1e-12
+                assert np.all(np.abs(cps[i] ** 2 + ref) <= 1e-13 * scale)
+                well = -ref >= 1e-6 * scale
+                ref_cp = np.sqrt(-ref)
+                assert np.all(np.abs(cps[i] - ref_cp)[well] <= 1e-8 * ref_cp[well])
+                # the per-k loop's magnitude rule gives the same pair, unlabelled
+                pair = smallest_physical_cp(a_hat, 2, method="dense")
+                assert pair.size == 2
+                assert np.all(np.abs(np.sort(cps[i]) ** 2 - pair ** 2)
+                              <= 1e-13 * scale)
+
+    def test_crossing_keeps_labels(self, plate):
+        # this material's A0 and S0 cross between kh 3 and 4: at kh 4.547 the
+        # A0 (antisymmetric) branch is the faster one, so a rule that calls
+        # the slower of one spectrum's two smallest negatives A0 swaps them
+        theta = ElasticConstants(152.3e9, 86.9e9, 79.6e9, 28.5e9, 1055.0)
+        kh = 4.547
+        ref, leak = oracles.labelled_branches(oracles.per_k_system(theta, kh, 14), 14)
+        assert leak <= 1e-12
+        for order in (12, 14, 20, 30, 40):
+            for method in ("dense", "power"):
+                a0, s0 = branch_cp(theta, kh, order, method)[0]
+                assert a0 == pytest.approx(4324.707, abs=1e-3)
+                assert s0 == pytest.approx(3996.647, abs=1e-3)
+        cps = branch_cp(theta, kh, 14)[0]
+        assert np.allclose(cps, np.sqrt(-ref), rtol=1e-10, atol=0.0)
+        pair = smallest_physical_cp(realify(assemble_system(theta, kh, 14)), 2,
+                                    method="dense")
+        assert np.allclose(pair, np.sort(cps), rtol=1e-10, atol=0.0)
+        k = np.geomspace(1.0, kh, 30) / plate.thickness
+        a0, s0 = trace_curves(theta, plate, k, order=14)
+        assert np.allclose([a0.c_p[-1], s0.c_p[-1]], cps, rtol=1e-12, atol=0.0)
+        kh_grid = a0.k * plate.thickness
+        assert np.all(a0.c_p[kh_grid < 3.0] < s0.c_p[kh_grid < 3.0])
+        assert np.all(a0.c_p[kh_grid > 4.0] > s0.c_p[kh_grid > 4.0])
 
 
 class TestEigensolvers:
@@ -223,8 +265,10 @@ class TestTracing:
             assert np.array_equal(g.omega, w.omega)
 
     def test_auto_converge_is_bounded(self, gfrp, plate):
-        # at kh ~ 0.03 eigenvalue rounding alone moves A0's c_p by more
-        # than the 1e-6 stopping rule, so the order would climb forever
+        # at kh ~ 0.03 eigenvalue rounding alone moves A0's c_p by 1e-6 to
+        # 4e-4 from one order to the next, so whether the 1e-6 stopping rule
+        # is met is left to rounding; on this grid it never is, and without
+        # the bound the order would climb forever
         k = k_grid_for_fh_band(gfrp, plate, 0.02, 4.098, n_points=30, order=14)
         with pytest.raises(TracingError, match="by order 40"):
             trace_curves(gfrp, plate, k, order=14, auto_converge=True)

@@ -12,13 +12,13 @@ from lambid.dispersion import (ElasticConstants, PlateSpec,
 
 def scalar_scan_cp(mode, f_hz, cl, ct, h):
     """rayleigh_lamb_cp as it was: the 6000-point grid evaluated one
-    scalar at a time."""
+    scalar at a time, each point when the scan first reads it."""
     w = 2 * math.pi * f_hz
     fun = oracles._rl_sym if mode == "S0" else oracles._rl_asym
     grid = np.linspace(50.0, 1.5 * cl, 6000)
-    vals = np.array([float(fun(c, w, cl, ct, h)) for c in grid])
+    b = float(fun(grid[0], w, cl, ct, h))
     for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
+        a, b = b, float(fun(grid[i + 1], w, cl, ct, h))
         if not (np.isfinite(a) and np.isfinite(b)) or a * b >= 0:
             continue
         root = brentq(fun, grid[i], grid[i + 1], args=(w, cl, ct, h),
