@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textio
-from .dispersion import ElasticConstants, PlateSpec, TracingError, branch_cp
+from .dispersion import ElasticConstants, PlateSpec, TracingError, mode_cp
 from .wavefield import ObservationSet
 
 __all__ = [
@@ -225,15 +225,17 @@ class Chain:
 def _predicted_omegas(
     obs: ObservationSet, theta: ParamVector, plate: PlateSpec, order: int
 ) -> np.ndarray | None:
-    """Model omega at every observed point, in obs.omega's order; one solve
-    per unique k gives both branches.  None when any solve is rejected."""
+    """Model omega at every observed point, in obs.omega's order, from one
+    parity block per observed (mode, k) pair, all in one batched solve.
+    None when any solve is rejected."""
     try:
-        cps = branch_cp(theta.material(), obs.unique_k * plate.thickness, order)
+        cps = mode_cp(theta.material(), obs.pair_k * plate.thickness,
+                      obs.pair_branch, order)
     except TracingError:  # stiffness not positive definite
         return None
     if np.isnan(cps).any():
         return None
-    return cps[obs.k_index, obs.branch] * obs.k
+    return cps[obs.pair_index] * obs.k
 
 
 def log_likelihood(
@@ -247,7 +249,13 @@ def log_likelihood(
     -N log sigma - N/2 log 2pi - 1/2 sum (omega_hat - omega(k_hat))^2/sigma^2
     over all N points; -inf whenever sigma or any stiffness/density is
     non-positive, the 1-3 stiffness block is not positive definite
-    (c13^2 >= c11 c33), or the forward solve yields no physical branch pair.
+    (c13^2 >= c11 c33), or the parity block of an observed (mode, k) pair
+    has no negative eigenvalue.  Only observed pairs are solved, so the
+    block of a mode not observed at a k cannot reject it.  Where
+    observations lie (kh >= 0.2) every block of a positive-definite
+    stiffness is negative definite, so this rejects what requiring both
+    blocks did; below kh 0.1, with c13^2 within ~1e-6 of c11 c33, A0's
+    eigenvalue is of rounding size and either block may lose its sign.
     """
     if len(obs) == 0:
         raise ValueError("observation set is empty")

@@ -9,10 +9,11 @@ material and the order, A(kh) = D0 + s D1 + s^2 D2.  The plate is symmetric
 about its mid-plane and Legendre polynomials have parity (-1)^m, so the
 matrix splits exactly into an antisymmetric block (u1 odd, u3 even), which
 holds A0, and a symmetric block (u1 even, u3 odd), which holds S0, each
-(M+1) x (M+1).  Every wavenumber of a grid or an observation set is
-assembled as both blocks in one broadcast and solved in one batched
-symmetric eigensolve; each mode is the smallest-magnitude negative
-eigenvalue of its own block, so the labels are exact where A0 and S0 cross.
+(M+1) x (M+1).  mode_cp assembles one block per requested (kh, mode) pair in
+one broadcast and solves them in one batched symmetric eigensolve: a curve
+grid asks for both blocks at every kh (branch_cp), the likelihood only for
+the observed pairs.  Each mode is the smallest-magnitude negative eigenvalue
+of its own block, so the labels are exact where A0 and S0 cross.
 Deflated inverse power iteration (method="power") is kept as the paper's
 solver and gives the same eigenvalues at a higher cost per point.
 """
@@ -40,6 +41,7 @@ __all__ = [
     "engineering_to_constants",
     "assemble_system",
     "system_stack",
+    "mode_cp",
     "branch_cp",
     "realify",
     "solve_full",
@@ -193,8 +195,9 @@ def _operator(theta: ElasticConstants, order: int) -> np.ndarray:
 
 
 def _quadratic(d: np.ndarray, kh, order: int) -> np.ndarray:
-    """D0 + s D1 + s^2 D2 at every kh, s = 2/kh, from d = [D0, D1, D2]."""
-    kh = np.asarray(kh, dtype=float).reshape(-1, 1, 1)
+    """D0 + s D1 + s^2 D2 at every kh, s = 2/kh, from d = [D0, D1, D2];
+    the result has kh's shape followed by the matrix axes."""
+    kh = np.asarray(kh, dtype=float)[..., None, None]
     if np.any(kh <= 0):
         raise ValueError("kh must be positive")
     if order < 1:
@@ -205,12 +208,13 @@ def _quadratic(d: np.ndarray, kh, order: int) -> np.ndarray:
 
 def system_stack(theta: ElasticConstants, kh, order: int) -> np.ndarray:
     """Realified system matrices at every kh, stacked [K, n, n]."""
-    return _quadratic(_operator(theta, order), kh, order)
+    return _quadratic(_operator(theta, order), np.reshape(kh, -1), order)
 
 
-def _parity_stack(theta: ElasticConstants, kh, order: int) -> np.ndarray:
-    """The antisymmetric (A0) and symmetric (S0) blocks of system_stack at
-    every kh, stacked [2, K, M+1, M+1].
+def _parity_blocks(theta: ElasticConstants, kh, branch, order: int) -> np.ndarray:
+    """Parity block `branch` of system_stack at `kh`, for every element of
+    the broadcast kh and branch: shape [*broadcast, M+1, M+1].  Branch 0 is
+    the antisymmetric (A0) block and 1 the symmetric (S0) one.
 
     With u1 at indices 0..M and u3 at M+1..2M+1, the antisymmetric set is
     u1 odd + u3 even and the symmetric set u1 even + u3 odd.  Q_m has parity
@@ -218,10 +222,13 @@ def _parity_stack(theta: ElasticConstants, kh, order: int) -> np.ndarray:
     orders of opposite parity and those of D2 (T1[2], T2[1]) orders of equal
     parity, so no entry joins the two sets.
     """
+    branch = np.asarray(branch)
+    if np.any((branch != 0) & (branch != 1)):
+        raise ValueError("branch must be 0 (A0) or 1 (S0)")
     n = order + 1
     idx = np.array([np.r_[1:n:2, n:2 * n:2], np.r_[0:n:2, n + 1:2 * n:2]])
-    d = _operator(theta, order)[:, idx[:, :, None], idx[:, None, :]]
-    return _quadratic(d[:, :, None], kh, order)
+    d = _operator(theta, order)[:, idx[:, :, None], idx[:, None, :]]  # [3, 2, ...]
+    return _quadratic(d[:, branch], kh, order)
 
 
 def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMatrices:
@@ -343,7 +350,7 @@ def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
                          method: str = "power") -> np.ndarray:
     """Phase velocities of the up-to-n_modes smallest negative eigenvalues.
 
-    Returned ascending, with no mode labels: branch_cp applies it with
+    Returned ascending, with no mode labels: mode_cp applies it with
     n_modes=1 to each parity block.  May return fewer than n_modes values
     when not enough negative eigenvalues exist at this kh.
     """
@@ -374,33 +381,41 @@ def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
     return np.sort(cps)
 
 
-def branch_cp(theta: ElasticConstants, kh, order: int,
-              method: str = "dense") -> np.ndarray:
-    """Phase velocities [A0, S0] at every kh, one row per kh.
+def mode_cp(theta: ElasticConstants, kh, branch, order: int,
+            method: str = "dense") -> np.ndarray:
+    """Phase velocity of mode `branch` (0 = A0, 1 = S0) at `kh`, for every
+    element of the broadcast kh and branch, from one batched eigensolve.
 
-    A0 is the smallest-magnitude negative eigenvalue of the antisymmetric
-    parity block and S0 that of the symmetric block, so each column keeps
-    its mode where the two cross.  Rows where either block has no negative
-    eigenvalue are NaN.  Raises TracingError when the 1-3 stiffness block is
-    not positive definite (c13^2 >= c11 c33): such a material has no
-    physical fundamental modes, although the solver would still return a
-    pair.
+    Each value is the smallest-magnitude negative eigenvalue of that pair's
+    parity block, NaN where the block has none.  Raises TracingError when
+    the 1-3 stiffness block is not positive definite (c13^2 >= c11 c33):
+    such a material has no physical fundamental modes, although the solver
+    would still return a value.
     """
     if theta.c13 ** 2 >= theta.c11 * theta.c33:
         raise TracingError("stiffness is not positive definite (c13^2 >= c11 c33)")
-    blocks = _parity_stack(theta, kh, order)
+    blocks = _parity_blocks(theta, kh, branch, order)
     if method == "dense":
-        lams = np.linalg.eigvalsh(blocks)  # [2, K, M+1]
-        cps = np.sqrt(-np.where(lams < 0, lams, -np.inf).max(axis=-1).T)
-    elif method == "power":
-        cps = np.full((blocks.shape[1], 2), np.inf)
-        for i, b in np.ndindex(cps.shape):
-            cp = smallest_physical_cp(blocks[b, i], 1, method="power")
-            if cp.size:
-                cps[i, b] = cp[0]
-    else:
-        raise ValueError(f"unknown eigensolver method: {method!r}")
-    cps[~np.all(np.isfinite(cps), axis=1)] = np.nan  # inf: a block had none
+        lams = np.linalg.eigvalsh(blocks)  # [*broadcast, M+1]
+        cps = np.sqrt(-np.where(lams < 0, lams, -np.inf).max(axis=-1))
+        return np.where(np.isinf(cps), np.nan, cps)  # inf: the block had none
+    if method == "power":
+        cps = [smallest_physical_cp(b, 1, method="power")
+               for b in blocks.reshape(-1, *blocks.shape[-2:])]
+        return np.reshape([cp[0] if cp.size else np.nan for cp in cps],
+                          blocks.shape[:-2])
+    raise ValueError(f"unknown eigensolver method: {method!r}")
+
+
+def branch_cp(theta: ElasticConstants, kh, order: int,
+              method: str = "dense") -> np.ndarray:
+    """Phase velocities [A0, S0] at every kh, one row per kh (see mode_cp).
+
+    Each column keeps its mode where the two cross.  Rows where either
+    block has no negative eigenvalue are NaN.
+    """
+    cps = mode_cp(theta, np.ravel(kh), [[0], [1]], order, method).T  # [K, 2]
+    cps[np.isnan(cps).any(axis=1)] = np.nan
     return cps
 
 
@@ -423,10 +438,12 @@ def trace_curves(
     points where either block has no physical eigenvalue are excluded with
     a warning; more than max_excluded_fraction exclusions is a hard error,
     as is a stiffness that is not positive definite.  With auto_converge,
-    the order is raised in steps of 2 until the curves change by less than
-    1e-6 relative; raising it past _MAX_CONVERGE_ORDER is a TracingError,
-    since below kh ~ 0.03 eigenvalue rounding alone moves A0 by about that
-    tolerance or more.  Both curves record the order they were traced at in
+    the order is raised in steps of 2 until the curves move by less than
+    1e-6 relative both from the order below and to the order above, and the
+    curves of that middle order are returned: below kh ~ 0.03 eigenvalue
+    rounding alone moves A0 by 5e-7 to 6e-6 per step, so one small step can
+    be chance.  Raising the order past _MAX_CONVERGE_ORDER is a
+    TracingError.  Both curves record the order they were traced at in
     `order`.
     """
     k_grid = np.asarray(k_grid, dtype=float)
@@ -454,18 +471,20 @@ def trace_curves(
 
     m_order = order
     kk, cps = trace_at(m_order)
+    settled = False  # the step up to m_order moved the curves by < 1e-6
     while auto_converge:
         if m_order + 2 > _MAX_CONVERGE_ORDER:
             raise TracingError(
                 f"curves did not converge to 1e-6 by order {m_order}"
             )
         kk2, cps2 = trace_at(m_order + 2)
-        converged = (np.array_equal(kk2, kk)
-                     and np.max(np.abs(cps2 - cps) / cps) < 1e-6)
+        small = (np.array_equal(kk2, kk)
+                 and np.max(np.abs(cps2 - cps) / cps) < 1e-6)
+        if small and settled:
+            break
+        settled = small
         kk, cps = kk2, cps2
         m_order += 2
-        if converged:
-            break
 
     a0, s0 = (
         DispersionCurve(
@@ -562,7 +581,7 @@ def k_grid_for_fh_band(
     h = plate.thickness
 
     def fh_of(k: float, idx: int) -> float:
-        cp = branch_cp(theta, k * h, order)[0, idx]
+        cp = float(mode_cp(theta, k * h, idx, order))
         if np.isnan(cp):
             raise TracingError(f"no physical solution at k={k}")
         # fh in MHz*mm = f[Hz] * h[m] * 1e-3

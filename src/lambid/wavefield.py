@@ -71,7 +71,7 @@ class DispersionImage:
     zero_rows: np.ndarray | None = None  # flags for all-zero raw rows
 
 
-_BRANCHES = (Mode.A0.value, Mode.S0.value)  # column 0 / 1 of branch_cp
+_BRANCHES = (Mode.A0.value, Mode.S0.value)  # mode_cp's branch 0 / 1
 
 
 @dataclass
@@ -80,9 +80,11 @@ class ObservationSet:
 
     The likelihood's columns are built once, at construction, with the
     points grouped by mode (A0 first): `branch` (0 = A0, 1 = S0), `omega`,
-    `k`, and the sorted `unique_k` with `k_index`, the index of each
-    point's k in them.  Labels other than A0 and S0, and any omega or k
-    that is not finite and positive, are rejected.
+    `k`, the distinct observed (mode, k) pairs as `pair_branch` and
+    `pair_k` (sorted by mode, then k), and `pair_index`, the index of each
+    point's pair in them; the forward model solves one parity block per
+    pair.  Labels other than A0 and S0, and any omega or k that is not
+    finite and positive, are rejected.
     """
 
     points: list  # (mode_label: str, omega_hat: float, k_hat: float)
@@ -106,7 +108,10 @@ class ObservationSet:
         self.branch = branch[grouped]
         self.omega = omega[grouped]
         self.k = k[grouped]
-        self.unique_k, self.k_index = np.unique(self.k, return_inverse=True)
+        pairs, index = np.unique(np.column_stack([self.branch, self.k]), axis=0,
+                                 return_inverse=True)
+        self.pair_branch, self.pair_k = pairs[:, 0].astype(int), pairs[:, 1]
+        self.pair_index = index.reshape(-1)
 
     def by_mode(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         return {

@@ -29,6 +29,18 @@ def per_k_log_likelihood(obs, theta, plate, order):
             - 0.5 * float(resid @ resid) / theta.sigma ** 2)
 
 
+EIGVALSH = np.linalg.eigvalsh
+
+
+def half_pair_obs(obs):
+    """A0 at the even grid indices, S0 at the odd ones, and the first A0
+    point once more with a shifted omega."""
+    a0 = [p for p in obs.points if p[0] == "A0"][0::2]
+    s0 = [p for p in obs.points if p[0] == "S0"][1::2]
+    extra = (a0[0][0], a0[0][1] + 1e3, a0[0][2])
+    return ObservationSet(points=a0 + s0 + [extra], band=obs.band)
+
+
 @pytest.fixture
 def synth_obs(gfrp, plate):
     grid = k_grid_for_fh_band(gfrp, plate, 0.3, 3.0, n_points=10, order=10)
@@ -133,6 +145,37 @@ class TestLikelihood:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             one_negative_at(lambda n: [n - 1]))
         assert log_likelihood(synth_obs, theta, plate) == -np.inf
+
+    def test_solves_one_block_per_observed_pair(self, synth_obs, gfrp, plate,
+                                                monkeypatch):
+        # A0 at every other grid k, S0 at the rest and one A0 point twice:
+        # ten distinct (mode, k) pairs, one parity block each, one solve
+        obs = half_pair_obs(synth_obs)
+        assert len(obs) == 11 and obs.pair_k.size == 10
+        theta = ParamVector(gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                            2e3)
+        shapes = []
+
+        def spy(a):
+            shapes.append(a.shape)
+            return EIGVALSH(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        got = log_likelihood(obs, theta, plate, order=10)
+        assert shapes == [(10, 11, 11)]
+        ref = per_k_log_likelihood(obs, theta, plate, 10)
+        assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_rejected_when_an_observed_pair_lacks_a_negative(
+            self, synth_obs, gfrp, plate, monkeypatch):
+        obs = half_pair_obs(synth_obs)
+        theta = ParamVector(gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                            2e3)
+        assert np.isfinite(log_likelihood(obs, theta, plate))
+        for row in (0, 4, 9):  # first A0, an A0 further on, last S0
+            monkeypatch.setattr(np.linalg, "eigvalsh",
+                                one_negative_at(lambda n, r=row: [r]))
+            assert log_likelihood(obs, theta, plate) == -np.inf
 
     def test_truth_beats_perturbed(self, synth_obs, gfrp, plate):
         good = ParamVector(gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,

@@ -4,10 +4,10 @@ import pytest
 import oracles
 from conftest import one_negative_at, random_constants
 from lambid.dispersion import (ElasticConstants, Mode, PlateSpec, SolveFallback,
-                               TracingError, _parity_stack, assemble_system,
+                               TracingError, _parity_blocks, assemble_system,
                                branch_cp, complex_block, engineering_to_constants,
                                group_velocity, k_grid_for_fh_band,
-                               read_curves, realify,
+                               mode_cp, read_curves, realify,
                                sensitivity_sweep, smallest_physical_cp,
                                solve_full, solve_smallest, system_stack,
                                trace_curves, write_curves)
@@ -89,7 +89,7 @@ class TestRealification:
             order = int(rng.integers(2, 16))
             kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
             stack = system_stack(theta, kh, order)
-            blocks = _parity_stack(theta, kh, order)
+            blocks = _parity_blocks(theta, kh, [[0], [1]], order)
             lams = np.linalg.eigvalsh(blocks)
             cps = branch_cp(theta, kh, order)
             anti, sym = oracles.parity_sets(order)
@@ -119,6 +119,59 @@ class TestRealification:
                 assert pair.size == 2
                 assert np.all(np.abs(np.sort(cps[i]) ** 2 - pair ** 2)
                               <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("method", ["dense", "power"])
+    def test_pair_solve_matches_branch_columns(self, rng, method):
+        # the draws of test_batched_operator_matches_per_k_loop; each pair's
+        # block is the same arithmetic and the same LAPACK call, so the
+        # pair primitive gives branch_cp's entries bit for bit, in any order
+        # and with repeats
+        for _ in range(300):
+            theta = random_constants(rng)
+            order = int(rng.integers(2, 16))
+            kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
+            cps = branch_cp(theta, kh, order, method)
+            ki = np.r_[np.repeat(np.arange(kh.size), 2), rng.integers(0, kh.size, 5)]
+            br = np.r_[np.tile([0, 1], kh.size), rng.integers(0, 2, 5)]
+            perm = rng.permutation(ki.size)
+            got = mode_cp(theta, kh[ki[perm]], br[perm], order, method)
+            assert np.array_equal(got, cps[ki[perm], br[perm]], equal_nan=True)
+
+    def test_parity_blocks_negative_definite(self, rng):
+        # -A is the Galerkin matrix of a positive-definite strain energy, so
+        # every parity block is negative definite, and a likelihood that
+        # solves only the observed pair's block rejects the same materials
+        # as one that asks both blocks at that k.  In floating point the
+        # largest eigenvalue stays below zero at kh >= 0.2 (the bench's
+        # observations start at kh 0.27); below kh 0.1, with c13^2 within
+        # ~1e-6 of c11 c33, A0's eigenvalue is itself of rounding size and
+        # its sign is left to rounding
+        for _ in range(2000):
+            c11, c33 = rng.uniform(10e9, 200e9, 2)
+            # c13^2 from near 0 up to (1 - 1e-6) c11 c33
+            c13 = np.sqrt((1 - 10 ** rng.uniform(-6, -0.01)) * c11 * c33)
+            theta = ElasticConstants(c11, c13, c33, rng.uniform(2e9, 60e9),
+                                     rng.uniform(800.0, 3000.0))
+            order = int(rng.integers(2, 21))
+            kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
+            lams = np.linalg.eigvalsh(_parity_blocks(theta, kh, [[0], [1]], order))
+            top = lams[..., -1] / np.abs(lams).max(axis=-1)  # [2, 10]
+            assert np.all(top < 1e-15)
+            assert np.all(top[:, kh >= 0.2] < 0)
+
+    def test_pair_solve_gives_nan_for_its_own_block_only(self, gfrp, monkeypatch):
+        kh = np.array([0.5, 1.0, 2.0])
+        want = mode_cp(gfrp, kh, [0, 1, 0], 10)
+        monkeypatch.setattr(np.linalg, "eigvalsh", one_negative_at(lambda n: [1]))
+        got = mode_cp(gfrp, kh, [0, 1, 0], 10)
+        assert np.isnan(got[1])
+        assert np.array_equal(got[[0, 2]], want[[0, 2]])
+
+    def test_pair_solve_rejects_bad_input(self, gfrp):
+        with pytest.raises(ValueError, match="branch"):
+            mode_cp(gfrp, [1.0, 2.0], [0, 2], 10)
+        with pytest.raises(TracingError, match="positive definite"):
+            mode_cp(ElasticConstants(1e9, 5e9, 1e9, 1e9, 1000.0), 1.0, 0, 10)
 
     def test_crossing_keeps_labels(self, plate):
         # this material's A0 and S0 cross between kh 3 and 4: at kh 4.547 the
@@ -271,6 +324,17 @@ class TestTracing:
         # the bound the order would climb forever
         k = k_grid_for_fh_band(gfrp, plate, 0.02, 4.098, n_points=30, order=14)
         with pytest.raises(TracingError, match="by order 40"):
+            trace_curves(gfrp, plate, k, order=14, auto_converge=True)
+
+    @pytest.mark.parametrize("grid_order", [10, 14])
+    def test_auto_converge_needs_two_small_steps(self, gfrp, plate, grid_order):
+        # per-order steps at kh ~ 0.03 on these grids wander between 5e-7
+        # and 6e-6 before climbing to 5e-4 by order 40 (on the order-10
+        # grid: 8.4e-7, 1.05e-6, 2.0e-6, 2.1e-6, 5.9e-7, ...), so one step
+        # under 1e-6 is rounding, not convergence
+        k = k_grid_for_fh_band(gfrp, plate, 0.02, 4.098, n_points=15,
+                               order=grid_order)
+        with pytest.raises(TracingError, match="did not converge.*by order 40"):
             trace_curves(gfrp, plate, k, order=14, auto_converge=True)
 
     def test_bad_grid_rejected(self, gfrp, plate):

@@ -154,8 +154,11 @@ class TestIO:
         assert obs.branch.tolist() == [0, 1, 1]
         assert obs.omega.tolist() == [1.5e5, 2e5, 3e5]
         assert obs.k.tolist() == [900.0, 400.0, 900.0]
-        assert obs.unique_k.tolist() == [400.0, 900.0]
-        assert np.array_equal(obs.unique_k[obs.k_index], obs.k)
+        # one (mode, k) pair per distinct observation, sorted by mode then k
+        assert obs.pair_branch.tolist() == [0, 1, 1]
+        assert obs.pair_k.tolist() == [900.0, 400.0, 900.0]
+        assert np.array_equal(obs.pair_k[obs.pair_index], obs.k)
+        assert np.array_equal(obs.pair_branch[obs.pair_index], obs.branch)
         assert set(obs.by_mode()) == {"A0", "S0"}
 
     def test_unknown_mode_labels_rejected(self, tmp_path):
