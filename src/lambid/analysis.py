@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import gaussian_kde
 
 from . import textio
 from .bayes import PARAM_NAMES, Chain, ParamVector
-from .dispersion import PlateSpec, TracingError, group_velocity, trace_curves
+from .dispersion import PlateSpec, TracingError, _checked_k_grid, branch_cp
 
 __all__ = [
     "ParamSummary",
@@ -98,53 +98,48 @@ def curve_ensemble(
 ) -> CurveEnsemble:
     """Forward-solve evenly thinned post-warmup samples over the grid.
 
-    The thinning step caps the ensemble at max_solves members.  Samples
-    whose solve fails anywhere on the grid are skipped and counted; more
-    than half skipped raises (the posterior is inconsistent with the model).
-    Each member's "A0" is its slower branch at every k and "S0" the
-    faster: the order ensemble files have always had, and the one the
-    benchmark's ensemble check (bench/checks.py) expects.  It differs from
-    trace_curves' parity labels only past an A0/S0 crossing.
+    The grid is checked once, as trace_curves checks it, before any solve;
+    with_cg needs 3 points.  The thinning step caps the ensemble at
+    max_solves members, one branch_cp call each.  Samples that are no
+    material, or whose solve is rejected or NaN anywhere on the grid, are
+    skipped and counted; more than half skipped raises (the posterior is
+    inconsistent with the model).  Each member's "A0" is its slower branch
+    at every k and "S0" the faster: the order ensemble files have always
+    had, and the one the benchmark's ensemble check (bench/checks.py)
+    expects.  It differs from trace_curves' parity labels only past an
+    A0/S0 crossing.  c_g is d omega / d k by group_velocity's differences.
     """
+    k_grid = _checked_k_grid(k_grid)
+    if with_cg and k_grid.size < 3:
+        raise ValueError("group velocity needs at least 3 points")
     draws = chain.post_warmup
     step = max(1, math.ceil(draws.shape[0] / max_solves))
     idx = np.arange(0, draws.shape[0], step)
-    k_grid = np.asarray(k_grid, dtype=float)
+    kh = k_grid * plate.thickness
 
-    omegas: dict[str, list] = {"A0": [], "S0": []}
-    cgs: dict[str, list] = {"A0": [], "S0": []}
-    kept, skipped = [], 0
+    kept, cps = [], []
     for i in idx:
-        theta = ParamVector.from_array(draws[i])
         try:
-            material = theta.material()
-            a0, s0 = trace_curves(
-                material, plate, k_grid, order=order, method="dense",
-                max_excluded_fraction=0.0,
-            )
+            material = ParamVector.from_array(draws[i]).material()
+            member = branch_cp(material, kh, order)
         except (ValueError, TracingError):
-            skipped += 1
             continue
-        if a0.k.size != k_grid.size:
-            skipped += 1
-            continue
-        slow_fast = np.sort([a0.c_p, s0.c_p], axis=0)
-        for mode, curve, cp in zip(("A0", "S0"), (a0, s0), slow_fast):
-            curve = replace(curve, c_p=cp, omega=cp * curve.k)
-            if with_cg:
-                curve = group_velocity(curve)
-                cgs[mode].append(curve.c_g)
-            omegas[mode].append(curve.omega)
-        kept.append(i)
+        if not np.isnan(member).any():
+            kept.append(i)
+            cps.append(member)
+    skipped = idx.size - len(kept)
     if skipped > 0.5 * idx.size:
         raise TracingError(
             f"{skipped}/{idx.size} ensemble members failed to solve; "
             "posterior is inconsistent with the model"
         )
+    cps = np.sort(np.reshape(cps, (len(kept), k_grid.size, 2)), axis=-1)
+    omega = np.moveaxis(cps, -1, 0) * k_grid  # [slower/faster, member, k]
+    c_g = np.gradient(omega, k_grid, axis=-1, edge_order=2) if with_cg else None
     return CurveEnsemble(
         k_grid=k_grid,
-        omega={m: np.asarray(v) for m, v in omegas.items()},
-        c_g={m: np.asarray(v) for m, v in cgs.items()} if with_cg else None,
+        omega=dict(zip(("A0", "S0"), omega)),
+        c_g=dict(zip(("A0", "S0"), c_g)) if with_cg else None,
         sample_ids=np.asarray(kept, dtype=int),
         n_skipped=skipped,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bayes, dispersion, textio, wavefield
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 
 EXIT_CODES = {
     "config": 2,
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error:config: {exc}", file=sys.stderr)
         return EXIT_CODES["config"]
     if args.seed is not None:
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.category, 1)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a value the library rejects
         print(f"error:config: {exc}", file=sys.stderr)
         return EXIT_CODES["config"]
     except wavefield.RidgeError as exc:

@@ -63,7 +63,6 @@ def _merged(section: str, raw: dict) -> dict:
 
 @dataclass
 class RunConfig:
-    raw: dict
     seed: int
     material: ElasticConstants | None
     plate: PlateSpec | None
@@ -87,16 +86,7 @@ class RunConfig:
         return self.plate
 
     def resolved(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "band": self.band,
-            "solver": self.solver,
-            "synth": self.synth,
-            "extract": self.extract,
-            "sampler": self.sampler,
-            "ensemble": self.ensemble,
-            "files": self.files,
-        }
+        out = {name: getattr(self, name) for name in ("seed", *_DEFAULTS)}
         if self.material is not None:
             m = self.material
             out["material"] = {
@@ -199,28 +189,22 @@ def load_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"plate: {exc}") from exc
 
-    band = _merged("band", raw)
+    sections = {name: _merged(name, raw) for name in _DEFAULTS}
+    band, sampler = sections["band"], sections["sampler"]
     if not 0 < band["fh_min_mhz_mm"] < band["fh_max_mhz_mm"]:
         raise ConfigError("band: need 0 < fh_min_mhz_mm < fh_max_mhz_mm")
     if band["n_points"] < 1:
         raise ConfigError("band.n_points must be positive")
-
-    sampler = _merged("sampler", raw)
     for key in ("n_samples", "warmup"):
         if sampler[key] < 0 or (key == "n_samples" and sampler[key] == 0):
             raise ConfigError(f"sampler.{key} must be positive")
+    if sections["ensemble"]["max_members"] < 1:
+        raise ConfigError("ensemble.max_members must be positive")
 
     return RunConfig(
-        raw=raw,
         seed=int(raw.get("seed", 0)),
         material=_parse_material(raw),
         plate=plate,
-        band=band,
-        solver=_merged("solver", raw),
-        synth=_merged("synth", raw),
-        extract=_merged("extract", raw),
-        sampler=sampler,
-        ensemble=_merged("ensemble", raw),
-        files=_merged("files", raw),
         priors=_parse_priors(raw),
+        **sections,
     )

@@ -420,6 +420,18 @@ def branch_cp(theta: ElasticConstants, kh, order: int,
 
 
 _MAX_CONVERGE_ORDER = 40  # auto_converge never goes past this order
+_MAX_EXCLUDED_FRACTION = 0.2  # trace_curves fails past this share of the grid
+
+
+def _checked_k_grid(k_grid) -> np.ndarray:
+    """k_grid as a float array, which must be 1-D, non-empty, positive and
+    strictly increasing (ValueError otherwise)."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    if k_grid.ndim != 1 or k_grid.size == 0:
+        raise ValueError("k_grid must be a non-empty 1-D array")
+    if np.any(k_grid <= 0) or (k_grid.size > 1 and np.any(np.diff(k_grid) <= 0)):
+        raise ValueError("k_grid must be positive and strictly increasing")
+    return k_grid
 
 
 def trace_curves(
@@ -429,28 +441,23 @@ def trace_curves(
     order: int = 14,
     auto_converge: bool = False,
     method: str = "dense",
-    max_excluded_fraction: float = 0.2,
 ) -> tuple[DispersionCurve, DispersionCurve]:
     """Trace the A0 and S0 dispersion branches over a wavenumber grid.
 
     Each mode comes from its own parity block (see branch_cp), so no
     continuity tracking is needed and crossings keep their labels.  Grid
     points where either block has no physical eigenvalue are excluded with
-    a warning; more than max_excluded_fraction exclusions is a hard error,
-    as is a stiffness that is not positive definite.  With auto_converge,
-    the order is raised in steps of 2 until the curves move by less than
-    1e-6 relative both from the order below and to the order above, and the
-    curves of that middle order are returned: below kh ~ 0.03 eigenvalue
-    rounding alone moves A0 by 5e-7 to 6e-6 per step, so one small step can
-    be chance.  Raising the order past _MAX_CONVERGE_ORDER is a
-    TracingError.  Both curves record the order they were traced at in
-    `order`.
+    a warning; excluding more than _MAX_EXCLUDED_FRACTION of the grid is a
+    hard error, as is a stiffness that is not positive definite.  With
+    auto_converge, the order is raised in steps of 2 until the curves move
+    by less than 1e-6 relative both from the order below and to the order
+    above, and the curves of that middle order are returned: below
+    kh ~ 0.03 eigenvalue rounding alone moves A0 by 5e-7 to 6e-6 per step,
+    so one small step can be chance.  Raising the order past
+    _MAX_CONVERGE_ORDER is a TracingError.  Both curves record the order
+    they were traced at in `order`; c_g is left None (see group_velocity).
     """
-    k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.ndim != 1 or k_grid.size == 0:
-        raise ValueError("k_grid must be a non-empty 1-D array")
-    if np.any(k_grid <= 0) or (k_grid.size > 1 and np.any(np.diff(k_grid) <= 0)):
-        raise ValueError("k_grid must be positive and strictly increasing")
+    k_grid = _checked_k_grid(k_grid)
 
     def trace_at(m_order: int) -> tuple[np.ndarray, np.ndarray]:
         cps = branch_cp(theta, k_grid * plate.thickness, m_order, method)
@@ -463,7 +470,7 @@ def trace_curves(
                 stacklevel=3,
             )
         excluded = k_grid.size - np.count_nonzero(kept)
-        if excluded > max_excluded_fraction * k_grid.size:
+        if excluded > _MAX_EXCLUDED_FRACTION * k_grid.size:
             raise TracingError(
                 f"{excluded}/{k_grid.size} grid points had no physical solution"
             )
@@ -487,11 +494,7 @@ def trace_curves(
         m_order += 2
 
     a0, s0 = (
-        DispersionCurve(
-            mode_label=label, k=kk, omega=cp * kk, c_p=cp,
-            c_g=np.full(kk.shape, np.nan) if kk.size < 3 else None,
-            order=m_order,
-        )
+        DispersionCurve(mode_label=label, k=kk, omega=cp * kk, c_p=cp, order=m_order)
         for label, cp in zip((Mode.A0, Mode.S0), np.ascontiguousarray(cps.T))
     )
     return a0, s0
@@ -513,7 +516,6 @@ class SensitivityResult:
     minus: tuple[DispersionCurve, DispersionCurve]
     baseline: tuple[DispersionCurve, DispersionCurve]
     plus: tuple[DispersionCurve, DispersionCurve]
-    max_shift: dict  # mode label -> max relative omega shift
 
     def shift_profile(self, mode: Mode) -> np.ndarray:
         """Pointwise max relative omega shift across the two perturbations."""
@@ -522,6 +524,11 @@ class SensitivityResult:
         up = np.abs(self.plus[idx].omega - base) / base
         dn = np.abs(self.minus[idx].omega - base) / base
         return np.maximum(up, dn)
+
+    @property
+    def max_shift(self) -> dict:
+        """Mode label -> largest value of its shift_profile."""
+        return {mode.value: np.max(self.shift_profile(mode)) for mode in Mode}
 
 
 _PARAM_NAMES = ("c11", "c13", "c33", "c55", "rho")
@@ -549,16 +556,7 @@ def sensitivity_sweep(
             replace(theta, **{name: getattr(theta, name) * (1 + perturbation)}),
             plate, k_grid, order=order, method=method,
         )
-        shifts = {}
-        for idx, mode in enumerate((Mode.A0, Mode.S0)):
-            base = baseline[idx].omega
-            up = np.max(np.abs(plus[idx].omega - base) / base)
-            dn = np.max(np.abs(minus[idx].omega - base) / base)
-            shifts[mode.value] = max(up, dn)
-        out[name] = SensitivityResult(
-            parameter=name, minus=minus, baseline=baseline, plus=plus,
-            max_shift=shifts,
-        )
+        out[name] = SensitivityResult(name, minus, baseline, plus)
     return out
 
 

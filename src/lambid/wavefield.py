@@ -181,7 +181,7 @@ def synth_wavefield(
         fh_min = max(f_lo, 0.02 * f_hi) * plate.thickness * 1e-3 * 0.5
         grid = k_grid_for_fh_band(theta, plate, fh_min, fh_max, n_points=300,
                                   order=order)
-        curves = trace_curves(theta, plate, grid, order=order, method="dense")
+        curves = trace_curves(theta, plate, grid, order=order)
         k_nyq = np.pi / dx
         active = (np.abs(spec) > 1e-12 * np.abs(spec).max()) & (freqs > 0)
         for curve in curves:

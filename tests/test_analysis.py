@@ -1,10 +1,16 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lambid import analysis
 from lambid.analysis import (curve_ensemble, mc_standard_error, summarize,
                              write_ensemble, write_summary)
-from lambid.bayes import PARAM_NAMES, Chain
-from lambid.dispersion import ElasticConstants, k_grid_for_fh_band, trace_curves
+from lambid.bayes import PARAM_NAMES, Chain, ParamVector
+from lambid.dispersion import (ElasticConstants, TracingError, group_velocity,
+                               k_grid_for_fh_band, trace_curves)
 
 
 def _chain_from(samples, warmup=0):
@@ -81,6 +87,73 @@ class TestEnsemble:
         assert np.array_equal(ens.omega["S0"][0], np.maximum(a0.omega, s0.omega))
         assert np.array_equal(ens.c_g["A0"][0],
                               np.gradient(ens.omega["A0"][0], k, edge_order=2))
+
+    @pytest.mark.parametrize("with_cg,max_solves", [(True, 500), (False, 15)])
+    def test_matches_per_member_traces(self, gfrp, plate, rng, with_cg,
+                                       max_solves):
+        # near-GFRP draws, an indefinite draw, a draw with rho <= 0 and the
+        # crossing material of test_members_list_slower_branch_as_a0
+        row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                        2e3])
+        samples = np.tile(row, (40, 1)) * rng.uniform(0.97, 1.03, (40, 6))
+        samples[3, 1] = 2.0 * np.sqrt(samples[3, 0] * samples[3, 2])
+        samples[6, 4] = -1.0
+        samples[12, 4] = 0.0
+        samples[9] = samples[21] = [152.3e9, 86.9e9, 79.6e9, 28.5e9, 1055.0, 2e3]
+        chain = _chain_from(samples)
+        k = np.geomspace(1.0, 6.0, 12) / plate.thickness
+
+        # the ensemble as it was built member by member: trace_curves,
+        # slower branch first, then group_velocity
+        idx = np.arange(0, 40, max(1, math.ceil(40 / max_solves)))
+        omega, c_g, kept = {"A0": [], "S0": []}, {"A0": [], "S0": []}, []
+        for i in idx:
+            try:
+                theta = ParamVector.from_array(samples[i]).material()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    a0, s0 = trace_curves(theta, plate, k, order=12)
+            except (ValueError, TracingError):
+                continue
+            if a0.k.size < k.size:
+                continue
+            slow_fast = np.sort([a0.c_p, s0.c_p], axis=0)
+            for mode, curve, cp in zip(("A0", "S0"), (a0, s0), slow_fast):
+                curve = group_velocity(replace(curve, c_p=cp, omega=cp * curve.k))
+                omega[mode].append(curve.omega)
+                c_g[mode].append(curve.c_g)
+            kept.append(i)
+
+        ens = curve_ensemble(chain, plate, k, with_cg=with_cg, order=12,
+                             max_solves=max_solves)
+        assert kept and len(kept) < idx.size
+        assert np.array_equal(ens.sample_ids, kept)
+        assert ens.n_skipped == idx.size - len(kept)
+        for mode in ("A0", "S0"):
+            assert np.array_equal(ens.omega[mode], omega[mode])
+            if with_cg:
+                assert np.array_equal(ens.c_g[mode], c_g[mode])
+        assert (ens.c_g is None) == (not with_cg)
+
+    def test_decreasing_grid_rejected_as_a_grid(self, gfrp, plate):
+        row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                        2e3])
+        k = k_grid_for_fh_band(gfrp, plate, 0.4, 2.0, n_points=5, order=8)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate,
+                           k[::-1], order=8)
+
+    def test_group_velocity_on_two_points_rejected_before_solving(
+            self, gfrp, plate, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid check")
+
+        monkeypatch.setattr(analysis, "branch_cp", no_solve)
+        row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                        2e3])
+        with pytest.raises(ValueError, match="at least 3 points"):
+            curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate,
+                           np.array([500.0, 900.0]), with_cg=True, order=8)
 
     def test_thinning_caps_members(self, gfrp, plate, rng):
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,

@@ -174,6 +174,27 @@ def test_indefinite_stiffness_exits_solver(tmp_path, capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,section,key,value", [
+    ("synth", "synth", "f_hi_khz", 600.0),  # above the time-axis Nyquist
+    ("solve", "solver", "order", 0),
+    ("summarize", "ensemble", "n_points", 1),  # with_cg needs 3 points
+    ("summarize", "ensemble", "n_points", 2),
+    ("summarize", "ensemble", "max_members", 0),
+])
+def test_rejected_config_value_exits_config(tmp_path, capsys, command,
+                                            section, key, value):
+    payload = base_cfg()
+    payload.setdefault(section, {})[key] = value
+    cfg = write_cfg(tmp_path, payload)
+    row = [28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 3e3]
+    bayes.write_chain(tmp_path / "chain.csv", bayes.Chain(
+        samples=np.tile(row, (150, 1)), log_posts=np.zeros(150),
+        accepted=np.ones(150, dtype=bool), warmup_len=0, seed=0))
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    assert "error:config:" in capsys.readouterr().err
+
+
 def test_extract_missing_wavefield_exits_io(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_cfg())
     rc = cli.main(["extract", "--config", cfg, "--out", str(tmp_path)])
