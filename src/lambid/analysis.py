@@ -10,7 +10,8 @@ from scipy.stats import gaussian_kde
 
 from . import textio
 from .bayes import PARAM_NAMES, Chain, ParamVector
-from .dispersion import PlateSpec, TracingError, _checked_k_grid, branch_cp
+from .dispersion import (PlateSpec, TracingError, _check_order, _checked_k_grid,
+                         branch_cp)
 
 __all__ = [
     "ParamSummary",
@@ -98,11 +99,11 @@ def curve_ensemble(
 ) -> CurveEnsemble:
     """Forward-solve evenly thinned post-warmup samples over the grid.
 
-    The grid is checked once, as trace_curves checks it, before any solve;
-    with_cg needs 3 points.  The thinning step caps the ensemble at
-    max_solves members, one branch_cp call each.  Samples that are no
-    material, or whose solve is rejected or NaN anywhere on the grid, are
-    skipped and counted; more than half skipped raises (the posterior is
+    The grid (as trace_curves checks it) and the order are checked once,
+    before any solve; with_cg needs 3 points.  The thinning step caps the
+    ensemble at max_solves members, one branch_cp call each.  Samples that
+    are no material, or whose solve is rejected or NaN anywhere on the
+    grid, are skipped and counted; more than half skipped raises (the posterior is
     inconsistent with the model).  Each member's "A0" is its slower branch
     at every k and "S0" the faster: the order ensemble files have always
     had, and the one the benchmark's ensemble check (bench/checks.py)
@@ -112,6 +113,7 @@ def curve_ensemble(
     k_grid = _checked_k_grid(k_grid)
     if with_cg and k_grid.size < 3:
         raise ValueError("group velocity needs at least 3 points")
+    _check_order(order)
     draws = chain.post_warmup
     step = max(1, math.ceil(draws.shape[0] / max_solves))
     idx = np.arange(0, draws.shape[0], step)

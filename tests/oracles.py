@@ -95,6 +95,99 @@ def labelled_branches(a_hat: np.ndarray, order: int) -> tuple[np.ndarray, float]
     return out, float(np.minimum(w_anti, 1.0 - w_anti).max())
 
 
+_POWER_TOL = 1e-12
+_POWER_MAXIT = 500
+_POWER_SEED = 20260826
+
+
+def scalar_inverse_power_eigs(a_hat: np.ndarray, count: int):
+    """Yield (eigenvalue, eigenvector) pairs in ascending eigenvalue magnitude.
+
+    The one-matrix-at-a-time deflated inverse power iteration that the
+    batched kernel in lambid.dispersion replaced, kept as its reference:
+    power iteration on A_hat^{-1} from an LU factorisation, with Wielandt
+    deflation of found pairs and the kernel's seed, tolerance and
+    iteration cap.  Raises SolveFallback on singularity or stalled
+    convergence.
+    """
+    import scipy.linalg
+
+    from lambid.dispersion import SolveFallback
+
+    n = a_hat.shape[0]
+    try:
+        lu, piv = scipy.linalg.lu_factor(a_hat)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SolveFallback("matrix is singular") from exc
+    if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) == 0.0:
+        raise SolveFallback("matrix is singular")
+
+    rng = np.random.default_rng(_POWER_SEED)
+    found_vals: list[float] = []
+    found_vecs: list[np.ndarray] = []
+
+    def apply_inv(x: np.ndarray) -> np.ndarray:
+        y = scipy.linalg.lu_solve((lu, piv), x)
+        for mu, v in zip(found_vals, found_vecs):
+            y = y - mu * v * (v @ x)
+        return y
+
+    for _ in range(min(count, n)):
+        v = rng.standard_normal(n)
+        for u in found_vecs:
+            v -= (u @ v) * u
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            raise SolveFallback("deflated start vector vanished")
+        v /= nv
+        mu_prev = np.inf
+        converged = False
+        for _ in range(_POWER_MAXIT):
+            w = apply_inv(v)
+            mu = v @ w
+            norm = np.linalg.norm(w)
+            if norm == 0.0 or not np.isfinite(norm):
+                raise SolveFallback("power iteration produced degenerate vector")
+            v = w / norm
+            if mu != 0.0 and abs(mu - mu_prev) < _POWER_TOL * abs(mu):
+                converged = True
+                break
+            mu_prev = mu
+        if not converged:
+            raise SolveFallback("power iteration did not converge")
+        found_vals.append(mu)
+        found_vecs.append(v.copy())
+        yield 1.0 / mu, v.copy()
+
+
+def scalar_solve_smallest(a_hat: np.ndarray, n_modes: int) -> np.ndarray:
+    """The n_modes smallest-magnitude eigenvalues of one matrix, ascending
+    in magnitude, by scalar_inverse_power_eigs (SolveFallback passes on)."""
+    lams = np.array([lam for lam, _ in scalar_inverse_power_eigs(a_hat, n_modes)])
+    return lams[np.argsort(np.abs(lams))]
+
+
+def per_block_power_cp(blocks: np.ndarray) -> np.ndarray:
+    """Power-path c_p of every parity block of a stack [..., n, n], one
+    block at a time: deflate past positive eigenvalues until the first
+    negative one, and take the dense eigvalsh answer if the iteration
+    fails first; NaN where a block has no negative eigenvalue.  This is
+    the per-block loop that mode_cp(method="power") replaced."""
+    from lambid.dispersion import SolveFallback
+
+    flat = blocks.reshape(-1, *blocks.shape[-2:])
+    out = np.full(flat.shape[0], np.nan)
+    for i, a_hat in enumerate(flat):
+        try:
+            neg = next(lam for lam, _ in
+                       scalar_inverse_power_eigs(a_hat, a_hat.shape[0]) if lam < 0)
+        except (SolveFallback, StopIteration):
+            lams = np.linalg.eigvalsh(a_hat)
+            neg = lams[lams < 0].max() if np.any(lams < 0) else np.nan
+        out[i] = np.sqrt(-neg)
+    return out.reshape(blocks.shape[:-2])
+
+
 def _rl_sym(cp, w, cl, ct, h):
     """Real part of the symmetric Rayleigh-Lamb function at phase velocity
     cp, a scalar or an array."""

@@ -155,6 +155,17 @@ class TestEnsemble:
             curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate,
                            np.array([500.0, 900.0]), with_cg=True, order=8)
 
+    def test_bad_order_rejected_before_solving(self, gfrp, plate, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the order check")
+
+        monkeypatch.setattr(analysis, "branch_cp", no_solve)
+        row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                        2e3])
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate,
+                           np.array([500.0, 700.0, 900.0]), order=0)
+
     def test_thinning_caps_members(self, gfrp, plate, rng):
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
                         2e3])

@@ -180,6 +180,8 @@ def test_indefinite_stiffness_exits_solver(tmp_path, capsys):
     ("summarize", "ensemble", "n_points", 1),  # with_cg needs 3 points
     ("summarize", "ensemble", "n_points", 2),
     ("summarize", "ensemble", "max_members", 0),
+    ("solve", "band", "n_points", "abc"),  # not an integer
+    ("identify", "sampler", "proposal_scale", "fast"),  # not a number
 ])
 def test_rejected_config_value_exits_config(tmp_path, capsys, command,
                                             section, key, value):

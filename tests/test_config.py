@@ -119,6 +119,25 @@ def test_bad_sampler_counts(tmp_path):
         load_config(write_cfg(tmp_path, payload))
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("band", "n_points", 200.0),  # an int key takes integers only
+    ("solver", "auto_converge", 1),  # a bool key takes true or false only
+    ("sampler", "warmup", True),  # YAML's true is no integer here
+])
+def test_value_of_wrong_kind_rejected(tmp_path, section, key, value):
+    payload = full_cfg()
+    payload[section] = {key: value}
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+        load_config(write_cfg(tmp_path, payload))
+
+
+def test_integer_accepted_as_number(tmp_path):
+    payload = full_cfg()
+    payload["band"] = {"fh_min_mhz_mm": 1, "fh_max_mhz_mm": 3}
+    cfg = load_config(write_cfg(tmp_path, payload))
+    assert (cfg.band["fh_min_mhz_mm"], cfg.band["fh_max_mhz_mm"]) == (1, 3)
+
+
 def test_prior_override(tmp_path):
     payload = full_cfg()
     payload["priors"] = {

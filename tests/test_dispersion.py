@@ -137,6 +137,61 @@ class TestRealification:
             got = mode_cp(theta, kh[ki[perm]], br[perm], order, method)
             assert np.array_equal(got, cps[ki[perm], br[perm]], equal_nan=True)
 
+    def test_power_matches_per_block_loop(self, rng, gfrp, plate):
+        # draws like those of test_pair_solve_matches_branch_columns, then
+        # the default band at the CLI order: the batched kernel gives the
+        # per-block loop's c_p to rounding, with the same NaN pattern
+        def check(theta, kh, order):
+            got = mode_cp(theta, kh, [[0], [1]], order, "power")
+            ref = oracles.per_block_power_cp(
+                _parity_blocks(theta, kh, [[0], [1]], order))
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            ok = ~np.isnan(ref)
+            assert np.all(np.abs(got - ref)[ok] <= 1e-12 * ref[ok])
+
+        for _ in range(300):
+            theta = random_constants(rng)
+            order = int(rng.integers(2, 16))
+            kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
+            check(theta, kh, order)
+        k = k_grid_for_fh_band(gfrp, plate, 0.2, 4.098, n_points=200, order=14)
+        check(gfrp, k * plate.thickness, 14)
+
+    def test_power_mixed_stack(self, gfrp, monkeypatch):
+        # a well-separated physical block; a near-degenerate pair, which the
+        # iteration delivers to its tolerance; a positive smallest
+        # eigenvalue; and a gap ratio of 0.999, which stalls in
+        # _POWER_MAXIT steps.  The last two get the dense answer, and
+        # every block gets its value when solved alone, bit for bit
+        import lambid.dispersion as dp
+
+        stack = np.array([_parity_blocks(gfrp, 1.0, 0, 3),
+                          np.diag([-1.0, -1.0 - 1e-9, -5.0, -9.0]),
+                          np.diag([0.5, -2.0, -7.0, 31.0]),
+                          np.diag([-1.0, -1.001, -5.0, -9.0])])
+        lams = np.linalg.eigvalsh(stack)
+        dense = np.sqrt(-np.where(lams < 0, lams, -np.inf).max(axis=-1))
+        kernel = dp._inverse_power(stack, 1)[:, 0]
+        assert np.all(kernel[:2] < 0) and kernel[2] > 0 and np.isnan(kernel[3])
+
+        def solve(blocks):
+            monkeypatch.setattr(dp, "_parity_blocks", lambda *args: blocks)
+            return mode_cp(gfrp, 1.0, 0, 3, method="power")
+
+        got = solve(stack)
+        assert np.array_equal(got[:2], np.sqrt(-kernel[:2]))
+        assert np.all(np.abs(got[:2] - dense[:2]) <= 1e-9 * dense[:2])
+        assert np.array_equal(got[2:], dense[2:])
+        for i, block in enumerate(stack):
+            assert solve(block) == got[i]
+        # a block that is not finite is NaN on its own, and a stack that
+        # cannot be inverted is NaN throughout
+        with_nan = dp._inverse_power(np.r_[stack, np.full((1, 4, 4), np.nan)], 2)
+        assert np.array_equal(with_nan[:-1], dp._inverse_power(stack, 2),
+                              equal_nan=True)
+        assert np.isnan(with_nan[-1]).all()
+        assert np.isnan(dp._inverse_power(np.r_[stack, np.zeros((1, 4, 4))], 2)).all()
+
     def test_parity_blocks_negative_definite(self, rng):
         # -A is the Galerkin matrix of a positive-definite strain energy, so
         # every parity block is negative definite, and a likelihood that
@@ -210,6 +265,23 @@ class TestEigensolvers:
             assert np.allclose(np.sort(small), np.sort(full),
                                rtol=1e-8, atol=1e-8 * np.abs(full).max())
 
+    def test_solve_smallest_matches_scalar_loop(self):
+        # criterion 4's draws: the batched kernel on one block gives the
+        # scalar loop's eigenvalues to rounding, and falls back on the
+        # same draws
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            theta = random_constants(rng)
+            a_hat = realify(assemble_system(theta, rng.uniform(0.3, 6.0), 8))
+            try:
+                ref = oracles.scalar_solve_smallest(a_hat, 2)
+            except SolveFallback:
+                with pytest.raises(SolveFallback):
+                    solve_smallest(a_hat, 2)
+                continue
+            got = solve_smallest(a_hat, 2)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
     def test_single_mode(self, rng):
         theta = random_constants(rng)
         a_hat = realify(assemble_system(theta, 2.0, 6))
@@ -262,40 +334,37 @@ class TestTracing:
         assert np.allclose(a[0].omega, b[0].omega, rtol=1e-8)
         assert np.allclose(a[1].omega, b[1].omega, rtol=1e-8)
 
-    def test_excluded_points_warn_then_error(self, gfrp, plate, monkeypatch):
+    @staticmethod
+    def _power_gives_up_at(monkeypatch, blocks):
+        """The power kernel gives up on the flat block indices `blocks` of
+        each call (branch_cp stacks A0 at every kh, then S0), and the dense
+        fallback finds no negative eigenvalue in any block sent to it."""
         import lambid.dispersion as dp
 
-        real_solver = dp.smallest_physical_cp
-        calls = {"n": 0}
+        real_kernel = dp._inverse_power
 
-        def flaky(a_hat, n_modes=2, method="power"):
-            calls["n"] += 1
-            if calls["n"] % 2 == 0:  # half the grid yields no physical pair
-                return np.empty(0)
-            return real_solver(a_hat, n_modes, method)
+        def gives_up(a, count):
+            out = real_kernel(a, count)
+            out[blocks] = np.nan
+            return out
 
-        monkeypatch.setattr(dp, "smallest_physical_cp", flaky)
+        monkeypatch.setattr(dp, "_inverse_power", gives_up)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            one_negative_at(lambda n: range(n)))
+
+    def test_excluded_points_warn_then_error(self, gfrp, plate, monkeypatch):
+        # half the grid yields no physical pair
+        self._power_gives_up_at(monkeypatch, np.arange(1, 10, 2))
         k = np.linspace(200, 2000, 10)
         with pytest.warns(RuntimeWarning), pytest.raises(TracingError):
-            dp.trace_curves(gfrp, plate, k, order=8, method="power")
+            trace_curves(gfrp, plate, k, order=8, method="power")
 
     def test_small_exclusion_fraction_warns_only(self, gfrp, plate,
                                                  monkeypatch):
-        import lambid.dispersion as dp
-
-        real_solver = dp.smallest_physical_cp
-        calls = {"n": 0}
-
-        def once_flaky(a_hat, n_modes=2, method="power"):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                return np.empty(0)
-            return real_solver(a_hat, n_modes, method)
-
-        monkeypatch.setattr(dp, "smallest_physical_cp", once_flaky)
+        self._power_gives_up_at(monkeypatch, [2])
         k = np.linspace(200, 2000, 10)
         with pytest.warns(RuntimeWarning):
-            a0, s0 = dp.trace_curves(gfrp, plate, k, order=8, method="power")
+            a0, s0 = trace_curves(gfrp, plate, k, order=8, method="power")
         assert a0.k.size == 9
 
     def test_dense_exclusion_warns_then_errors(self, gfrp, plate, monkeypatch):
