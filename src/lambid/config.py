@@ -51,9 +51,19 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _mapping(value, where: str) -> dict:
+    """value as a section mapping: {} for an absent (null) section, and a
+    ConfigError for anything else that is not a mapping."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
 def _merged(section: str, raw: dict) -> dict:
     merged = dict(_DEFAULTS[section])
-    extra = raw.get(section) or {}
+    extra = _mapping(raw.get(section), section)
     unknown = set(extra) - set(merged)
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
@@ -65,8 +75,8 @@ def _merged(section: str, raw: dict) -> dict:
 
 def _check_kind(where: str, value, default) -> None:
     """ConfigError unless value is of its default's kind: true or false for
-    a bool, an integer for an int, any number for a float (YAML reads a
-    bool as an int too, so that is excluded by hand)."""
+    a bool, an integer for an int, any number for a float and text for a
+    str (YAML reads a bool as an int too, so that is excluded by hand)."""
     kind = type(default)
     if kind is bool:
         ok, what = isinstance(value, bool), "true or false"
@@ -75,7 +85,7 @@ def _check_kind(where: str, value, default) -> None:
               and not isinstance(value, bool))
         what = "an integer" if kind is int else "a number"
     else:
-        return
+        ok, what = isinstance(value, str), "a string"
     if not ok:
         raise ConfigError(f"{where} must be {what}, got {value!r}")
 
@@ -133,15 +143,15 @@ class RunConfig:
 
 
 def _parse_material(raw: dict) -> ElasticConstants | None:
-    if "material" not in raw or raw["material"] is None:
+    if raw.get("material") is None:
         return None
-    mat = raw["material"]
+    mat = _mapping(raw["material"], "material")
     forms = [f for f in ("elastic", "engineering") if f in mat]
     if len(forms) != 1:
         raise ConfigError(
             "material must contain exactly one of 'elastic' or 'engineering'"
         )
-    sec = mat[forms[0]]
+    sec = _mapping(mat[forms[0]], f"material.{forms[0]}")
     try:
         if forms[0] == "elastic":
             return ElasticConstants(
@@ -159,17 +169,18 @@ def _parse_material(raw: dict) -> ElasticConstants | None:
             nu21=float(_require(sec, "nu21", "material.engineering")),
             rho=float(_require(sec, "rho_kg_m3", "material.engineering")),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"material: {exc}") from exc
 
 
 def _parse_priors(raw: dict) -> PriorSpec:
     base = default_priors()
-    overrides = raw.get("priors") or {}
+    overrides = _mapping(raw.get("priors"), "priors")
     priors = dict(base.priors)
     for name, spec in overrides.items():
         if name not in priors:
             raise ConfigError(f"priors.{name}: unknown parameter")
+        spec = _mapping(spec, f"priors.{name}")
         dist = spec.get("dist")
         try:
             if dist == "gamma":
@@ -184,7 +195,7 @@ def _parse_priors(raw: dict) -> PriorSpec:
                 raise ConfigError(
                     f"priors.{name}.dist must be 'gamma' or 'normal'"
                 )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"priors.{name}: {exc}") from exc
     return PriorSpec(priors=priors, scales=base.scales)
 
@@ -201,11 +212,12 @@ def load_config(path) -> RunConfig:
         raise ConfigError("config root must be a mapping")
 
     plate = None
-    if raw.get("plate"):
-        t_mm = _require(raw["plate"], "thickness_mm", "plate")
+    plate_sec = _mapping(raw.get("plate"), "plate")
+    if plate_sec:
+        t_mm = _require(plate_sec, "thickness_mm", "plate")
         try:
             plate = PlateSpec(thickness=float(t_mm) * 1e-3)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"plate: {exc}") from exc
 
     sections = {name: _merged(name, raw) for name in _DEFAULTS}
@@ -220,8 +232,11 @@ def load_config(path) -> RunConfig:
     if sections["ensemble"]["max_members"] < 1:
         raise ConfigError("ensemble.max_members must be positive")
 
+    seed = raw.get("seed", 0)
+    _check_kind("seed", seed, 0)
+
     return RunConfig(
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         material=_parse_material(raw),
         plate=plate,
         priors=_parse_priors(raw),

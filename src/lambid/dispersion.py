@@ -14,9 +14,11 @@ one broadcast and solves them in one batched symmetric eigensolve: a curve
 grid asks for both blocks at every kh (branch_cp), the likelihood only for
 the observed pairs.  Each mode is the smallest-magnitude negative eigenvalue
 of its own block, so the labels are exact where A0 and S0 cross.
-Deflated inverse power iteration (method="power") is kept as the paper's
-solver: one vectorised iteration runs over every block of a grid at once,
-and gives the same eigenvalues at about 1.5 times the dense cost.
+Deflated inverse power iteration, the paper's solver, is inverse_power_eigs:
+one vectorised iteration over a whole stack of blocks.  mode_cp runs it with
+method="power" and gives the same eigenvalues at about 1.5 times the dense
+cost.  smallest_physical_cp solves one full realified system densely; it is
+the unlabelled per-k reference of the benchmark's checks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from . import textio
 from .legendre import reference_tables
@@ -37,7 +38,6 @@ __all__ = [
     "SystemMatrices",
     "DispersionCurve",
     "Mode",
-    "SolveFallback",
     "TracingError",
     "engineering_to_constants",
     "assemble_system",
@@ -45,8 +45,7 @@ __all__ = [
     "mode_cp",
     "branch_cp",
     "realify",
-    "solve_full",
-    "solve_smallest",
+    "inverse_power_eigs",
     "smallest_physical_cp",
     "trace_curves",
     "group_velocity",
@@ -59,10 +58,6 @@ __all__ = [
 class Mode(str, Enum):
     A0 = "A0"
     S0 = "S0"
-
-
-class SolveFallback(Exception):
-    """Power iteration could not deliver; caller should use the full solve."""
 
 
 class TracingError(RuntimeError):
@@ -263,19 +258,6 @@ def complex_block(sys: SystemMatrices) -> np.ndarray:
     )
 
 
-def solve_full(a_hat: np.ndarray) -> np.ndarray:
-    """All eigenvalues of A_hat p = lambda p."""
-    if a_hat.shape[0] != a_hat.shape[1]:
-        raise ValueError("matrix must be square")
-    vals = scipy.linalg.eigvals(a_hat)
-    if not np.all(np.isfinite(vals)):
-        cond = np.linalg.cond(a_hat)
-        raise np.linalg.LinAlgError(
-            f"eigensolver returned non-finite values (cond={cond:.3e})"
-        )
-    return vals
-
-
 _POWER_TOL = 1e-12
 _POWER_MAXIT = 500
 _POWER_SEED = 20260826
@@ -287,7 +269,7 @@ def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y).sum(axis=-1)
 
 
-def _inverse_power(a: np.ndarray, count: int) -> np.ndarray:
+def inverse_power_eigs(stack: np.ndarray, count: int) -> np.ndarray:
     """The `count` smallest-magnitude eigenvalues of every block of a
     [B, n, n] stack, in ascending magnitude: [B, count].
 
@@ -297,13 +279,13 @@ def _inverse_power(a: np.ndarray, count: int) -> np.ndarray:
     values do not depend on the other blocks of the stack.  A block's
     entries are NaN from the first eigenvalue its iteration cannot deliver
     on: the block is singular or not finite, or the iterate vanishes or
-    stalls.  If the stack cannot be inverted, every entry is NaN.
+    stalls.  Columns past the n eigenvalues of an n x n block are NaN, and
+    if the stack cannot be inverted, every entry is.
     """
-    n = a.shape[-1]
-    count = min(count, n)
-    out = np.full((a.shape[0], count), np.nan)
+    n = stack.shape[-1]
+    out = np.full((stack.shape[0], count), np.nan)
     try:
-        inv = np.linalg.inv(a)
+        inv = np.linalg.inv(stack)
     except np.linalg.LinAlgError:
         return out
     live = np.flatnonzero(np.isfinite(inv).all(axis=(-2, -1)))  # rows of out
@@ -311,7 +293,7 @@ def _inverse_power(a: np.ndarray, count: int) -> np.ndarray:
     found_mu = np.empty((live.size, 0))  # eigenvalues of the inverse
     found_v = np.empty((live.size, 0, n))
     rng = np.random.default_rng(_POWER_SEED)
-    for stage in range(count):
+    for stage in range(min(count, n)):
         v = np.tile(rng.standard_normal(n), (live.size, 1))
         for j in range(stage):
             v -= _rows_dot(found_v[:, j], v)[:, None] * found_v[:, j]
@@ -354,46 +336,23 @@ def _smallest_negative(blocks: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(top), np.nan, top)
 
 
-def solve_smallest(a_hat: np.ndarray, n_modes: int) -> np.ndarray:
-    """Smallest-magnitude eigenvalues via deflated inverse power iteration.
-
-    Power iteration is applied to A_hat^{-1}; its dominant eigenvalue is the
-    reciprocal of the smallest-magnitude eigenvalue of A_hat.  Wielandt
-    deflation exposes the next one.  This is mode_cp's batched kernel on a
-    stack of one.  Raises SolveFallback when the matrix is singular or the
-    iteration stalls; callers then use solve_full.
-    """
-    if n_modes not in (1, 2):
-        raise ValueError("n_modes must be 1 or 2")
-    lams = _inverse_power(a_hat[None], n_modes)[0]
-    if np.isnan(lams).any():
-        raise SolveFallback("power iteration did not converge")
-    return lams[np.argsort(np.abs(lams))]
-
-
 def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
-                         method: str = "power") -> np.ndarray:
-    """Phase velocities of the up-to-n_modes smallest negative eigenvalues.
+                         method: str = "dense") -> np.ndarray:
+    """Phase velocities of the up-to-n_modes smallest-magnitude negative
+    eigenvalues of one full realified system, by a dense eigvalsh.
 
     Returned ascending, with no mode labels.  May return fewer than n_modes
-    values when not enough negative eigenvalues exist at this kh.
+    values when not enough negative eigenvalues exist at this kh.  "dense"
+    is the only method.
     """
-    if method == "power":
-        # deflate past non-physical positive eigenvalues, up to the full
-        # spectrum; too few negatives before a failure falls back to dense
-        lams = _inverse_power(a_hat[None], a_hat.shape[0])[0]
-        vals = lams[lams < 0][:n_modes]
-        if vals.size < n_modes:
-            vals = np.linalg.eigvalsh(a_hat)
-    elif method == "dense":
-        # the realified matrix is symmetric by integration by parts of the
-        # NT tables (T1[1] + T1[1]^T = -T2[0], T1[2] + T2[1] symmetric)
-        vals = np.linalg.eigvalsh(a_hat)
-    else:
+    # the benchmark's references still pass method="dense"
+    if method != "dense":
         raise ValueError(f"unknown eigensolver method: {method!r}")
-    neg = np.sort(vals[vals < 0])[::-1]  # ascending magnitude
-    cps = np.sqrt(-neg[:n_modes])
-    return np.sort(cps)
+    # the realified matrix is symmetric by integration by parts of the
+    # NT tables (T1[1] + T1[1]^T = -T2[0], T1[2] + T2[1] symmetric)
+    vals = np.linalg.eigvalsh(a_hat)  # ascending
+    neg = vals[vals < 0][::-1]  # ascending magnitude
+    return np.sqrt(-neg[:n_modes])
 
 
 def mode_cp(theta: ElasticConstants, kh, branch, order: int,
@@ -402,8 +361,8 @@ def mode_cp(theta: ElasticConstants, kh, branch, order: int,
     element of the broadcast kh and branch, from one batched eigensolve.
 
     Each value is the smallest-magnitude negative eigenvalue of that pair's
-    parity block, NaN where the block has none.  method="power" runs one
-    inverse power iteration over all blocks; a block it cannot deliver on,
+    parity block, NaN where the block has none.  method="power" runs
+    inverse_power_eigs once over all blocks; a block it cannot deliver on,
     or whose smallest-magnitude eigenvalue is not negative, gets the dense
     answer from one eigvalsh over just those blocks.  Raises TracingError
     when the 1-3 stiffness block is not positive definite
@@ -417,7 +376,7 @@ def mode_cp(theta: ElasticConstants, kh, branch, order: int,
         lams = _smallest_negative(blocks)
     elif method == "power":
         flat = blocks.reshape(-1, *blocks.shape[-2:])
-        lams = _inverse_power(flat, 1)[:, 0]
+        lams = inverse_power_eigs(flat, 1)[:, 0]
         redo = ~(lams < 0)
         if redo.any():
             lams[redo] = _smallest_negative(flat[redo])

@@ -1,14 +1,15 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is built on library primitives (numpy.polynomial, scipy
-quadrature and root finding) rather than the package's own polynomial
-arithmetic, so agreement is meaningful.
+quadrature, root finding and dense linear algebra) rather than the
+package's own arithmetic, so agreement is meaningful.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial import legendre as npleg
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -95,6 +96,20 @@ def labelled_branches(a_hat: np.ndarray, order: int) -> tuple[np.ndarray, float]
     return out, float(np.minimum(w_anti, 1.0 - w_anti).max())
 
 
+def solve_full(a_hat: np.ndarray) -> np.ndarray:
+    """All eigenvalues of one square matrix, by a general dense eigensolve:
+    the full-spectrum reference for the power kernel."""
+    if a_hat.shape[0] != a_hat.shape[1]:
+        raise ValueError("matrix must be square")
+    vals = scipy.linalg.eigvals(a_hat)
+    if not np.all(np.isfinite(vals)):
+        cond = np.linalg.cond(a_hat)
+        raise np.linalg.LinAlgError(
+            f"eigensolver returned non-finite values (cond={cond:.3e})"
+        )
+    return vals
+
+
 _POWER_TOL = 1e-12
 _POWER_MAXIT = 500
 _POWER_SEED = 20260826
@@ -107,20 +122,16 @@ def scalar_inverse_power_eigs(a_hat: np.ndarray, count: int):
     batched kernel in lambid.dispersion replaced, kept as its reference:
     power iteration on A_hat^{-1} from an LU factorisation, with Wielandt
     deflation of found pairs and the kernel's seed, tolerance and
-    iteration cap.  Raises SolveFallback on singularity or stalled
+    iteration cap.  Raises np.linalg.LinAlgError on singularity or stalled
     convergence.
     """
-    import scipy.linalg
-
-    from lambid.dispersion import SolveFallback
-
     n = a_hat.shape[0]
     try:
         lu, piv = scipy.linalg.lu_factor(a_hat)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SolveFallback("matrix is singular") from exc
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise np.linalg.LinAlgError("matrix is singular") from exc
     if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) == 0.0:
-        raise SolveFallback("matrix is singular")
+        raise np.linalg.LinAlgError("matrix is singular")
 
     rng = np.random.default_rng(_POWER_SEED)
     found_vals: list[float] = []
@@ -138,7 +149,7 @@ def scalar_inverse_power_eigs(a_hat: np.ndarray, count: int):
             v -= (u @ v) * u
         nv = np.linalg.norm(v)
         if nv == 0.0:
-            raise SolveFallback("deflated start vector vanished")
+            raise np.linalg.LinAlgError("deflated start vector vanished")
         v /= nv
         mu_prev = np.inf
         converged = False
@@ -147,14 +158,15 @@ def scalar_inverse_power_eigs(a_hat: np.ndarray, count: int):
             mu = v @ w
             norm = np.linalg.norm(w)
             if norm == 0.0 or not np.isfinite(norm):
-                raise SolveFallback("power iteration produced degenerate vector")
+                raise np.linalg.LinAlgError(
+                    "power iteration produced degenerate vector")
             v = w / norm
             if mu != 0.0 and abs(mu - mu_prev) < _POWER_TOL * abs(mu):
                 converged = True
                 break
             mu_prev = mu
         if not converged:
-            raise SolveFallback("power iteration did not converge")
+            raise np.linalg.LinAlgError("power iteration did not converge")
         found_vals.append(mu)
         found_vecs.append(v.copy())
         yield 1.0 / mu, v.copy()
@@ -162,7 +174,7 @@ def scalar_inverse_power_eigs(a_hat: np.ndarray, count: int):
 
 def scalar_solve_smallest(a_hat: np.ndarray, n_modes: int) -> np.ndarray:
     """The n_modes smallest-magnitude eigenvalues of one matrix, ascending
-    in magnitude, by scalar_inverse_power_eigs (SolveFallback passes on)."""
+    in magnitude, by scalar_inverse_power_eigs (LinAlgError passes on)."""
     lams = np.array([lam for lam, _ in scalar_inverse_power_eigs(a_hat, n_modes)])
     return lams[np.argsort(np.abs(lams))]
 
@@ -173,15 +185,13 @@ def per_block_power_cp(blocks: np.ndarray) -> np.ndarray:
     negative one, and take the dense eigvalsh answer if the iteration
     fails first; NaN where a block has no negative eigenvalue.  This is
     the per-block loop that mode_cp(method="power") replaced."""
-    from lambid.dispersion import SolveFallback
-
     flat = blocks.reshape(-1, *blocks.shape[-2:])
     out = np.full(flat.shape[0], np.nan)
     for i, a_hat in enumerate(flat):
         try:
             neg = next(lam for lam, _ in
                        scalar_inverse_power_eigs(a_hat, a_hat.shape[0]) if lam < 0)
-        except (SolveFallback, StopIteration):
+        except (np.linalg.LinAlgError, StopIteration):
             lams = np.linalg.eigvalsh(a_hat)
             neg = lams[lams < 0].max() if np.any(lams < 0) else np.nan
         out[i] = np.sqrt(-neg)

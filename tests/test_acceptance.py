@@ -19,10 +19,10 @@ from lambid import analysis
 from lambid.bayes import (PARAM_NAMES, ParamVector, SamplerConfig,
                           default_priors, mcmc_sample)
 from lambid.dispersion import (ElasticConstants, Mode, PlateSpec,
-                               SolveFallback, assemble_system, complex_block,
-                               k_grid_for_fh_band, realify,
-                               sensitivity_sweep, smallest_physical_cp,
-                               solve_full, solve_smallest, trace_curves)
+                               assemble_system, complex_block,
+                               inverse_power_eigs, k_grid_for_fh_band,
+                               realify, sensitivity_sweep,
+                               smallest_physical_cp, trace_curves)
 from lambid.legendre import nt1, nt2
 from lambid.wavefield import (ObservationSet, normalize_energy, ridge_pick,
                               synth_wavefield, two_dft)
@@ -90,16 +90,18 @@ def test_criterion_03_realification():
 def test_criterion_04_power_iteration():
     t0 = time.perf_counter()
     rng = np.random.default_rng(41)
-    worst, fallbacks = 0.0, 0
+    stack = []
     for _ in range(100):
         theta = random_constants(rng)
-        a_hat = realify(assemble_system(theta, rng.uniform(0.3, 6.0), 8))
-        try:
-            small = solve_smallest(a_hat, 2)
-        except SolveFallback:
-            fallbacks += 1
+        stack.append(realify(assemble_system(theta, rng.uniform(0.3, 6.0), 8)))
+    # one call on all draws; a row with a NaN is a draw the kernel gave up on
+    smalls = inverse_power_eigs(np.array(stack), 2)
+    fallbacks = int(np.isnan(smalls).any(axis=1).sum())
+    worst = 0.0
+    for a_hat, small in zip(stack, smalls):
+        if np.isnan(small).any():
             continue
-        full = solve_full(a_hat)
+        full = oracles.solve_full(a_hat)
         ref = np.real(full[np.argsort(np.abs(full))[:2]])
         ref = ref[np.argsort(np.abs(ref))]
         worst = max(worst, np.max(np.abs(small - ref) / np.abs(ref)))

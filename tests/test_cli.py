@@ -197,6 +197,26 @@ def test_rejected_config_value_exits_config(tmp_path, capsys, command,
     assert "error:config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("plate", 5),
+    ("material", 5),
+    ("material", {"elastic": 5}),
+    ("material", {"elastic": {"c11_gpa": [28.1]}}),
+    ("plate", {"thickness_mm": [2.0]}),
+    ("band", 5),
+    ("priors", {"c11": "gamma"}),
+    ("priors", [1]),
+    ("priors", {"c11": {"dist": "gamma", "shape": [2.5], "rate": 0.02}}),
+    ("files", {"chain": 5}),
+    ("seed", 1.7),  # not truncated to 1
+])
+def test_malformed_config_exits_config(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, base_cfg(**{key: value}))
+    rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    assert "error:config:" in capsys.readouterr().err
+
+
 def test_extract_missing_wavefield_exits_io(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_cfg())
     rc = cli.main(["extract", "--config", cfg, "--out", str(tmp_path)])

@@ -3,14 +3,13 @@ import pytest
 
 import oracles
 from conftest import one_negative_at, random_constants
-from lambid.dispersion import (ElasticConstants, Mode, PlateSpec, SolveFallback,
+from lambid.dispersion import (ElasticConstants, Mode, PlateSpec,
                                TracingError, _parity_blocks, assemble_system,
                                branch_cp, complex_block, engineering_to_constants,
-                               group_velocity, k_grid_for_fh_band,
-                               mode_cp, read_curves, realify,
+                               group_velocity, inverse_power_eigs,
+                               k_grid_for_fh_band, mode_cp, read_curves, realify,
                                sensitivity_sweep, smallest_physical_cp,
-                               solve_full, solve_smallest, system_stack,
-                               trace_curves, write_curves)
+                               system_stack, trace_curves, write_curves)
 
 
 class TestEngineeringConversion:
@@ -171,7 +170,7 @@ class TestRealification:
                           np.diag([-1.0, -1.001, -5.0, -9.0])])
         lams = np.linalg.eigvalsh(stack)
         dense = np.sqrt(-np.where(lams < 0, lams, -np.inf).max(axis=-1))
-        kernel = dp._inverse_power(stack, 1)[:, 0]
+        kernel = inverse_power_eigs(stack, 1)[:, 0]
         assert np.all(kernel[:2] < 0) and kernel[2] > 0 and np.isnan(kernel[3])
 
         def solve(blocks):
@@ -186,11 +185,11 @@ class TestRealification:
             assert solve(block) == got[i]
         # a block that is not finite is NaN on its own, and a stack that
         # cannot be inverted is NaN throughout
-        with_nan = dp._inverse_power(np.r_[stack, np.full((1, 4, 4), np.nan)], 2)
-        assert np.array_equal(with_nan[:-1], dp._inverse_power(stack, 2),
+        with_nan = inverse_power_eigs(np.r_[stack, np.full((1, 4, 4), np.nan)], 2)
+        assert np.array_equal(with_nan[:-1], inverse_power_eigs(stack, 2),
                               equal_nan=True)
         assert np.isnan(with_nan[-1]).all()
-        assert np.isnan(dp._inverse_power(np.r_[stack, np.zeros((1, 4, 4))], 2)).all()
+        assert np.isnan(inverse_power_eigs(np.r_[stack, np.zeros((1, 4, 4))], 2)).all()
 
     def test_parity_blocks_negative_definite(self, rng):
         # -A is the Galerkin matrix of a positive-definite strain energy, so
@@ -255,56 +254,65 @@ class TestRealification:
 
 
 class TestEigensolvers:
-    def test_solve_smallest_matches_full(self, rng):
-        for _ in range(25):
-            theta = random_constants(rng)
-            a_hat = realify(assemble_system(theta, rng.uniform(0.3, 6.0), 8))
-            small = solve_smallest(a_hat, 2)
-            full = solve_full(a_hat)
+    def test_kernel_matches_full(self, rng):
+        stack = np.array([
+            realify(assemble_system(random_constants(rng),
+                                    rng.uniform(0.3, 6.0), 8))
+            for _ in range(25)])
+        smalls = inverse_power_eigs(stack, 2)
+        assert not np.isnan(smalls).any()
+        for a_hat, small in zip(stack, smalls):
+            full = oracles.solve_full(a_hat)
             full = full[np.argsort(np.abs(full))][:2]
             assert np.allclose(np.sort(small), np.sort(full),
                                rtol=1e-8, atol=1e-8 * np.abs(full).max())
 
-    def test_solve_smallest_matches_scalar_loop(self):
-        # criterion 4's draws: the batched kernel on one block gives the
-        # scalar loop's eigenvalues to rounding, and falls back on the
-        # same draws
+    def test_kernel_matches_scalar_loop(self):
+        # criterion 4's draws in one stack: the kernel gives the scalar
+        # loop's eigenvalues to rounding, and NaN on the draws where the
+        # loop gives up
         rng = np.random.default_rng(41)
+        stack = []
         for _ in range(100):
             theta = random_constants(rng)
-            a_hat = realify(assemble_system(theta, rng.uniform(0.3, 6.0), 8))
+            stack.append(realify(assemble_system(theta, rng.uniform(0.3, 6.0), 8)))
+        for a_hat, got in zip(stack, inverse_power_eigs(np.array(stack), 2)):
             try:
                 ref = oracles.scalar_solve_smallest(a_hat, 2)
-            except SolveFallback:
-                with pytest.raises(SolveFallback):
-                    solve_smallest(a_hat, 2)
+            except np.linalg.LinAlgError:
+                assert np.isnan(got).any()
                 continue
-            got = solve_smallest(a_hat, 2)
             assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     def test_single_mode(self, rng):
         theta = random_constants(rng)
         a_hat = realify(assemble_system(theta, 2.0, 6))
-        one = solve_smallest(a_hat, 1)
-        assert one.size == 1
+        one = inverse_power_eigs(a_hat[None], 1)
+        assert one.shape == (1, 1) and not np.isnan(one).any()
+        assert one[0, 0] == inverse_power_eigs(a_hat[None], 2)[0, 0]
 
     def test_bad_mode_count(self):
-        with pytest.raises(ValueError):
-            solve_smallest(np.eye(4), 3)
+        # a 4 x 4 block has four eigenvalues; the columns past them are NaN
+        got = inverse_power_eigs(np.diag([-1.0, -2.0, 5.0, -9.0])[None], 6)
+        assert got.shape == (1, 6)
+        assert np.allclose(got[0, :4], [-1.0, -2.0, 5.0, -9.0], rtol=1e-10)
+        assert np.isnan(got[0, 4:]).all()
 
-    def test_near_degenerate_raises_fallback(self):
-        # eigenvalue gap ratio below the iteration's resolving power
+    def test_near_degenerate_nan_or_exact(self):
+        # eigenvalue gap ratio below the iteration's resolving power: an
+        # eigenvalue the kernel cannot deliver is NaN, one it delivers
+        # matches the truth
         a = np.diag([-1.0, -1.0 - 1e-9, -5.0, -9.0])
-        with pytest.raises(SolveFallback):
-            lams = solve_smallest(a, 2)
-            # if the iteration does separate them, it must match the truth
-            assert np.allclose(np.sort(lams), [-1.0 - 1e-9, -1.0], atol=1e-6)
-            raise SolveFallback  # accept either contract outcome
+        lams = inverse_power_eigs(a[None], 2)[0]
+        assert np.all(np.isnan(lams)
+                      | np.isclose(lams, [-1.0, -1.0 - 1e-9], rtol=0, atol=1e-6))
 
     def test_smallest_physical_skips_positive_eigenvalues(self):
         a = np.diag([0.5, -2.0, -7.0, 31.0])
-        cps = smallest_physical_cp(a, n_modes=2, method="power")
+        cps = smallest_physical_cp(a, n_modes=2, method="dense")
         assert np.allclose(np.sort(cps), np.sqrt([2.0, 7.0]))
+        with pytest.raises(ValueError, match="method"):
+            smallest_physical_cp(a, n_modes=2, method="power")
 
 
 class TestTracing:
@@ -341,14 +349,14 @@ class TestTracing:
         fallback finds no negative eigenvalue in any block sent to it."""
         import lambid.dispersion as dp
 
-        real_kernel = dp._inverse_power
+        real_kernel = dp.inverse_power_eigs
 
         def gives_up(a, count):
             out = real_kernel(a, count)
             out[blocks] = np.nan
             return out
 
-        monkeypatch.setattr(dp, "_inverse_power", gives_up)
+        monkeypatch.setattr(dp, "inverse_power_eigs", gives_up)
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             one_negative_at(lambda n: range(n)))
 
