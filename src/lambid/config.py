@@ -8,6 +8,7 @@ its own directory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -51,6 +52,25 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _number(section: dict, key: str, where: str) -> float:
+    """section[key] as a float; ConfigError naming where.key when it is
+    absent, not a number or not finite."""
+    value = _require(section, key, where)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _known_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
 def _mapping(value, where: str) -> dict:
     """value as a section mapping: {} for an absent (null) section, and a
     ConfigError for anything else that is not a mapping."""
@@ -64,9 +84,7 @@ def _mapping(value, where: str) -> dict:
 def _merged(section: str, raw: dict) -> dict:
     merged = dict(_DEFAULTS[section])
     extra = _mapping(raw.get(section), section)
-    unknown = set(extra) - set(merged)
-    if unknown:
-        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
+    _known_keys(extra, merged, section)
     for key, value in extra.items():
         _check_kind(f"{section}.{key}", value, merged[key])
     merged.update(extra)
@@ -75,15 +93,16 @@ def _merged(section: str, raw: dict) -> dict:
 
 def _check_kind(where: str, value, default) -> None:
     """ConfigError unless value is of its default's kind: true or false for
-    a bool, an integer for an int, any number for a float and text for a
-    str (YAML reads a bool as an int too, so that is excluded by hand)."""
+    a bool, an integer for an int, any finite number for a float and text
+    for a str (YAML reads a bool as an int too, so that is excluded by
+    hand)."""
     kind = type(default)
     if kind is bool:
         ok, what = isinstance(value, bool), "true or false"
     elif kind in (int, float):
         ok = (isinstance(value, int if kind is int else (int, float))
-              and not isinstance(value, bool))
-        what = "an integer" if kind is int else "a number"
+              and not isinstance(value, bool) and math.isfinite(value))
+        what = "an integer" if kind is int else "a finite number"
     else:
         ok, what = isinstance(value, str), "a string"
     if not ok:
@@ -142,34 +161,41 @@ class RunConfig:
             yaml.safe_dump(self.resolved(), fh, sort_keys=True)
 
 
+_MATERIAL_KEYS = {
+    "elastic": ("c11_gpa", "c13_gpa", "c33_gpa", "c55_gpa", "rho_kg_m3"),
+    "engineering": ("e11_gpa", "e22_gpa", "g12_gpa", "nu12", "nu21", "rho_kg_m3"),
+}
+_PRIOR_KINDS = {"gamma": (GammaPrior, ("shape", "rate")),
+                "normal": (NormalPrior, ("mean", "sd"))}
+
+
 def _parse_material(raw: dict) -> ElasticConstants | None:
     if raw.get("material") is None:
         return None
     mat = _mapping(raw["material"], "material")
-    forms = [f for f in ("elastic", "engineering") if f in mat]
+    forms = [f for f in _MATERIAL_KEYS if f in mat]
     if len(forms) != 1:
         raise ConfigError(
             "material must contain exactly one of 'elastic' or 'engineering'"
         )
-    sec = _mapping(mat[forms[0]], f"material.{forms[0]}")
+    _known_keys(mat, forms, "material")
+    where = f"material.{forms[0]}"
+    sec = _mapping(mat[forms[0]], where)
+    _known_keys(sec, _MATERIAL_KEYS[forms[0]], where)
+    v = {key: _number(sec, key, where) for key in _MATERIAL_KEYS[forms[0]]}
     try:
         if forms[0] == "elastic":
             return ElasticConstants(
-                c11=float(_require(sec, "c11_gpa", "material.elastic")) * 1e9,
-                c13=float(_require(sec, "c13_gpa", "material.elastic")) * 1e9,
-                c33=float(_require(sec, "c33_gpa", "material.elastic")) * 1e9,
-                c55=float(_require(sec, "c55_gpa", "material.elastic")) * 1e9,
-                rho=float(_require(sec, "rho_kg_m3", "material.elastic")),
+                c11=v["c11_gpa"] * 1e9, c13=v["c13_gpa"] * 1e9,
+                c33=v["c33_gpa"] * 1e9, c55=v["c55_gpa"] * 1e9,
+                rho=v["rho_kg_m3"],
             )
         return engineering_to_constants(
-            e11=float(_require(sec, "e11_gpa", "material.engineering")) * 1e9,
-            e22=float(_require(sec, "e22_gpa", "material.engineering")) * 1e9,
-            g12=float(_require(sec, "g12_gpa", "material.engineering")) * 1e9,
-            nu12=float(_require(sec, "nu12", "material.engineering")),
-            nu21=float(_require(sec, "nu21", "material.engineering")),
-            rho=float(_require(sec, "rho_kg_m3", "material.engineering")),
+            e11=v["e11_gpa"] * 1e9, e22=v["e22_gpa"] * 1e9,
+            g12=v["g12_gpa"] * 1e9, nu12=v["nu12"], nu21=v["nu21"],
+            rho=v["rho_kg_m3"],
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"material: {exc}") from exc
 
 
@@ -180,23 +206,17 @@ def _parse_priors(raw: dict) -> PriorSpec:
     for name, spec in overrides.items():
         if name not in priors:
             raise ConfigError(f"priors.{name}: unknown parameter")
-        spec = _mapping(spec, f"priors.{name}")
-        dist = spec.get("dist")
+        where = f"priors.{name}"
+        spec = _mapping(spec, where)
+        if spec.get("dist") not in _PRIOR_KINDS:
+            raise ConfigError(f"{where}.dist must be 'gamma' or 'normal'")
+        kind, keys = _PRIOR_KINDS[spec["dist"]]
+        _known_keys(spec, ("dist", *keys), where)
+        args = [_number(spec, key, where) for key in keys]
         try:
-            if dist == "gamma":
-                priors[name] = GammaPrior(
-                    shape=float(spec["shape"]), rate=float(spec["rate"])
-                )
-            elif dist == "normal":
-                priors[name] = NormalPrior(
-                    mean=float(spec["mean"]), sd=float(spec["sd"])
-                )
-            else:
-                raise ConfigError(
-                    f"priors.{name}.dist must be 'gamma' or 'normal'"
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"priors.{name}: {exc}") from exc
+            priors[name] = kind(*args)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     return PriorSpec(priors=priors, scales=base.scales)
 
 
@@ -211,13 +231,15 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
+    _known_keys(raw, ("seed", "plate", "material", "priors", *_DEFAULTS), "config")
     plate = None
     plate_sec = _mapping(raw.get("plate"), "plate")
     if plate_sec:
-        t_mm = _require(plate_sec, "thickness_mm", "plate")
+        _known_keys(plate_sec, ("thickness_mm",), "plate")
+        t_mm = _number(plate_sec, "thickness_mm", "plate")
         try:
-            plate = PlateSpec(thickness=float(t_mm) * 1e-3)
-        except (TypeError, ValueError) as exc:
+            plate = PlateSpec(thickness=t_mm * 1e-3)
+        except ValueError as exc:
             raise ConfigError(f"plate: {exc}") from exc
 
     sections = {name: _merged(name, raw) for name in _DEFAULTS}

@@ -539,6 +539,52 @@ def sensitivity_sweep(
     return out
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f between xa and xb, where f changes sign: Brent's (1973)
+    method, ported from scipy.optimize.brentq (xtol 1e-9, rtol 4 eps, at
+    most 100 iterations) in its operation order, so it returns scipy's
+    root bit for bit."""
+    xtol, rtol = 1e-9, 4 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise TracingError("root search did not converge in 100 iterations")
+
+
 def k_grid_for_fh_band(
     theta: ElasticConstants,
     plate: PlateSpec,
@@ -574,9 +620,7 @@ def k_grid_for_fh_band(
             k_lo /= 2
             if k_lo * h < 1e-9:
                 raise TracingError("could not bracket the requested band")
-        from scipy.optimize import brentq
-
-        return brentq(lambda k: fh_of(k, idx) - target, k_lo, k_hi, xtol=1e-9)
+        return _brentq(lambda k: fh_of(k, idx) - target, k_lo, k_hi)
 
     k_start = bracket_solve(fh_min, 1)  # S0 reaches fh_min
     k_stop = bracket_solve(fh_max, 0)  # A0 reaches fh_max

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from . import textio
 from .dispersion import (
@@ -131,6 +130,14 @@ def _mode_k_of_omega(curve: DispersionCurve):
     return lambda w: np.interp(w, om, kk, left=np.nan, right=np.nan)
 
 
+def _linear_chirp(t: np.ndarray, f0: float, t1: float, f1: float) -> np.ndarray:
+    """cos of a phase sweeping linearly from f0 at t = 0 to f1 at t1; the
+    phase is written in scipy.signal.chirp's operation order, so the two
+    agree bit for bit."""
+    beta = (f1 - f0) / t1
+    return np.cos(2 * np.pi * (f0 * t + 0.5 * beta * t * t))
+
+
 def synth_wavefield(
     theta: ElasticConstants,
     plate: PlateSpec,
@@ -168,7 +175,7 @@ def synth_wavefield(
     elif f_lo == f_hi:
         sig = amplitude * np.sin(2 * np.pi * f_lo * t) * (t <= duration)
     else:
-        sig = amplitude * scipy.signal.chirp(t, f_lo, duration, f_hi) * (t <= duration)
+        sig = amplitude * _linear_chirp(t, f_lo, duration, f_hi) * (t <= duration)
     spec = np.fft.rfft(sig)
     freqs = np.fft.rfftfreq(n_t, dt)
     omega = 2 * np.pi * freqs
@@ -251,6 +258,30 @@ def normalize_energy(image: DispersionImage) -> DispersionImage:
     )
 
 
+def _local_maxima(rows: np.ndarray, height: np.ndarray) -> np.ndarray:
+    """Boolean mask [n_rows, n] of the local maxima of each row at or above
+    its height, by the rule of scipy.signal.find_peaks: a run of equal
+    samples whose left and right neighbours are both strictly lower is one
+    peak, at the run's middle sample ((left + right) // 2).  The first and
+    last samples of a row are never peaks."""
+    n_rows, n = rows.shape
+    starts = np.ones(rows.shape, dtype=bool)  # each row starts a run
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    first = np.flatnonzero(starts)  # flat index of each run's first sample
+    last = np.append(first[1:] - 1, rows.size - 1)
+    value = rows.flat[first]
+    rises = np.zeros(first.size, dtype=bool)
+    rises[1:] = value[1:] > value[:-1]
+    falls = np.zeros(first.size, dtype=bool)
+    falls[:-1] = value[:-1] > value[1:]
+    # a run touching either end of its row has a neighbour in another row
+    interior = (first % n > 0) & (last % n < n - 1)
+    peak = interior & rises & falls & (value >= height[first // n])
+    mask = np.zeros(rows.size, dtype=bool)
+    mask[(first[peak] + last[peak]) // 2] = True
+    return mask.reshape(n_rows, n)
+
+
 def ridge_pick(
     image: DispersionImage,
     band: tuple[float, float],
@@ -275,28 +306,23 @@ def ridge_pick(
     if rows.size == 0:
         raise ValueError("band does not intersect the image frequency axis")
 
-    def row_maxima(row: np.ndarray) -> np.ndarray:
-        if row.max() <= 0:
-            return np.array([], dtype=int)
-        peaks, _ = scipy.signal.find_peaks(row, height=min_prominence * row.max())
-        return peaks
+    band_rows = image.magnitude[rows]
+    row_max = band_rows.max(axis=1)
+    peak_mask = _local_maxima(band_rows, min_prominence * row_max)
+    peak_mask[row_max <= 0] = False  # no candidates without a positive sample
+    row_peaks = [np.flatnonzero(m) for m in peak_mask]
 
     # seed ridges at the low-frequency edge: first row with enough peaks
     ridges: list[list[tuple[int, int]]] = []  # list of (row_idx, k_idx)
-    seeded_at = None
-    for ri in rows:
-        peaks = row_maxima(image.magnitude[ri])
-        if peaks.size >= 1:
-            strongest = peaks[np.argsort(image.magnitude[ri][peaks])[::-1]]
-            for p in strongest[:n_modes]:
-                ridges.append([(ri, int(p))])
-            seeded_at = ri
-            break
-    if seeded_at is None:
+    seeded = next((i for i, peaks in enumerate(row_peaks) if peaks.size), None)
+    if seeded is None:
         raise RidgeError("no row in the band has a prominent maximum")
+    peaks = row_peaks[seeded]
+    strongest = peaks[np.argsort(band_rows[seeded][peaks])[::-1]]
+    for p in strongest[:n_modes]:
+        ridges.append([(rows[seeded], int(p))])
 
-    for ri in rows[rows > seeded_at]:
-        peaks = row_maxima(image.magnitude[ri])
+    for ri, peaks in zip(rows[seeded + 1:], row_peaks[seeded + 1:]):
         if peaks.size == 0:
             continue
         taken: set[int] = set()

@@ -209,12 +209,50 @@ def test_rejected_config_value_exits_config(tmp_path, capsys, command,
     ("priors", {"c11": {"dist": "gamma", "shape": [2.5], "rate": 0.02}}),
     ("files", {"chain": 5}),
     ("seed", 1.7),  # not truncated to 1
+    # unknown keys, at any depth
+    ("bogus", 1),
+    ("plate", {"thickness_mm": 2.0, "bogus": 1}),
+    ("material", {"elastic": {"c11_gpa": 28.1, "c13_gpa": 7.8, "c33_gpa": 16.7,
+                              "c55_gpa": 8.2, "rho_kg_m3": 1200.0, "junk": 3}}),
+    ("material", {"engineering": {"e11_gpa": 40.0, "e22_gpa": 10.0, "g12_gpa": 4.0,
+                                  "nu12": 0.3, "nu21": 0.075, "rho_kg_m3": 1900.0,
+                                  "junk": 3}}),
+    ("material", {"elastic": {"c11_gpa": 28.1, "c13_gpa": 7.8, "c33_gpa": 16.7,
+                              "c55_gpa": 8.2, "rho_kg_m3": 1200.0}, "junk": 3}),
+    ("priors", {"c11": {"dist": "gamma", "shape": 2.5, "rate": 0.02, "bogus": 1}}),
+    ("priors", {"rho": {"dist": "normal", "mean": 1200.0, "sd": 50.0,
+                        "rate": 0.02}}),
 ])
 def test_malformed_config_exits_config(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, base_cfg(**{key: value}))
     rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["config"] == 2
     assert "error:config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,keys,value", [
+    ("material", ("elastic", "c11_gpa"), float("nan")),
+    ("material", ("elastic", "rho_kg_m3"), float("inf")),
+    ("plate", ("thickness_mm",), float("inf")),
+    ("priors", ("c11", "rate"), float("nan")),
+    ("priors", ("sigma", "sd"), float("nan")),
+    ("band", ("fh_max_mhz_mm",), float("inf")),
+    ("sampler", ("proposal_scale",), float("nan")),
+    ("synth", ("noise_rms",), float("-inf")),
+])
+def test_non_finite_config_value_exits_config(tmp_path, capsys, section, keys,
+                                              value):
+    payload = base_cfg(priors={"c11": {"dist": "gamma", "shape": 2.5, "rate": 0.02},
+                               "sigma": {"dist": "normal", "mean": 3e3, "sd": 300.0}})
+    node = payload.setdefault(section, {})
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    cfg = write_cfg(tmp_path, payload)
+    rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    err = capsys.readouterr().err
+    assert "error:config:" in err and ".".join((section, *keys)) in err
 
 
 def test_extract_missing_wavefield_exits_io(tmp_path, capsys):

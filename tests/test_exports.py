@@ -1,10 +1,17 @@
 """Every public export resolves: each name in the __all__ of lambid and of
-each lambid.* module is an attribute of that module."""
+each lambid.* module is an attribute of that module.  The command-line
+front end and every command it runs load no scipy module."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 import lambid
 
@@ -18,3 +25,46 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), "duplicate name in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+# Runs in a fresh interpreter: tests/oracles.py imports scipy into pytest's.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from lambid import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import lambid.cli": scipy_modules()}
+for command in ("solve", "synth", "extract", "identify", "summarize"):
+    code = cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+    loaded[command] = scipy_modules() if code == 0 else f"exit {code}"
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    config = {
+        "seed": 3, "plate": {"thickness_mm": 2.0},
+        "material": {"elastic": {"c11_gpa": 28.1, "c13_gpa": 7.8, "c33_gpa": 16.7,
+                                 "c55_gpa": 8.2, "rho_kg_m3": 1200.0}},
+        "band": {"fh_min_mhz_mm": 0.3, "fh_max_mhz_mm": 2.5, "n_points": 15},
+        "solver": {"order": 8},
+        "synth": {"n_x": 512, "dx_mm": 0.5, "n_t": 2048, "dt_us": 0.4,
+                  "f_lo_khz": 100.0, "f_hi_khz": 800.0, "duration_ms": 0.4,
+                  "noise_rms": 0.005},
+        "sampler": {"n_samples": 120, "warmup": 40, "forward_order": 6},
+        "ensemble": {"n_points": 10, "max_members": 10},
+    }
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(config))
+    src = Path(lambid.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(path),
+                          str(tmp_path)], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == {step: [] for step in ("import lambid.cli", "solve", "synth",
+                                            "extract", "identify", "summarize")}
