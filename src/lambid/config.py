@@ -8,7 +8,7 @@ its own directory.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -54,15 +54,10 @@ def _require(section: dict, key: str, where: str):
 
 def _number(section: dict, key: str, where: str) -> float:
     """section[key] as a float; ConfigError naming where.key when it is
-    absent, not a number or not finite."""
+    absent or not a finite number by _check_kind's rule."""
     value = _require(section, key, where)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    return number
+    _check_kind(f"{where}.{key}", value, 0.0)
+    return float(value)
 
 
 def _known_keys(section: dict, allowed, where: str) -> None:
@@ -101,7 +96,8 @@ def _check_kind(where: str, value, default) -> None:
         ok, what = isinstance(value, bool), "true or false"
     elif kind in (int, float):
         ok = (isinstance(value, int if kind is int else (int, float))
-              and not isinstance(value, bool) and math.isfinite(value))
+              and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)  # finite as a float
         what = "an integer" if kind is int else "a finite number"
     else:
         ok, what = isinstance(value, str), "a string"

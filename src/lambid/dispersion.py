@@ -3,17 +3,19 @@
 The through-thickness expansion turns the coupled wave equations into a
 2(M+1) x 2(M+1) eigenvalue problem whose eigenvalues are -c_p^2.  The
 off-diagonal coupling blocks are purely imaginary, so the problem is recast
-with real arithmetic only, and the realified matrix is symmetric.  With
-s = 2/kh it is a quadratic in s whose coefficients depend only on the
-material and the order, A(kh) = D0 + s D1 + s^2 D2.  The plate is symmetric
-about its mid-plane and Legendre polynomials have parity (-1)^m, so the
-matrix splits exactly into an antisymmetric block (u1 odd, u3 even), which
-holds A0, and a symmetric block (u1 even, u3 odd), which holds S0, each
-(M+1) x (M+1).  mode_cp assembles one block per requested (kh, mode) pair in
-one broadcast and solves them in one batched symmetric eigensolve: a curve
-grid asks for both blocks at every kh (branch_cp), the likelihood only for
-the observed pairs.  Each mode is the smallest-magnitude negative eigenvalue
-of its own block, so the labels are exact where A0 and S0 cross.
+with real arithmetic only, and the realified matrix is symmetric.  It is
+linear in q = (c11, c13, c33, c55) / rho, with no constant term, and
+quadratic in s = 2/kh: A(kh) = sum_j q_j sum_p s^p B[j, p].  The basis B is
+material-free, built once per order and read-only, so dA/dq_j is slice j of
+it and A depends on the material through the ratios q alone.  The plate is
+symmetric about its mid-plane and Legendre polynomials have parity (-1)^m,
+so A and B split exactly into an antisymmetric block (u1 odd, u3 even),
+which holds A0, and a symmetric block (u1 even, u3 odd), which holds S0,
+each (M+1) x (M+1).  mode_cp assembles one block per requested (kh, mode)
+pair in one broadcast and solves them in one batched symmetric eigensolve:
+a curve grid asks for both blocks at every kh (branch_cp), the likelihood
+only for the observed pairs.  Each mode is the smallest-magnitude negative
+eigenvalue of its own block, so the labels are exact where A0 and S0 cross.
 Deflated inverse power iteration, the paper's solver, is inverse_power_eigs:
 one vectorised iteration over a whole stack of blocks.  mode_cp runs it with
 method="power" and gives the same eigenvalues at about 1.5 times the dense
@@ -26,6 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +44,6 @@ __all__ = [
     "TracingError",
     "engineering_to_constants",
     "assemble_system",
-    "system_stack",
     "mode_cp",
     "branch_cp",
     "realify",
@@ -164,30 +166,28 @@ def engineering_to_constants(
     return ElasticConstants(c11=c11, c13=c13, c33=c33, c55=g12, rho=rho)
 
 
-def _operator(theta: ElasticConstants, order: int) -> np.ndarray:
-    """Coefficients [D0, D1, D2] of A(kh) = D0 + s D1 + s^2 D2, s = 2/kh.
+@lru_cache(maxsize=32)
+def _basis(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only basis B[j, p], coefficient of q_j s^p in A(kh), in full
+    [4, 3, 2n, 2n] and parity-split [4, 3, 2, n, n] form, n = order + 1.
 
     At kh the NT tables are NT1[n] = s^n T1[n] and NT2[n] = s^(n+1) T2[n],
     with T the reference tables at kh = 2 and T1[0] = I (orthonormal basis).
-    All entries depend on C_ij / rho ratios only, so scaling every material
-    parameter by a common factor leaves the system unchanged.
     """
+    _check_order(order)
     t1, t2 = reference_tables(order)
-    r = theta.rho
-    c11, c13, c33, c55 = theta.c11, theta.c13, theta.c33, theta.c55
     n = order + 1
     a, b = slice(0, n), slice(n, 2 * n)
-    diag = np.arange(n)
-    stiff = t1[2] + t2[1]
-    d = np.zeros((3, 2 * n, 2 * n))
-    d[0, diag, diag] = -c11 / r
-    d[0, diag + n, diag + n] = -c55 / r
+    full = np.zeros((4, 3, 2 * n, 2 * n))
+    full[0, 0, a, a] = full[3, 0, b, b] = -np.eye(n)
     # imaginary parts of the coupling blocks; c31 = c13 by stiffness symmetry
-    d[1, a, b] = -(((c13 + c55) / r) * t1[1] + (c55 / r) * t2[0])
-    d[1, b, a] = ((c13 + c55) / r) * t1[1] + (c13 / r) * t2[0]
-    d[2, a, a] = (c55 / r) * stiff
-    d[2, b, b] = (c33 / r) * stiff
-    return d
+    full[1, 1, a, b], full[3, 1, a, b] = -t1[1], -(t1[1] + t2[0])
+    full[1, 1, b, a], full[3, 1, b, a] = t1[1] + t2[0], t1[1]
+    full[3, 2, a, a] = full[2, 2, b, b] = t1[2] + t2[1]
+    idx = np.array([np.r_[1:n:2, n:2 * n:2], np.r_[0:n:2, n + 1:2 * n:2]])
+    split = full[:, :, idx[:, :, None], idx[:, None, :]]
+    full.flags.writeable = split.flags.writeable = False
+    return full, split
 
 
 def _check_order(order: int) -> None:
@@ -196,26 +196,26 @@ def _check_order(order: int) -> None:
         raise ValueError("expansion order must be at least 1")
 
 
-def _quadratic(d: np.ndarray, kh, order: int) -> np.ndarray:
+def _coefficients(theta: ElasticConstants, basis: np.ndarray) -> np.ndarray:
+    """[D0, D1, D2] of A(kh) = D0 + s D1 + s^2 D2: q contracted with basis."""
+    q = np.array([theta.c11, theta.c13, theta.c33, theta.c55]) / theta.rho
+    return np.tensordot(q, basis, axes=1)
+
+
+def _quadratic(d: np.ndarray, kh) -> np.ndarray:
     """D0 + s D1 + s^2 D2 at every kh, s = 2/kh, from d = [D0, D1, D2];
     the result has kh's shape followed by the matrix axes."""
     kh = np.asarray(kh, dtype=float)[..., None, None]
     if np.any(kh <= 0):
         raise ValueError("kh must be positive")
-    _check_order(order)
     s = 2.0 / kh
     return d[0] + s * d[1] + (s * s) * d[2]
 
 
-def system_stack(theta: ElasticConstants, kh, order: int) -> np.ndarray:
-    """Realified system matrices at every kh, stacked [K, n, n]."""
-    return _quadratic(_operator(theta, order), np.reshape(kh, -1), order)
-
-
 def _parity_blocks(theta: ElasticConstants, kh, branch, order: int) -> np.ndarray:
-    """Parity block `branch` of system_stack at `kh`, for every element of
-    the broadcast kh and branch: shape [*broadcast, M+1, M+1].  Branch 0 is
-    the antisymmetric (A0) block and 1 the symmetric (S0) one.
+    """Parity block `branch` of the realified system at `kh`, for every
+    element of the broadcast kh and integer branch: [*broadcast, M+1, M+1].
+    Branch 0 is the antisymmetric (A0) block and 1 the symmetric (S0) one.
 
     With u1 at indices 0..M and u3 at M+1..2M+1, the antisymmetric set is
     u1 odd + u3 even and the symmetric set u1 even + u3 odd.  Q_m has parity
@@ -224,17 +224,15 @@ def _parity_blocks(theta: ElasticConstants, kh, branch, order: int) -> np.ndarra
     parity, so no entry joins the two sets.
     """
     branch = np.asarray(branch)
-    if np.any((branch != 0) & (branch != 1)):
-        raise ValueError("branch must be 0 (A0) or 1 (S0)")
-    n = order + 1
-    idx = np.array([np.r_[1:n:2, n:2 * n:2], np.r_[0:n:2, n + 1:2 * n:2]])
-    d = _operator(theta, order)[:, idx[:, :, None], idx[:, None, :]]  # [3, 2, ...]
-    return _quadratic(d[:, branch], kh, order)
+    if branch.dtype.kind not in "iu" or np.any((branch != 0) & (branch != 1)):
+        raise ValueError("branch must be the integer 0 (A0) or 1 (S0)")
+    d = _coefficients(theta, _basis(order)[1])  # [3, 2, M+1, M+1]
+    return _quadratic(d[:, branch], kh)
 
 
 def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMatrices:
     """The eigenproblem blocks at one kh, read off its realified matrix."""
-    a_hat = system_stack(theta, kh, order)[0]
+    a_hat = _quadratic(_coefficients(theta, _basis(order)[0]), kh)
     n = order + 1
     return SystemMatrices(a11=a_hat[:n, :n], a33=a_hat[n:, n:],
                           a13_im=-a_hat[:n, n:], a31_im=a_hat[n:, :n])
@@ -357,7 +355,7 @@ def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
 
 def mode_cp(theta: ElasticConstants, kh, branch, order: int,
             method: str = "dense") -> np.ndarray:
-    """Phase velocity of mode `branch` (0 = A0, 1 = S0) at `kh`, for every
+    """Phase velocity of mode `branch` (int 0 = A0, 1 = S0) at `kh`, for every
     element of the broadcast kh and branch, from one batched eigensolve.
 
     Each value is the smallest-magnitude negative eigenvalue of that pair's

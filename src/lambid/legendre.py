@@ -28,7 +28,7 @@ __all__ = ["nt1", "nt2", "nt_tables", "reference_tables"]
 
 @lru_cache(maxsize=32)
 def reference_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """NT1/NT2 at kh = 2 for basis indices 0..order, indexed [n, j, m]."""
+    """Read-only NT1/NT2 at kh = 2, basis indices 0..order, indexed [n, j, m]."""
     size = order + 1
     odd = 2.0 * np.arange(size) + 1.0
     norm = np.sqrt(np.outer(odd, odd))
@@ -45,6 +45,7 @@ def reference_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
         t1[n, :rows] = d / odd[:rows, None] * norm[:rows]
         ends = np.outer(sign, sign[:rows] @ d) - d.sum(axis=0)
         t2[n] = ends * norm * 0.5
+    t1.flags.writeable = t2.flags.writeable = False  # shared by every caller
     return t1, t2
 
 

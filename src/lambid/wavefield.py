@@ -161,6 +161,8 @@ def synth_wavefield(
     duration = float(excitation["duration"])
     if n_x < 2 or n_t < 2 or dx <= 0 or dt <= 0:
         raise ValueError("geometry must define a positive 2-D grid")
+    if not duration > 0 or not noise_rms >= 0:
+        raise ValueError("need excitation duration > 0 and noise_rms >= 0")
     f_nyq = 0.5 / dt
     if f_hi >= f_nyq:
         raise ValueError(

@@ -182,6 +182,9 @@ def test_indefinite_stiffness_exits_solver(tmp_path, capsys):
     ("summarize", "ensemble", "max_members", 0),
     ("solve", "band", "n_points", "abc"),  # not an integer
     ("identify", "sampler", "proposal_scale", "fast"),  # not a number
+    ("synth", "synth", "duration_ms", 0),  # divided by in the chirp
+    ("synth", "synth", "duration_ms", -1),  # an all-zero wavefield
+    ("synth", "synth", "noise_rms", -1.0),  # no noise added
 ])
 def test_rejected_config_value_exits_config(tmp_path, capsys, command,
                                             section, key, value):
@@ -222,6 +225,14 @@ def test_rejected_config_value_exits_config(tmp_path, capsys, command,
     ("priors", {"c11": {"dist": "gamma", "shape": 2.5, "rate": 0.02, "bogus": 1}}),
     ("priors", {"rho": {"dist": "normal", "mean": 1200.0, "sd": 50.0,
                         "rate": 0.02}}),
+    # material, plate and prior numbers follow the section values' kind rule
+    ("material", {"elastic": {"c11_gpa": True, "c13_gpa": 7.8, "c33_gpa": 16.7,
+                              "c55_gpa": 8.2, "rho_kg_m3": 1200.0}}),
+    ("material", {"elastic": {"c11_gpa": 28.1, "c13_gpa": "7.8", "c33_gpa": 16.7,
+                              "c55_gpa": 8.2, "rho_kg_m3": 1200.0}}),
+    ("plate", {"thickness_mm": "2.0"}),
+    ("priors", {"sigma": {"dist": "normal", "mean": 3e3, "sd": True}}),
+    ("plate", {"thickness_mm": 10 ** 400}),  # an integer past the float range
 ])
 def test_malformed_config_exits_config(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, base_cfg(**{key: value}))

@@ -9,7 +9,8 @@ from lambid.dispersion import (ElasticConstants, Mode, PlateSpec,
                                group_velocity, inverse_power_eigs,
                                k_grid_for_fh_band, mode_cp, read_curves, realify,
                                sensitivity_sweep, smallest_physical_cp,
-                               system_stack, trace_curves, write_curves)
+                               trace_curves, write_curves)
+from lambid.legendre import reference_tables
 
 
 class TestEngineeringConversion:
@@ -87,7 +88,7 @@ class TestRealification:
             theta = random_constants(rng)
             order = int(rng.integers(2, 16))
             kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
-            stack = system_stack(theta, kh, order)
+            stack = [realify(assemble_system(theta, x, order)) for x in kh]
             blocks = _parity_blocks(theta, kh, [[0], [1]], order)
             lams = np.linalg.eigvalsh(blocks)
             cps = branch_cp(theta, kh, order)
@@ -224,6 +225,11 @@ class TestRealification:
     def test_pair_solve_rejects_bad_input(self, gfrp):
         with pytest.raises(ValueError, match="branch"):
             mode_cp(gfrp, [1.0, 2.0], [0, 2], 10)
+        # a boolean branch would index as a mask, and a float one not at all
+        for kh, branch in ((1.0, True), (1.0, False), ([1.0, 2.0], [True, False]),
+                           (1.0, 1.0), ([1.0, 2.0], [0.0, 1.0])):
+            with pytest.raises(ValueError, match="branch"):
+                mode_cp(gfrp, kh, branch, 10)
         with pytest.raises(TracingError, match="positive definite"):
             mode_cp(ElasticConstants(1e9, 5e9, 1e9, 1e9, 1000.0), 1.0, 0, 10)
 
@@ -251,6 +257,58 @@ class TestRealification:
         kh_grid = a0.k * plate.thickness
         assert np.all(a0.c_p[kh_grid < 3.0] < s0.c_p[kh_grid < 3.0])
         assert np.all(a0.c_p[kh_grid > 4.0] > s0.c_p[kh_grid > 4.0])
+
+
+class TestBasis:
+    """A(kh) is linear in q = (c11, c13, c33, c55) / rho with no constant
+    term, which the cached material-free basis encodes."""
+
+    @staticmethod
+    def _draw(rng):
+        order = int(rng.integers(2, 16))
+        return order, np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
+
+    def test_blocks_depend_on_ratios_only(self, rng):
+        for _ in range(100):
+            theta = random_constants(rng)
+            order, kh = self._draw(rng)
+            ref = _parity_blocks(theta, kh, [[0], [1]], order)
+            top = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+            for t in (0.5, 1.7, 3.3):
+                scaled = ElasticConstants(t * theta.c11, t * theta.c13,
+                                          t * theta.c33, t * theta.c55,
+                                          t * theta.rho)
+                got = _parity_blocks(scaled, kh, [[0], [1]], order)
+                assert np.all(np.abs(got - ref) <= 1e-15 * top)
+
+    def test_blocks_are_linear_in_stiffness(self, rng):
+        for _ in range(100):
+            one, two = random_constants(rng), random_constants(rng)
+            two = ElasticConstants(two.c11, two.c13, two.c33, two.c55, one.rho)
+            both = ElasticConstants(one.c11 + two.c11, one.c13 + two.c13,
+                                    one.c33 + two.c33, one.c55 + two.c55,
+                                    one.rho)
+            order, kh = self._draw(rng)
+            blocks = [_parity_blocks(theta, kh, [[0], [1]], order)
+                      for theta in (one, two, both)]
+            top = np.abs(blocks[2]).max(axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(blocks[0] + blocks[1] - blocks[2])
+                          <= 1e-14 * top)
+
+    def test_basis_cached_read_only_and_order_checked(self):
+        import lambid.dispersion as dp
+
+        full, split = dp._basis(6)
+        assert full.shape == (4, 3, 14, 14) and split.shape == (4, 3, 2, 7, 7)
+        assert dp._basis(6)[0] is full and dp._basis(6)[1] is split
+        for basis in (full, split, *reference_tables(6)):
+            with pytest.raises(ValueError, match="read-only"):
+                basis[0, 0, 0] = 1.0
+        cached = dp._basis.cache_info().currsize
+        for order in (0, -3):
+            with pytest.raises(ValueError, match="order"):
+                dp._basis(order)
+        assert dp._basis.cache_info().currsize == cached
 
 
 class TestEigensolvers:
