@@ -8,6 +8,7 @@ and ridge picker convert back into discrete dispersion observations.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,18 +46,26 @@ class RidgeError(RuntimeError):
 
 @dataclass
 class TXField:
-    """Time-distance record of surface displacement, samples[n_x, n_t]."""
+    """Time-distance record of surface displacement, samples[n_x, n_t].
+
+    Samples must be real and finite, and dt and dx finite and positive;
+    anything else raises ValueError.
+    """
 
     samples: np.ndarray
     dt: float
     dx: float
 
     def __post_init__(self):
+        if np.iscomplexobj(self.samples):
+            raise ValueError("samples must be real")
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2 or min(self.samples.shape) < 2:
             raise ValueError("samples must be 2-D with at least 2x2 entries")
-        if self.dt <= 0 or self.dx <= 0:
-            raise ValueError("dt and dx must be positive")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("samples must be finite")
+        if not (0 < self.dt < np.inf and 0 < self.dx < np.inf):
+            raise ValueError("dt and dx must be finite and positive")
 
 
 @dataclass
@@ -152,8 +161,12 @@ def synth_wavefield(
 
     Each positive-frequency bin of the excitation spectrum is advanced in x
     with phase exp(i k_mode(omega) x) per mode; the field is the real
-    signal recovered per trace.  geometry: {n_x, dx, n_t, dt};
-    excitation: chirp {f_lo, f_hi, duration}.  Deterministic for fixed seed.
+    signal recovered per trace.  The phase table is factored: with
+    b = ceil(sqrt(n_x)) and x_n = (b a + r) dx, each entry is the product
+    of exp(i k b a dx) and exp(i k r dx), so a mode costs 2 sqrt(n_x)
+    exponentials per bin and one complex product per entry.
+    geometry: {n_x, dx, n_t, dt}; excitation: chirp {f_lo, f_hi, duration}.
+    Deterministic for fixed seed.
     """
     n_x, dx = int(geometry["n_x"]), float(geometry["dx"])
     n_t, dt = int(geometry["n_t"]), float(geometry["dt"])
@@ -182,7 +195,10 @@ def synth_wavefield(
     freqs = np.fft.rfftfreq(n_t, dt)
     omega = 2 * np.pi * freqs
 
-    x = (np.arange(n_x) * dx)[:, None]
+    b = math.isqrt(n_x - 1) + 1  # ceil(sqrt(n_x))
+    n_a = -(-n_x // b)
+    coarse_x = (np.arange(n_a) * b * dx)[:, None]
+    fine_x = (np.arange(b) * dx)[:, None]
     fieldspec = np.zeros((n_x, freqs.size), dtype=complex)
     if amplitude != 0.0:
         # trace curves over a band generously covering the excitation
@@ -201,15 +217,18 @@ def synth_wavefield(
                     f"mode {curve.mode_label.value} wavenumber exceeds "
                     f"spatial Nyquist {k_nyq:.4g} rad/m (space axis)"
                 )
-            # irfft synthesizes with e^{+i w t}; the conjugate pair below
-            # yields the forward-travelling real wave Re[S e^{i(k x - w t)}]
-            phase = np.exp(-1j * k_of_w[None, usable] * x)
-            fieldspec[:, usable] += np.conj(spec[None, usable]) * phase
+            k = np.where(usable, k_of_w, 0.0)
+            fine = np.where(usable, np.exp(-1j * k * fine_x), 0.0)
+            phase = np.exp(-1j * k * coarse_x)[:, None, :] * fine
+            fieldspec += phase.reshape(n_a * b, -1)[:n_x]
+        # irfft synthesizes with e^{+i w t}; the conjugate below yields the
+        # forward-travelling real wave Re[S e^{i(k x - w t)}]
+        fieldspec *= np.conj(spec)
 
     samples = np.fft.irfft(fieldspec, n=n_t, axis=1)
     if noise_rms > 0:
         rng = np.random.default_rng(seed)
-        samples = samples + rng.normal(0.0, noise_rms, samples.shape)
+        samples += rng.normal(0.0, noise_rms, samples.shape)
     return TXField(samples=samples, dt=dt, dx=dx)
 
 
@@ -217,10 +236,15 @@ def two_dft(field: TXField, window: bool = False) -> DispersionImage:
     """Per-trace peak normalization followed by the 2-D Fourier transform.
 
     Magnitude is retained over the positive-frequency, positive-wavenumber
-    quadrant; a component exp(i(k0 x - w0 t)) lands at (+f0, +k0).  With
+    quadrant; a component exp(i(k0 x - w0 t)) lands at (+f0, +k0), as in
+    the full transform T = fft_x(ifft_t(samples)).  The samples are real,
+    so only the f >= 0 half is computed: an rfft over t, which is the
+    conjugate of ifft_t's +f half, then an inverse DFT over x, which gives
+    the conjugate of T's f >= 0 half with the same magnitudes.  With
     per-trace scaling factors g_x, Parseval holds as
-    sum |T|^2 = (n_x / n_t) * sum |g_x * samples|^2 over the full transform
-    (asserted below before quadrant truncation).
+    sum |T|^2 = (n_x / n_t) * sum |g_x * samples|^2 over the full transform;
+    it is asserted on the half spectrum, where each bin other than DC and
+    (for even n_t) Nyquist also stands for its -f twin.
     """
     samples = field.samples.copy()
     peaks = np.abs(samples).max(axis=1)
@@ -229,17 +253,19 @@ def two_dft(field: TXField, window: bool = False) -> DispersionImage:
     if window:
         samples = samples * np.hanning(samples.shape[1])[None, :]
 
-    # fft over x picks +k; ifft over t picks +f for the e^{-i w t} convention
-    full = np.fft.fft(np.fft.ifft(samples, axis=1), axis=0)
     n_x, n_t = samples.shape
+    # norm="forward": the rfft carries ifft_t's 1/n_t, the x sum is unscaled
+    half = np.fft.ifft(np.fft.rfft(samples, axis=1, norm="forward"), axis=0,
+                       norm="forward")
+    unpaired = [0, n_t // 2] if n_t % 2 == 0 else [0]  # bins without a twin
     energy_in = np.sum(samples**2) * (n_x / n_t)
-    energy_out = np.sum(np.abs(full) ** 2)
+    energy_out = (2 * np.vdot(half, half).real
+                  - np.sum(np.abs(half[:, unpaired]) ** 2))
     if not np.isclose(energy_in, energy_out, rtol=1e-9, atol=1e-30):
         raise AssertionError("Parseval check failed in two_dft")
 
     n_k = n_x // 2 + 1
-    n_f = n_t // 2 + 1
-    magnitude = np.abs(full[:n_k, :n_f]).T  # [n_f, n_k]
+    magnitude = np.abs(half[:n_k]).T  # [n_f, n_k]
     f_axis = np.fft.rfftfreq(n_t, field.dt)
     k_axis = 2 * np.pi * np.fft.rfftfreq(n_x, field.dx)
     return DispersionImage(magnitude=magnitude, f_axis=f_axis, k_axis=k_axis)
@@ -298,9 +324,14 @@ def ridge_pick(
     from the strongest maxima at the low-frequency edge and grown upward by
     nearest-k association within max_jump_bins; each must cover 30% of the
     band rows.  A0 is the larger-k ridge at shared frequencies (lower phase
-    velocity).
+    velocity).  Raises ValueError unless 0 <= min_prominence <= 1 and
+    max_jump_bins >= 0.
     """
     n_modes = len(_BRANCHES)
+    if not 0 <= min_prominence <= 1:
+        raise ValueError(f"min_prominence {min_prominence} is not in [0, 1]")
+    if not max_jump_bins >= 0:
+        raise ValueError(f"max_jump_bins {max_jump_bins} is negative")
     if not image.normalized:
         raise ValueError("ridge_pick requires a normalized image")
     fh = image.f_axis * plate.thickness * 1e-3  # MHz*mm
@@ -312,20 +343,24 @@ def ridge_pick(
     row_max = band_rows.max(axis=1)
     peak_mask = _local_maxima(band_rows, min_prominence * row_max)
     peak_mask[row_max <= 0] = False  # no candidates without a positive sample
-    row_peaks = [np.flatnonzero(m) for m in peak_mask]
+    # every row's peak columns from one nonzero call, split by row
+    peak_row, peak_col = np.nonzero(peak_mask)
+    bounds = np.searchsorted(peak_row, np.arange(rows.size + 1)).tolist()
+    cols = peak_col.tolist()
+    row_peaks = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     # seed ridges at the low-frequency edge: first row with enough peaks
     ridges: list[list[tuple[int, int]]] = []  # list of (row_idx, k_idx)
-    seeded = next((i for i, peaks in enumerate(row_peaks) if peaks.size), None)
+    seeded = next((i for i, peaks in enumerate(row_peaks) if peaks), None)
     if seeded is None:
         raise RidgeError("no row in the band has a prominent maximum")
-    peaks = row_peaks[seeded]
+    peaks = np.array(row_peaks[seeded])
     strongest = peaks[np.argsort(band_rows[seeded][peaks])[::-1]]
     for p in strongest[:n_modes]:
         ridges.append([(rows[seeded], int(p))])
 
     for ri, peaks in zip(rows[seeded + 1:], row_peaks[seeded + 1:]):
-        if peaks.size == 0:
+        if not peaks:
             continue
         taken: set[int] = set()
         for ridge in ridges:
@@ -335,14 +370,14 @@ def ridge_pick(
             if not cands:
                 continue
             best = min(cands, key=lambda p: abs(p - last_k))
-            ridge.append((ri, int(best)))
+            ridge.append((ri, best))
             taken.add(best)
         # start additional ridges from strong unclaimed peaks
         if len(ridges) < n_modes:
             for p in peaks:
                 if p not in taken:
-                    ridges.append([(ri, int(p))])
-                    taken.add(int(p))
+                    ridges.append([(ri, p)])
+                    taken.add(p)
                     if len(ridges) >= n_modes:
                         break
 

@@ -246,3 +246,57 @@ def isotropic_constants(e: float, nu: float, rho: float):
     lam = e * nu / ((1 + nu) * (1 - 2 * nu))
     mu = e / (2 * (1 + nu))
     return lam + 2 * mu, lam, lam + 2 * mu, mu, rho
+
+
+def exp_synth_wavefield(theta, plate, geometry: dict, excitation: dict,
+                        noise_rms: float = 0.0, seed: int = 0, order: int = 12,
+                        amplitude: float = 1.0) -> np.ndarray:
+    """Samples of lambid.wavefield.synth_wavefield for valid inputs, built
+    the direct way: one exp(-i k x) per mode over the whole [n_x, n_f] grid,
+    added into the usable bins of the field spectrum.  The mode curves come
+    from the package's tracer, so only the phase synthesis is independent."""
+    from lambid.dispersion import k_grid_for_fh_band, trace_curves
+    from lambid.wavefield import _linear_chirp, _mode_k_of_omega
+
+    n_x, dx = int(geometry["n_x"]), float(geometry["dx"])
+    n_t, dt = int(geometry["n_t"]), float(geometry["dt"])
+    f_lo, f_hi = float(excitation["f_lo"]), float(excitation["f_hi"])
+    duration = float(excitation["duration"])
+    t = np.arange(n_t) * dt
+    if f_lo == f_hi:
+        sig = amplitude * np.sin(2 * np.pi * f_lo * t) * (t <= duration)
+    else:
+        sig = amplitude * _linear_chirp(t, f_lo, duration, f_hi) * (t <= duration)
+    spec = np.fft.rfft(sig)
+    freqs = np.fft.rfftfreq(n_t, dt)
+    omega = 2 * np.pi * freqs
+
+    x = (np.arange(n_x) * dx)[:, None]
+    fieldspec = np.zeros((n_x, freqs.size), dtype=complex)
+    fh_max = f_hi * plate.thickness * 1e-3 * 1.05
+    fh_min = max(f_lo, 0.02 * f_hi) * plate.thickness * 1e-3 * 0.5
+    grid = k_grid_for_fh_band(theta, plate, fh_min, fh_max, n_points=300,
+                              order=order)
+    active = (np.abs(spec) > 1e-12 * np.abs(spec).max()) & (freqs > 0)
+    for curve in trace_curves(theta, plate, grid, order=order):
+        k_of_w = _mode_k_of_omega(curve)(omega)
+        usable = active & np.isfinite(k_of_w)
+        phase = np.exp(-1j * k_of_w[None, usable] * x)
+        fieldspec[:, usable] += np.conj(spec[None, usable]) * phase
+
+    samples = np.fft.irfft(fieldspec, n=n_t, axis=1)
+    if noise_rms > 0:
+        rng = np.random.default_rng(seed)
+        samples = samples + rng.normal(0.0, noise_rms, samples.shape)
+    return samples
+
+
+def full_two_dft_magnitude(samples: np.ndarray) -> np.ndarray:
+    """|2DFT| [n_f, n_k] of lambid.wavefield.two_dft (window off) from the
+    full complex transform: per-trace peak normalization, an ifft over t
+    (which picks +f for the e^{-i w t} convention) and an fft over x."""
+    peaks = np.abs(samples).max(axis=1)
+    scaled = samples / np.where(peaks > 0, peaks, 1.0)[:, None]
+    full = np.fft.fft(np.fft.ifft(scaled, axis=1), axis=0)
+    n_x, n_t = samples.shape
+    return np.abs(full[:n_x // 2 + 1, :n_t // 2 + 1]).T

@@ -1,5 +1,7 @@
 """End-to-end CLI runs and exit-code contracts."""
 
+import json
+
 import numpy as np
 import pytest
 import yaml
@@ -185,6 +187,9 @@ def test_indefinite_stiffness_exits_solver(tmp_path, capsys):
     ("synth", "synth", "duration_ms", 0),  # divided by in the chirp
     ("synth", "synth", "duration_ms", -1),  # an all-zero wavefield
     ("synth", "synth", "noise_rms", -1.0),  # no noise added
+    ("extract", "extract", "min_prominence", -1.0),  # every maximum a candidate
+    ("extract", "extract", "min_prominence", 5.0),  # above every row maximum
+    ("extract", "extract", "max_jump_bins", -1),  # no ridge can grow
 ])
 def test_rejected_config_value_exits_config(tmp_path, capsys, command,
                                             section, key, value):
@@ -195,6 +200,8 @@ def test_rejected_config_value_exits_config(tmp_path, capsys, command,
     bayes.write_chain(tmp_path / "chain.csv", bayes.Chain(
         samples=np.tile(row, (150, 1)), log_posts=np.zeros(150),
         accepted=np.ones(150, dtype=bool), warmup_len=0, seed=0))
+    wavefield.write_txfield(tmp_path / "wavefield", TXField(
+        samples=np.zeros((64, 256)), dt=0.9765625e-6, dx=1.8e-3))
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["config"] == 2
     assert "error:config:" in capsys.readouterr().err
@@ -271,6 +278,36 @@ def test_extract_missing_wavefield_exits_io(tmp_path, capsys):
     rc = cli.main(["extract", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["io"] == 3
     assert "error:io:" in capsys.readouterr().err
+
+
+def _one_nan(samples):
+    samples[3, 7] = np.nan
+    return samples
+
+
+@pytest.mark.parametrize("edit_samples,header,why", [
+    (_one_nan, {}, "finite"),
+    (lambda s: np.full_like(s, np.inf), {}, "finite"),
+    (lambda s: s + 1j, {}, "real"),  # not cast to real with a ComplexWarning
+    (None, {"dt": float("nan")}, "dt and dx"),
+    (None, {"dx": float("inf")}, "dt and dx"),
+], ids=["one_nan", "all_inf", "complex", "nan_dt", "inf_dx"])
+def test_extract_bad_wavefield_exits_io(tmp_path, capsys, edit_samples, header,
+                                        why):
+    cfg = write_cfg(tmp_path, base_cfg())
+    prefix = tmp_path / "wavefield"
+    samples = np.random.default_rng(0).normal(size=(64, 256))
+    wavefield.write_txfield(prefix, TXField(samples=samples, dt=0.9765625e-6,
+                                            dx=1.8e-3))
+    if edit_samples is not None:
+        np.save(f"{prefix}.npy", edit_samples(samples))
+    sidecar = tmp_path / "wavefield.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **header}))
+    rc = cli.main(["extract", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["io"] == 3
+    err = capsys.readouterr().err
+    assert "error:io:" in err and why in err
+    assert not (tmp_path / "observations.csv").exists()
 
 
 def test_extract_flat_wavefield_exits_ridge(tmp_path, capsys):

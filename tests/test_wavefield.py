@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from lambid.dispersion import k_grid_for_fh_band, trace_curves
 from lambid.wavefield import (DispersionImage, ObservationSet, RidgeError,
                               TXField, normalize_energy, read_observations,
@@ -9,6 +10,17 @@ from lambid.wavefield import (DispersionImage, ObservationSet, RidgeError,
 
 GEOMETRY = dict(n_x=1024, dx=0.3e-3, n_t=4096, dt=0.2e-6)
 EXCITATION = dict(f_lo=0.05e6, f_hi=2.1e6, duration=0.3e-3)
+BAND = (0.2, 4.098)  # MHz*mm, the CLI default band
+
+# geometry, excitation, noise_rms and order of the synthesis
+SYNTH_CASES = {
+    # the CLI synth defaults with the bench's noisy level; b = 16 divides n_x
+    "default": (dict(n_x=256, dx=1.8e-3, n_t=4096, dt=0.9765625e-6),
+                dict(f_lo=10e3, f_hi=500e3, duration=1e-3), 0.1, 10),
+    "criterion_08": (GEOMETRY, EXCITATION, 0.01, 12),
+    # b = 19 does not divide n_x = 333, and n_t is odd
+    "odd": (dict(n_x=333, dx=0.3e-3, n_t=2047, dt=0.2e-6), EXCITATION, 0.0, 12),
+}
 
 
 def _plane_wave_field(f0, k0, n_t=512, n_x=256, dt=1e-6, dx=1e-3):
@@ -45,6 +57,24 @@ class TestTwoDft:
         a = two_dft(field, window=False)
         b = two_dft(field, window=True)
         assert not np.allclose(a.magnitude, b.magnitude)
+
+    @pytest.mark.parametrize("shape", [(33, 64), (33, 65), (2, 2), (5, 3)])
+    def test_parseval_holds_on_random_fields(self, rng, shape):
+        samples = rng.normal(size=shape)
+        samples[1] = 0.0  # an all-zero trace is left unscaled
+        img = two_dft(TXField(samples=samples, dt=1e-6, dx=1e-3))  # asserts
+        ref = oracles.full_two_dft_magnitude(samples)
+        assert np.max(np.abs(img.magnitude - ref)) <= 1e-12 * np.max(ref)
+
+    @pytest.mark.parametrize("name", ["rfft", "ifft"])
+    def test_parseval_catches_a_corrupted_transform(self, rng, monkeypatch,
+                                                    name):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, **kw: 1.001 * transform(*a, **kw))
+        field = TXField(samples=rng.normal(size=(33, 64)), dt=1e-6, dx=1e-3)
+        with pytest.raises(AssertionError, match="Parseval"):
+            two_dft(field)
 
 
 class TestNormalize:
@@ -119,6 +149,27 @@ class TestSynth:
         a = synth_wavefield(gfrp, plate, small, exc, noise_rms=0.05, seed=3)
         b = synth_wavefield(gfrp, plate, small, exc, noise_rms=0.05, seed=3)
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("case", sorted(SYNTH_CASES))
+    def test_matches_direct_exp_synthesis(self, gfrp, plate, case):
+        """The factored phase table against one exp(-i k x) per mode over
+        the whole grid, the half-spectrum 2DFT against the full complex
+        one, and the picks of both paths through extract."""
+        geometry, excitation, noise, order = SYNTH_CASES[case]
+        field = synth_wavefield(gfrp, plate, geometry, excitation,
+                                noise_rms=noise, seed=7, order=order)
+        ref = oracles.exp_synth_wavefield(gfrp, plate, geometry, excitation,
+                                          noise_rms=noise, seed=7, order=order)
+        assert np.max(np.abs(field.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        img = two_dft(field)
+        mag = oracles.full_two_dft_magnitude(field.samples)
+        assert np.max(np.abs(img.magnitude - mag)) <= 1e-12 * np.max(mag)
+        ref_img = DispersionImage(oracles.full_two_dft_magnitude(ref),
+                                  img.f_axis, img.k_axis)
+        picks = ridge_pick(normalize_energy(img), band=BAND, plate=plate)
+        ref_picks = ridge_pick(normalize_energy(ref_img), band=BAND, plate=plate)
+        assert len(picks) > 0 and picks.points == ref_picks.points
 
     def test_nyquist_violation_names_axis(self, gfrp, plate):
         bad = dict(n_x=64, dx=1e-3, n_t=256, dt=1e-3)  # temporal undersampling
