@@ -20,8 +20,7 @@ from .dispersion import (
     group_velocity,
     trace_curves,
 )
-from .bayes import (Chain, ParamVector, SamplerConfig, default_priors,
-                    laplace_init, mcmc_sample)
+from .bayes import Chain, ParamVector, SamplerConfig, default_priors, mcmc_sample
 from .wavefield import DispersionImage, ObservationSet, TXField
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "default_priors",
     "engineering_to_constants",
     "group_velocity",
-    "laplace_init",
     "mcmc_sample",
     "trace_curves",
 ]

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import textio
 from .bayes import PARAM_NAMES, Chain, ParamVector
-from .dispersion import (PlateSpec, TracingError, _check_order, _checked_k_grid,
-                         branch_cp)
+from .dispersion import (Mode, PlateSpec, TracingError, _check_order,
+                         _checked_k_grid, branch_cp)
 
 __all__ = [
     "ParamSummary",
@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 MIN_SUMMARY_SAMPLES = 100
+_LABELS = tuple(mode.value for mode in Mode)  # "A0", "S0", as in ensemble files
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,8 @@ def curve_ensemble(
     c_g = np.gradient(omega, k_grid, axis=-1, edge_order=2) if with_cg else None
     return CurveEnsemble(
         k_grid=k_grid,
-        omega=dict(zip(("A0", "S0"), omega)),
-        c_g=dict(zip(("A0", "S0"), c_g)) if with_cg else None,
+        omega=dict(zip(_LABELS, omega)),
+        c_g=dict(zip(_LABELS, c_g)) if with_cg else None,
         sample_ids=np.asarray(kept, dtype=int),
         n_skipped=skipped,
     )
@@ -191,7 +192,7 @@ def write_summary(path, summary: PosteriorSummary) -> None:
 
 def write_ensemble(path, ens: CurveEnsemble) -> None:
     """Long-format ensemble export: sample_id, mode, k, omega[, c_g]."""
-    modes = ("A0", "S0")
+    modes = _LABELS
     members, n_k = ens.sample_ids.size, ens.k_grid.size
     columns = [
         np.tile(np.repeat(ens.sample_ids, n_k), len(modes)),

@@ -31,7 +31,6 @@ __all__ = [
     "log_likelihood",
     "log_prior",
     "log_posterior",
-    "laplace_init",
     "mcmc_sample",
     "write_chain",
     "read_chain",
@@ -185,7 +184,6 @@ class SamplerConfig:
     warmup: int = 5_000
     seed: int = 0
     init: ParamVector | None = None
-    init_cov: np.ndarray | None = None
     proposal_scale: float = 0.1
     forward_order: int = 10
     target_acceptance: float = 0.234
@@ -193,7 +191,11 @@ class SamplerConfig:
 
 @dataclass
 class Chain:
-    """Ordered posterior samples with acceptance metadata."""
+    """Ordered posterior samples with acceptance metadata.
+
+    warmup_len must lie in [0, rows] and every sample must be finite;
+    anything else raises ValueError.
+    """
 
     samples: np.ndarray  # [n, 6] in PARAM_NAMES order
     log_posts: np.ndarray
@@ -206,6 +208,13 @@ class Chain:
         n = self.samples.shape[0]
         if not (self.log_posts.shape[0] == self.accepted.shape[0] == n):
             raise ValueError("chain arrays must have equal length")
+        if not 0 <= self.warmup_len <= n:
+            raise ValueError(f"warmup_len {self.warmup_len} is outside [0, {n}]")
+        # min and max carry any NaN or inf, and unlike np.isfinite they
+        # allocate no mask the size of the chain
+        if not (math.isfinite(self.samples.min(initial=0.0))
+                and math.isfinite(self.samples.max(initial=0.0))):
+            raise ValueError("chain samples must be finite")
 
     @property
     def post_warmup(self) -> np.ndarray:
@@ -307,7 +316,7 @@ def _log_posterior_at(x: np.ndarray, obs: ObservationSet | None,
     """log_posterior at an array point; -inf where x is not a ParamVector.
 
     log_posterior is looked up in the module on every call, so a wrapper
-    installed there sees every evaluation of the sampler and the mode search.
+    installed there sees every evaluation of the sampler.
     """
     try:
         theta = ParamVector.from_array(x)
@@ -362,16 +371,8 @@ def mcmc_sample(
     accepted = np.zeros(total, dtype=bool)
 
     run_mean = x.copy()
-    if cfg.init_cov is not None:
-        run_cov = np.array(cfg.init_cov, dtype=float)
-        # a seeded covariance counts as this many virtual samples so the
-        # first few chain states cannot wash it out
-        pseudo = max(2 * d, cfg.warmup // 5)
-        chol = np.linalg.cholesky((2.38**2 / d) * run_cov)
-    else:
-        run_cov = np.diag(base_sd**2)
-        pseudo = 0
-        chol = np.diag(base_sd)
+    run_cov = np.diag(base_sd**2)
+    chol = np.diag(base_sd)
     adapt_start = 2 * d
 
     for t in range(total):
@@ -392,7 +393,7 @@ def mcmc_sample(
 
         if t < cfg.warmup:
             # running moments for the empirical proposal covariance
-            w = 1.0 / (t + 2 + pseudo)
+            w = 1.0 / (t + 2)
             delta = x - run_mean
             run_mean = run_mean + w * delta
             run_cov = (1 - w) * (run_cov + w * np.outer(delta, delta))
@@ -416,71 +417,6 @@ def mcmc_sample(
             f"post-warmup acceptance {chain.acceptance_fraction:.3f} < 0.05"
         )
     return chain
-
-
-def laplace_init(
-    obs: ObservationSet,
-    priors: PriorSpec,
-    plate: PlateSpec,
-    order: int = 10,
-) -> tuple[ParamVector, np.ndarray]:
-    """Posterior mode and local Gaussian covariance for seeding the sampler.
-
-    The forward model leaves one direction of parameter space (a joint
-    rescaling of the stiffnesses and density) constrained only by the
-    priors, so a naive proposal covariance adapts far too slowly along it.
-    A mode search in log-parameters from the prior means (Nelder-Mead, at
-    most 4000 evaluations) followed by a finite-difference Hessian
-    captures that soft direction; the returned covariance is the inverse of
-    the negative Hessian and is meant for ``SamplerConfig.init_cov``.
-    """
-    from scipy.optimize import minimize
-
-    def log_post(x: np.ndarray) -> float:
-        return _log_posterior_at(x, obs, priors, plate, order)
-
-    z0 = np.log([priors.internal_mean(n) for n in PARAM_NAMES])
-
-    def neg_lp_log(z: np.ndarray) -> float:
-        lp = log_post(np.exp(z))
-        return -lp if np.isfinite(lp) else 1e300
-
-    res = minimize(neg_lp_log, z0, method="Nelder-Mead",
-                   options=dict(maxfev=4000, xatol=1e-7, fatol=1e-9,
-                                adaptive=True))
-    if not np.isfinite(res.fun) or res.fun >= 1e300:
-        raise InitializationError("mode search did not find a finite posterior")
-    x_map = np.exp(res.x)
-
-    d = x_map.size
-    h = 1e-4 * np.abs(x_map)
-    hess = np.empty((d, d))
-    f0 = log_post(x_map)
-    for i in range(d):
-        ei = np.zeros(d); ei[i] = h[i]
-        for j in range(i, d):
-            ej = np.zeros(d); ej[j] = h[j]
-            if i == j:
-                val = (log_post(x_map + ei) - 2 * f0 + log_post(x_map - ei)) / h[i] ** 2
-            else:
-                val = (log_post(x_map + ei + ej) - log_post(x_map + ei - ej)
-                       - log_post(x_map - ei + ej) + log_post(x_map - ei - ej)
-                       ) / (4 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-    if not np.all(np.isfinite(hess)):
-        raise InitializationError("Hessian evaluation hit a failed forward solve")
-    neg_hess = -hess
-    try:
-        cov = np.linalg.inv(neg_hess)
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        # fall back to the diagonal curvature where the full matrix is not
-        # positive definite (e.g. mode search stopped short of the optimum)
-        diag = np.diag(neg_hess)
-        if np.any(diag <= 0):
-            raise InitializationError("negative Hessian is not positive definite")
-        cov = np.diag(1.0 / diag)
-    return ParamVector.from_array(x_map), cov
 
 
 _CHAIN_HEADER = "iter,c11,c13,c33,c55,rho,sigma,log_post,accepted"

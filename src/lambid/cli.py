@@ -78,9 +78,9 @@ def cmd_sensitivity(cfg: RunConfig, out: Path, perturbation: float,
     sweep = dispersion.sensitivity_sweep(
         material, plate, grid, perturbation, order=cfg.solver["order"],
     )
-    rows = [(name, mode, sweep[name].max_shift[mode])
+    rows = [(name, mode.value, sweep[name].max_shift[mode.value])
             for name in known if not params or name in params
-            for mode in ("A0", "S0")]
+            for mode in dispersion.Mode]
     textio.write_table(out / cfg.files["sensitivity"],
                        "parameter,mode,max_rel_omega_shift", list(zip(*rows)))
 

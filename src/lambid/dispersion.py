@@ -58,8 +58,15 @@ __all__ = [
 ]
 
 class Mode(str, Enum):
+    """A fundamental Lamb mode.  The declaration order is the branch index
+    of mode_cp and branch_cp: A0 = 0 (the antisymmetric block), S0 = 1."""
+
     A0 = "A0"
     S0 = "S0"
+
+    @property
+    def branch(self) -> int:
+        return list(Mode).index(self)
 
 
 class TracingError(RuntimeError):
@@ -472,7 +479,7 @@ def trace_curves(
 
     a0, s0 = (
         DispersionCurve(mode_label=label, k=kk, omega=cp * kk, c_p=cp, order=m_order)
-        for label, cp in zip((Mode.A0, Mode.S0), np.ascontiguousarray(cps.T))
+        for label, cp in zip(Mode, np.ascontiguousarray(cps.T))
     )
     return a0, s0
 
@@ -496,10 +503,10 @@ class SensitivityResult:
 
     def shift_profile(self, mode: Mode) -> np.ndarray:
         """Pointwise max relative omega shift across the two perturbations."""
-        idx = 0 if mode is Mode.A0 else 1
-        base = self.baseline[idx].omega
-        up = np.abs(self.plus[idx].omega - base) / base
-        dn = np.abs(self.minus[idx].omega - base) / base
+        i = mode.branch
+        base = self.baseline[i].omega
+        up = np.abs(self.plus[i].omega - base) / base
+        dn = np.abs(self.minus[i].omega - base) / base
         return np.maximum(up, dn)
 
     @property
@@ -620,8 +627,8 @@ def k_grid_for_fh_band(
                 raise TracingError("could not bracket the requested band")
         return _brentq(lambda k: fh_of(k, idx) - target, k_lo, k_hi)
 
-    k_start = bracket_solve(fh_min, 1)  # S0 reaches fh_min
-    k_stop = bracket_solve(fh_max, 0)  # A0 reaches fh_max
+    k_start = bracket_solve(fh_min, Mode.S0.branch)
+    k_stop = bracket_solve(fh_max, Mode.A0.branch)
     return np.geomspace(k_start, k_stop, n_points)
 
 

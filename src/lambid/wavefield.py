@@ -79,7 +79,7 @@ class DispersionImage:
     zero_rows: np.ndarray | None = None  # flags for all-zero raw rows
 
 
-_BRANCHES = (Mode.A0.value, Mode.S0.value)  # mode_cp's branch 0 / 1
+_BRANCHES = tuple(mode.value for mode in Mode)  # indexed by Mode.branch
 
 
 @dataclass
@@ -429,9 +429,21 @@ def write_txfield(path_prefix, field: TXField) -> None:
 
 
 def read_txfield(path_prefix) -> TXField:
+    """Read write_txfield's pair.  The sidecar must be a JSON object with
+    integer n_x and n_t equal to the matrix shape and numeric dt and dx
+    (finite and positive, as TXField checks); anything else raises
+    ValueError."""
     samples = np.load(f"{path_prefix}.npy")
     with open(f"{path_prefix}.json") as fh:
         header = json.load(fh)
+    if not isinstance(header, dict):
+        raise ValueError("sidecar header must be a JSON object")
+    for key, kind, what in (("n_x", int, "an integer"), ("n_t", int, "an integer"),
+                            ("dt", (int, float), "a number"),
+                            ("dx", (int, float), "a number")):
+        value = header.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"sidecar header {key} must be {what}, not {value!r}")
     if samples.shape != (header["n_x"], header["n_t"]):
         raise ValueError("sidecar header does not match matrix shape")
     return TXField(samples=samples, dt=header["dt"], dx=header["dx"])

@@ -6,9 +6,8 @@ from scipy import stats
 
 from lambid.bayes import (PARAM_NAMES, Chain, GammaPrior, InitializationError,
                           NormalPrior, ParamVector, PriorSpec, SamplerConfig,
-                          default_priors, laplace_init, log_likelihood,
-                          log_posterior, log_prior, mcmc_sample, read_chain,
-                          write_chain)
+                          default_priors, log_likelihood, log_prior,
+                          mcmc_sample, read_chain, write_chain)
 import oracles
 from conftest import one_negative_at
 from lambid.dispersion import (PlateSpec, k_grid_for_fh_band,
@@ -203,26 +202,6 @@ class TestSampler:
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.accepted, b.accepted)
 
-    def test_seeded_init_cov(self, synth_obs, plate):
-        # a supplied proposal covariance, as laplace_init's is passed on:
-        # 1 % standard deviations, with the C11-rho ridge correlated
-        init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
-        sd = 0.01 * init.to_array()
-        corr = np.eye(len(PARAM_NAMES))
-        corr[0, 4] = corr[4, 0] = 0.9
-        cfg = SamplerConfig(n_samples=150, warmup=50, seed=5, init=init,
-                            init_cov=corr * np.outer(sd, sd))
-        a = mcmc_sample(synth_obs, default_priors(), plate, cfg)
-        b = mcmc_sample(synth_obs, default_priors(), plate, cfg)
-        assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.log_posts, b.log_posts)
-        assert np.array_equal(a.accepted, b.accepted)
-        assert np.all(np.isfinite(a.log_posts))
-        # the covariance is used: without it the same seed walks elsewhere
-        cfg.init_cov = None
-        plain = mcmc_sample(synth_obs, default_priors(), plate, cfg)
-        assert not np.array_equal(plain.samples, a.samples)
-
     def test_accepted_states_have_finite_posterior(self, synth_obs, plate):
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         cfg = SamplerConfig(n_samples=400, warmup=100, seed=2, init=init,
@@ -266,18 +245,30 @@ class TestSampler:
             assert any("acceptance" in w for w in chain.warnings)
 
 
-class TestLaplaceInit:
-    def test_finds_ridge_mode(self, synth_obs, plate):
-        init, cov = laplace_init(synth_obs, default_priors(), plate)
-        assert np.isfinite(log_posterior(synth_obs, init, default_priors(),
-                                         plate))
-        sds = np.sqrt(np.diag(cov))
-        assert np.all(sds > 0)
-        # the C/rho ratios at the mode match the generating ratios: the
-        # forward model only sees scale-free combinations
-        arr = init.to_array()
-        assert arr[0] / arr[4] == pytest.approx(28.1e9 / 1200.0, rel=0.05)
-        assert arr[3] / arr[4] == pytest.approx(8.2e9 / 1200.0, rel=0.05)
+class TestChain:
+    @staticmethod
+    def make(samples, warmup_len):
+        n = samples.shape[0]
+        return Chain(samples=samples, log_posts=np.zeros(n),
+                     accepted=np.ones(n, dtype=bool), warmup_len=warmup_len,
+                     seed=0)
+
+    @pytest.mark.parametrize("warmup_len", [0, 3, 10])
+    def test_warmup_inside_rows_accepted(self, warmup_len):
+        chain = self.make(np.ones((10, 6)), warmup_len)
+        assert chain.post_warmup.shape == (10 - warmup_len, 6)
+
+    @pytest.mark.parametrize("warmup_len", [-1, -400, 11])
+    def test_warmup_outside_rows_rejected(self, warmup_len):
+        with pytest.raises(ValueError, match="warmup_len"):
+            self.make(np.ones((10, 6)), warmup_len)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = np.ones((10, 6))
+        samples[4, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            self.make(samples, 0)
 
 
 class TestChainIO:

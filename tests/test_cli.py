@@ -117,6 +117,28 @@ def test_summarize_headerless_chain_exits_io(tmp_path, capsys):
     assert "missing header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("warmup_len,c11,why", [
+    (-400, "2.8e10", "warmup_len -400 is outside [0, 600]"),
+    (601, "2.8e10", "warmup_len 601 is outside [0, 600]"),
+    (0, "nan", "samples must be finite"),
+    (0, "inf", "samples must be finite"),
+], ids=["negative_warmup", "warmup_past_rows", "nan_sample", "inf_sample"])
+def test_summarize_invalid_chain_exits_io(tmp_path, capsys, warmup_len, c11,
+                                          why):
+    cfg = write_cfg(tmp_path, base_cfg())
+    rows = [f"{i},2.8e10,7.8e9,1.67e10,8.2e9,1200,3000,-10,1\n"
+            for i in range(600)]
+    rows[7] = rows[7].replace("2.8e10", c11)
+    (tmp_path / "chain.csv").write_text(
+        f"# warmup_len,{warmup_len}\n"
+        "iter,c11,c13,c33,c55,rho,sigma,log_post,accepted\n" + "".join(rows))
+    rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["io"] == 3
+    err = capsys.readouterr().err
+    assert "error:io:" in err and why in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_solve_prints_auto_converged_order(tmp_path, capsys):
     payload = base_cfg()
     del payload["band"]  # the default band: order 14 converges at 16
@@ -291,7 +313,12 @@ def _one_nan(samples):
     (lambda s: s + 1j, {}, "real"),  # not cast to real with a ComplexWarning
     (None, {"dt": float("nan")}, "dt and dx"),
     (None, {"dx": float("inf")}, "dt and dx"),
-], ids=["one_nan", "all_inf", "complex", "nan_dt", "inf_dx"])
+    (None, lambda h: {k: v for k, v in h.items() if k != "n_x"},
+     "n_x must be an integer"),
+    (None, {"dt": "abc"}, "dt must be a number"),
+    (None, lambda h: [1, 2], "must be a JSON object"),
+], ids=["one_nan", "all_inf", "complex", "nan_dt", "inf_dx", "no_n_x",
+        "text_dt", "list_header"])
 def test_extract_bad_wavefield_exits_io(tmp_path, capsys, edit_samples, header,
                                         why):
     cfg = write_cfg(tmp_path, base_cfg())
@@ -302,7 +329,9 @@ def test_extract_bad_wavefield_exits_io(tmp_path, capsys, edit_samples, header,
     if edit_samples is not None:
         np.save(f"{prefix}.npy", edit_samples(samples))
     sidecar = tmp_path / "wavefield.json"
-    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **header}))
+    old = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(header(old) if callable(header)
+                                  else {**old, **header}))
     rc = cli.main(["extract", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["io"] == 3
     err = capsys.readouterr().err

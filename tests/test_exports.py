@@ -1,7 +1,9 @@
 """Every public export resolves: each name in the __all__ of lambid and of
-each lambid.* module is an attribute of that module.  The command-line
-front end and every command it runs load no scipy module."""
+each lambid.* module is an attribute of that module.  No module of the
+package imports scipy, and the command-line front end and every command it
+runs load no scipy module."""
 
+import ast
 import importlib
 import json
 import os
@@ -25,6 +27,25 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), "duplicate name in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):  # every level, so lazy imports count too
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_source_imports_no_scipy():
+    found = {
+        path.name: sorted(name for name in _imported_modules(
+            ast.parse(path.read_text(), filename=str(path)))
+            if name == "scipy" or name.startswith("scipy."))
+        for path in sorted(Path(lambid.__file__).parent.glob("*.py"))
+    }
+    assert len(found) == len(MODULES)
+    assert {name: mods for name, mods in found.items() if mods} == {}
 
 
 # Runs in a fresh interpreter: tests/oracles.py imports scipy into pytest's.

@@ -164,8 +164,11 @@ class TestReadBack:
     def test_chain(self, tmp_path, rng):
         n = 400
         samples = rng.lognormal(0.0, 12.0, (n, 6)) * rng.choice([-1.0, 1.0], (n, 6))
-        samples[0] = [0.0, -0.0, np.inf, 1e-300, 5e-324, 1.7976931348623157e308]
-        chain = bayes.Chain(samples=samples, log_posts=rng.normal(-1e3, 50, n),
+        samples[0] = [0.0, -0.0, 2.2250738585072014e-308, 1e-300, 5e-324,
+                      1.7976931348623157e308]
+        log_posts = rng.normal(-1e3, 50, n)
+        log_posts[0] = -np.inf  # Chain requires finite samples, not posts
+        chain = bayes.Chain(samples=samples, log_posts=log_posts,
                             accepted=rng.random(n) < 0.3, warmup_len=17,
                             seed=3, warnings=["a, b", "c"])
         path = tmp_path / "chain.csv"
