@@ -336,10 +336,13 @@ def mcmc_sample(
     Multivariate Gaussian proposals; during warmup the proposal covariance
     follows the empirical chain covariance scaled by 2.38^2/d and a scalar
     step size tuned toward the 0.234 acceptance rate.  Adaptation freezes
-    after warmup.  Deterministic for a fixed seed.
+    after warmup.  Deterministic for a fixed seed.  A non-positive
+    n_samples or proposal_scale is a ValueError.
     """
     if cfg.n_samples <= 0:
         raise ValueError("n_samples must be positive")
+    if not cfg.proposal_scale > 0:
+        raise ValueError("proposal_scale must be positive")
     d = len(PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)
 

@@ -10,6 +10,7 @@ machine-parseable "error:<category>:" line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def cmd_sensitivity(cfg: RunConfig, out: Path, perturbation: float,
         raise CliError("args", f"--perturbation {perturbation} is not in [0, 1)")
     material = cfg.require_material()
     plate = cfg.require_plate()
-    known = list(dispersion._PARAM_NAMES)
+    known = [f.name for f in dataclasses.fields(dispersion.ElasticConstants)]
     if params:
         bad = [p for p in params if p not in known]
         if bad:

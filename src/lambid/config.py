@@ -247,8 +247,14 @@ def load_config(path) -> RunConfig:
     for key in ("n_samples", "warmup"):
         if sampler[key] < 0 or (key == "n_samples" and sampler[key] == 0):
             raise ConfigError(f"sampler.{key} must be positive")
-    if sections["ensemble"]["max_members"] < 1:
+    if sampler["proposal_scale"] <= 0:  # a zero step accepts every proposal
+        raise ConfigError("sampler.proposal_scale must be positive")
+    ensemble = sections["ensemble"]
+    if ensemble["max_members"] < 1:
         raise ConfigError("ensemble.max_members must be positive")
+    if ensemble["n_points"] < (3 if ensemble["with_cg"] else 1):
+        raise ConfigError("ensemble.n_points must be at least 3 with with_cg "
+                          "(c_g by central differences) and 1 without")
 
     seed = raw.get("seed", 0)
     _check_kind("seed", seed, 0)

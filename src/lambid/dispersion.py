@@ -20,13 +20,16 @@ Deflated inverse power iteration, the paper's solver, is inverse_power_eigs:
 one vectorised iteration over a whole stack of blocks.  mode_cp runs it with
 method="power" and gives the same eigenvalues at about 1.5 times the dense
 cost.  smallest_physical_cp solves one full realified system densely; it is
-the unlabelled per-k reference of the benchmark's checks.
+the unlabelled per-k reference of the benchmark's checks.  The curves fix kh
+and ask for c_p; k_grid_for_fh_band asks the converse, the kh at which a mode
+reaches a given fh, and because A is quadratic in s that is one quadratic
+eigenproblem in kh per band edge, with no root search.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -87,9 +90,9 @@ class ElasticConstants:
     rho: float
 
     def __post_init__(self):
-        for name in ("c11", "c13", "c33", "c55", "rho"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,12 @@ def _check_order(order: int) -> None:
     """ValueError unless the expansion order is at least 1."""
     if order < 1:
         raise ValueError("expansion order must be at least 1")
+
+
+def _check_definite(theta: ElasticConstants) -> None:
+    """TracingError unless the 1-3 stiffness block is positive definite."""
+    if theta.c13 ** 2 >= theta.c11 * theta.c33:
+        raise TracingError("stiffness is not positive definite (c13^2 >= c11 c33)")
 
 
 def _coefficients(theta: ElasticConstants, basis: np.ndarray) -> np.ndarray:
@@ -374,8 +383,7 @@ def mode_cp(theta: ElasticConstants, kh, branch, order: int,
     (c13^2 >= c11 c33): such a material has no physical fundamental modes,
     although the solver would still return a value.
     """
-    if theta.c13 ** 2 >= theta.c11 * theta.c33:
-        raise TracingError("stiffness is not positive definite (c13^2 >= c11 c33)")
+    _check_definite(theta)
     blocks = _parity_blocks(theta, kh, branch, order)
     if method == "dense":
         lams = _smallest_negative(blocks)
@@ -515,9 +523,6 @@ class SensitivityResult:
         return {mode.value: np.max(self.shift_profile(mode)) for mode in Mode}
 
 
-_PARAM_NAMES = ("c11", "c13", "c33", "c55", "rho")
-
-
 def sensitivity_sweep(
     theta: ElasticConstants,
     plate: PlateSpec,
@@ -526,12 +531,13 @@ def sensitivity_sweep(
     order: int = 14,
     method: str = "dense",
 ) -> dict[str, SensitivityResult]:
-    """Re-trace both modes at +/- perturbation of each material parameter."""
+    """Re-trace both modes at +/- perturbation of each material parameter,
+    keyed by ElasticConstants field name in declaration order."""
     if not 0 <= perturbation < 1:
         raise ValueError("perturbation must lie in [0, 1)")
     baseline = trace_curves(theta, plate, k_grid, order=order, method=method)
     out = {}
-    for name in _PARAM_NAMES:
+    for name in (f.name for f in fields(ElasticConstants)):
         minus = trace_curves(
             replace(theta, **{name: getattr(theta, name) * (1 - perturbation)}),
             plate, k_grid, order=order, method=method,
@@ -542,52 +548,6 @@ def sensitivity_sweep(
         )
         out[name] = SensitivityResult(name, minus, baseline, plus)
     return out
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f between xa and xb, where f changes sign: Brent's (1973)
-    method, ported from scipy.optimize.brentq (xtol 1e-9, rtol 4 eps, at
-    most 100 iterations) in its operation order, so it returns scipy's
-    root bit for bit."""
-    xtol, rtol = 1e-9, 4 * np.finfo(float).eps
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate (inverse quadratic)
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise TracingError("root search did not converge in 100 iterations")
 
 
 def k_grid_for_fh_band(
@@ -603,33 +563,41 @@ def k_grid_for_fh_band(
     The lower edge is set where the faster (S0) branch reaches fh_min and
     the upper edge where the slower (A0) branch reaches fh_max, so each
     branch covers the full requested frequency-thickness band.
+
+    Each edge is the largest real positive root mu = kh/2 of one quadratic
+    eigenproblem.  At fh, c_p kh = w = 2 pi fh 1e3 m/s, so the eigenvalue
+    -c_p^2 is -(w/2)^2 s^2, and with s = 1/mu the mode's block A v = -c_p^2 v
+    becomes (mu^2 D0 + mu D1 + D2 + (w/2)^2 I) v = 0.  D0 = -diag(c11, c55)/rho
+    is diagonal, so its companion matrix on [v, mu v] needs no solve, and one
+    eigvals gives every root.  Each real root is a branch of the block at fh.
+    No two branches of one block cross, so at every kh the fundamental has
+    the smallest fh; its group velocity is positive, so past its root every
+    branch lies above fh, and its root is the one with the largest kh.  A
+    stiffness that is not positive definite, or a block with no real
+    positive root, is a TracingError.
     """
     if not 0 < fh_min < fh_max:
         raise ValueError("need 0 < fh_min < fh_max")
-    h = plate.thickness
+    _check_definite(theta)
+    d = _coefficients(theta, _basis(order)[1])  # [3, 2, M+1, M+1]
+    n = order + 1
 
-    def fh_of(k: float, idx: int) -> float:
-        cp = float(mode_cp(theta, k * h, idx, order))
-        if np.isnan(cp):
-            raise TracingError(f"no physical solution at k={k}")
-        # fh in MHz*mm = f[Hz] * h[m] * 1e-3
-        return cp * k / (2 * np.pi) * h * 1e-3
+    def edge_k(fh: float, mode: Mode) -> float:
+        d0, d1, d2 = d[:, mode.branch]
+        inv_d0 = 1.0 / np.diag(d0)[:, None]
+        half_w = np.pi * fh * 1e3
+        companion = np.block([
+            [np.zeros((n, n)), np.eye(n)],
+            [-inv_d0 * (d2 + half_w ** 2 * np.eye(n)), -inv_d0 * d1],
+        ])
+        mu = np.linalg.eigvals(companion)
+        mu = mu.real[(mu.imag == 0) & (mu.real > 0)]
+        if mu.size == 0:
+            raise TracingError(f"no {mode.value} wavenumber at fh = {fh} MHz*mm")
+        return 2.0 * mu.max() / plate.thickness
 
-    def bracket_solve(target: float, idx: int) -> float:
-        k_lo, k_hi = 1e-2 / h, 1e-2 / h
-        while fh_of(k_hi, idx) < target:
-            k_hi *= 2
-            if k_hi * h > 1e6:
-                raise TracingError("could not bracket the requested band")
-        while fh_of(k_lo, idx) > target:
-            k_lo /= 2
-            if k_lo * h < 1e-9:
-                raise TracingError("could not bracket the requested band")
-        return _brentq(lambda k: fh_of(k, idx) - target, k_lo, k_hi)
-
-    k_start = bracket_solve(fh_min, Mode.S0.branch)
-    k_stop = bracket_solve(fh_max, Mode.A0.branch)
-    return np.geomspace(k_start, k_stop, n_points)
+    return np.geomspace(edge_k(fh_min, Mode.S0), edge_k(fh_max, Mode.A0),
+                        n_points)
 
 
 _CURVE_HEADER = "mode,k_rad_m,f_hz,fh_mhz_mm,c_p_m_s,c_g_m_s"

@@ -300,3 +300,39 @@ def full_two_dft_magnitude(samples: np.ndarray) -> np.ndarray:
     full = np.fft.fft(np.fft.ifft(scaled, axis=1), axis=0)
     n_x, n_t = samples.shape
     return np.abs(full[:n_x // 2 + 1, :n_t // 2 + 1]).T
+
+
+def k_grid_brentq(theta, plate, fh_min: float, fh_max: float,
+                  n_points: int = 200, order: int = 10) -> np.ndarray:
+    """lambid.dispersion.k_grid_for_fh_band by a root search on fh(k): each
+    band edge is bracketed by doubling and halving from kh = 0.01 (within
+    kh 1e-9 .. 1e6) and then found by scipy's brentq at xtol 1e-9, S0 at
+    fh_min and A0 at fh_max.  This is the grid the package built before the
+    edges came from a quadratic eigenproblem, bit for bit."""
+    from lambid.dispersion import Mode, TracingError, mode_cp
+
+    if not 0 < fh_min < fh_max:
+        raise ValueError("need 0 < fh_min < fh_max")
+    h = plate.thickness
+
+    def fh_of(k: float, idx: int) -> float:
+        cp = float(mode_cp(theta, k * h, idx, order))
+        if np.isnan(cp):
+            raise TracingError(f"no physical solution at k={k}")
+        return cp * k / (2 * np.pi) * h * 1e-3
+
+    def bracket_solve(target: float, idx: int) -> float:
+        k_lo, k_hi = 1e-2 / h, 1e-2 / h
+        while fh_of(k_hi, idx) < target:
+            k_hi *= 2
+            if k_hi * h > 1e6:
+                raise TracingError("could not bracket the requested band")
+        while fh_of(k_lo, idx) > target:
+            k_lo /= 2
+            if k_lo * h < 1e-9:
+                raise TracingError("could not bracket the requested band")
+        return brentq(lambda k: fh_of(k, idx) - target, k_lo, k_hi, xtol=1e-9)
+
+    k_start = bracket_solve(fh_min, Mode.S0.branch)
+    k_stop = bracket_solve(fh_max, Mode.A0.branch)
+    return np.geomspace(k_start, k_stop, n_points)

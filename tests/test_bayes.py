@@ -186,13 +186,15 @@ class TestLikelihood:
 
 
 class TestSampler:
-    def test_zero_proposal_scale_constant_chain(self, synth_obs, plate):
+    def test_nonpositive_proposal_scale_rejected(self, synth_obs, plate):
+        # a zero step proposes the current state, which is always accepted,
+        # so the chain would never move and report acceptance 1
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
-        cfg = SamplerConfig(n_samples=200, warmup=50, seed=1, init=init,
-                            proposal_scale=0.0)
-        chain = mcmc_sample(synth_obs, default_priors(), plate, cfg)
-        assert chain.acceptance_fraction == 1.0
-        assert np.all(chain.samples == chain.samples[0])
+        for scale in (0.0, -0.1, float("nan")):
+            cfg = SamplerConfig(n_samples=200, warmup=50, seed=1, init=init,
+                                proposal_scale=scale)
+            with pytest.raises(ValueError, match="proposal_scale"):
+                mcmc_sample(synth_obs, default_priors(), plate, cfg)
 
     def test_reproducible(self, synth_obs, plate):
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)

@@ -139,6 +139,21 @@ def test_summarize_invalid_chain_exits_io(tmp_path, capsys, warmup_len, c11,
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_summarize_short_ensemble_grid_writes_nothing(tmp_path, capsys):
+    # with_cg (the default) needs 3 grid points; the grid size is checked
+    # when the config loads, before summary.csv is written
+    cfg = write_cfg(tmp_path, base_cfg(ensemble={"n_points": 2}))
+    row = [28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 3e3]
+    bayes.write_chain(tmp_path / "chain.csv", bayes.Chain(
+        samples=np.tile(row, (150, 1)), log_posts=np.zeros(150),
+        accepted=np.ones(150, dtype=bool), warmup_len=0, seed=0))
+    rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    assert "ensemble.n_points" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+    assert not (tmp_path / "resolved_config_summarize.yaml").exists()
+
+
 def test_solve_prints_auto_converged_order(tmp_path, capsys):
     payload = base_cfg()
     del payload["band"]  # the default band: order 14 converges at 16

@@ -119,6 +119,27 @@ def test_bad_sampler_counts(tmp_path):
         load_config(write_cfg(tmp_path, payload))
 
 
+@pytest.mark.parametrize("scale", [0.0, 0, -0.1])
+def test_nonpositive_proposal_scale_rejected(tmp_path, scale):
+    payload = full_cfg()
+    payload["sampler"] = {"proposal_scale": scale}
+    with pytest.raises(ConfigError, match="sampler.proposal_scale"):
+        load_config(write_cfg(tmp_path, payload))
+
+
+@pytest.mark.parametrize("with_cg,n_points,ok", [
+    (True, 3, True), (True, 2, False), (False, 1, True), (False, 0, False),
+])
+def test_ensemble_points_checked_at_load(tmp_path, with_cg, n_points, ok):
+    payload = full_cfg()
+    payload["ensemble"] = {"with_cg": with_cg, "n_points": n_points}
+    if ok:
+        assert load_config(write_cfg(tmp_path, payload)).ensemble["n_points"] == n_points
+    else:
+        with pytest.raises(ConfigError, match="ensemble.n_points"):
+            load_config(write_cfg(tmp_path, payload))
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("band", "n_points", 200.0),  # an int key takes integers only
     ("solver", "auto_converge", 1),  # a bool key takes true or false only

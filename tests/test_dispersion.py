@@ -456,8 +456,11 @@ class TestTracing:
         # at kh ~ 0.03 eigenvalue rounding alone moves A0's c_p by 1e-6 to
         # 4e-4 from one order to the next, so whether the 1e-6 stopping rule
         # is met is left to rounding; on this grid it never is, and without
-        # the bound the order would climb forever
-        k = k_grid_for_fh_band(gfrp, plate, 0.02, 4.098, n_points=30, order=14)
+        # the bound the order would climb forever.  A 2e-11 relative shift
+        # of the grid changes that verdict, so the grid is the root-search
+        # one these readings were taken on, bit for bit
+        k = oracles.k_grid_brentq(gfrp, plate, 0.02, 4.098, n_points=30,
+                                  order=14)
         with pytest.raises(TracingError, match="by order 40"):
             trace_curves(gfrp, plate, k, order=14, auto_converge=True)
 
@@ -466,9 +469,10 @@ class TestTracing:
         # per-order steps at kh ~ 0.03 on these grids wander between 5e-7
         # and 6e-6 before climbing to 5e-4 by order 40 (on the order-10
         # grid: 8.4e-7, 1.05e-6, 2.0e-6, 2.1e-6, 5.9e-7, ...), so one step
-        # under 1e-6 is rounding, not convergence
-        k = k_grid_for_fh_band(gfrp, plate, 0.02, 4.098, n_points=15,
-                               order=grid_order)
+        # under 1e-6 is rounding, not convergence; the grids are the
+        # root-search ones these readings were taken on, bit for bit
+        k = oracles.k_grid_brentq(gfrp, plate, 0.02, 4.098, n_points=15,
+                                  order=grid_order)
         with pytest.raises(TracingError, match="did not converge.*by order 40"):
             trace_curves(gfrp, plate, k, order=14, auto_converge=True)
 

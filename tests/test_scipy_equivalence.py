@@ -1,17 +1,20 @@
 """The numpy code that stands in for scipy in lambid, checked against the
-scipy function it replaces: the linear chirp, the peak finder, Brent's root
-search and the KDE mode.  Each is bit-identical to scipy except the KDE
-mode, which is binned and must land within one grid cell of the exact
-estimate."""
+scipy function it replaces: the linear chirp, the peak finder and the KDE
+mode.  The first two are bit-identical to scipy; the KDE mode is binned and
+must land within one grid cell of the exact estimate.  The band edges of
+k_grid_for_fh_band, which once came from a Brent root search, come from a
+quadratic eigenproblem; they are checked against that root search
+(oracles.k_grid_brentq, with scipy's brentq) and against their own fh."""
 
 import numpy as np
-import scipy.optimize
+import pytest
 import scipy.signal
 from scipy.stats import gaussian_kde
 
+import oracles
 from conftest import random_constants
 from lambid import analysis, dispersion, wavefield
-from lambid.dispersion import ElasticConstants, PlateSpec
+from lambid.dispersion import ElasticConstants, Mode, PlateSpec
 
 DEFAULT_T = np.arange(4096) * 0.9765625e-6  # the synth defaults, in SI units
 
@@ -62,35 +65,42 @@ def test_peak_finder_matches_scipy_on_default_noisy_image(gfrp, plate):
     np.testing.assert_array_equal(mask, _scipy_peak_mask(rows, height))
 
 
-def _scipy_brentq(f, xa, xb):
-    return scipy.optimize.brentq(f, xa, xb, xtol=1e-9)
-
-
-def test_root_search_matches_brentq_on_test_functions(rng):
-    functions = [lambda x: x**3 - 2 * x - 5, lambda x: np.cos(x) - x,
-                 lambda x: np.exp(x) - 10, lambda x: np.tanh(x - 0.3) ** 3,
-                 lambda x: (x - 1.5) * (x**2 + 0.01)]
-    for f in functions:
-        for xa, xb in rng.uniform([-4.0, 2.5], [-3.0, 4.0], (30, 2)):
-            assert dispersion._brentq(f, xa, xb) == _scipy_brentq(f, xa, xb)
-
-
-def test_root_search_matches_brentq(gfrp, baseline, plate, rng, monkeypatch):
+def _band_cases(gfrp, baseline, plate, rng):
+    """7 materials x 2 plates x 3 bands x 3 orders."""
     isotropic = ElasticConstants(103e9, 51e9, 103e9, 26e9, 2700.0)
     near = [ElasticConstants(*(np.array([28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0])
                                * rng.uniform(0.9, 1.1, 5))) for _ in range(2)]
-    materials = [gfrp, baseline, isotropic, random_constants(rng), *near]
+    materials = [gfrp, baseline, isotropic, random_constants(rng),
+                 random_constants(rng), *near]
     bands = [(0.2, 4.098), (0.3, 2.5), (0.05, 1.0)]
     plates = [plate, PlateSpec(1.3e-3)]
-    inputs = [(m, p, band, order) for m in materials for p in plates
-              for band in bands for order in (8, 11, 14)]
-    ours = [dispersion.k_grid_for_fh_band(m, p, *band, n_points=5, order=order)
-            for m, p, band, order in inputs]
-    monkeypatch.setattr(dispersion, "_brentq", _scipy_brentq)
-    for (m, p, band, order), grid in zip(inputs, ours):
-        np.testing.assert_array_equal(
-            grid, dispersion.k_grid_for_fh_band(m, p, *band, n_points=5,
-                                                order=order))
+    return [(m, p, band, order) for m in materials for p in plates
+            for band in bands for order in (8, 11, 14)]
+
+
+def test_band_edges_match_brentq(gfrp, baseline, plate, rng):
+    for m, p, band, order in _band_cases(gfrp, baseline, plate, rng):
+        np.testing.assert_allclose(
+            dispersion.k_grid_for_fh_band(m, p, *band, n_points=5, order=order),
+            oracles.k_grid_brentq(m, p, *band, n_points=5, order=order),
+            rtol=1e-9, atol=0)
+
+
+def test_band_edges_reach_their_fh(gfrp, baseline, plate, rng):
+    for m, p, band, order in _band_cases(gfrp, baseline, plate, rng):
+        k = dispersion.k_grid_for_fh_band(m, p, *band, n_points=2, order=order)
+        kh = k * p.thickness
+        cp = dispersion.mode_cp(m, kh, [Mode.S0.branch, Mode.A0.branch], order)
+        np.testing.assert_allclose(cp * kh / (2 * np.pi) * 1e-3, band,
+                                   rtol=1e-10, atol=0)
+
+
+def test_band_edge_without_a_real_root_raises(gfrp, plate, monkeypatch):
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: eigvals(a).real + 1j)  # every root complex
+    with pytest.raises(dispersion.TracingError, match="no S0 wavenumber"):
+        dispersion.k_grid_for_fh_band(gfrp, plate, 0.3, 2.5, n_points=5)
 
 
 def _exact_kde_mode(x):
