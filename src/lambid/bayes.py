@@ -4,7 +4,10 @@ The sampled vector is {C11, C13, C33, C55, rho, sigma}: the four stiffness
 entries and density governing the dispersion model, plus the Gaussian noise
 scale on observed angular frequency.  All probabilities are computed in log
 space; non-physical forward solves map to -inf and are therefore never
-accepted.
+accepted.  With observations, mcmc_sample rejects most proposals without an
+eigensolve, from a proved upper bound on their log posterior built from the
+current state's eigenpairs (_Screen); it rejects only what the exact
+posterior would, so the chain is unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textio
-from .dispersion import ElasticConstants, PlateSpec, TracingError, mode_cp
+from .dispersion import ElasticConstants, PlateSpec, TracingError, _basis, mode_cp
 from .wavefield import ObservationSet
 
 __all__ = [
@@ -325,6 +328,120 @@ def _log_posterior_at(x: np.ndarray, obs: ObservationSet | None,
     return log_posterior(obs, theta, priors, plate, order=order)
 
 
+# every eigenvalue bound is widened by _SCREEN_REL of itself and by
+# _SCREEN_NORM of its block's norm: eigvalsh errs by ~n eps |A|, and at small
+# kh A0's eigenvalue is ~1e-5 |A|
+_SCREEN_REL = 1e-9
+_SCREEN_NORM = 1e-12
+_SCREEN_MARGIN = 1e-6  # log-posterior margin of an early rejection
+
+
+class _Screen:
+    """A rigorous upper bound on the log posterior of a proposal y from the
+    eigenpairs of an accepted state x, so that most rejections need no
+    eigensolve (early rejection; Solonen et al. 2012, Bayesian Anal. 7:715).
+
+    Each observed pair's block is A(q) = sum_j q_j C_j, C_j = sum_p s^p
+    B[j, p, branch], and A(Q) is negative semidefinite for every positive
+    semidefinite Voigt matrix Q = [[q11, q13], [q13, q33]] + q55.  With
+    beta <= alpha the extreme generalized eigenvalues of (Q_y, Q_x),
+    Q_y - beta Q_x and alpha Q_x - Q_y are such matrices, so
+    alpha A(x) <= A(y) <= beta A(x) in the Loewner order.  Each pair's top
+    eigenvalue lambda(y) = -c_p^2 then lies between the Rayleigh quotient
+    rho_y = v^T A(y) v of x's top eigenvector v and the smaller of
+    beta lambda_1(x) and Kato-Temple's
+    rho_y + |A(y) v - rho_y v|^2 / (rho_y - beta lambda_2(x)),
+    as lambda_2(y) <= beta lambda_2(x).  The distance of each observed omega
+    to [c_lo k, c_hi k] bounds its residual from below.  The state data
+    (lambda_1, lambda_2, v, and W_j = C_j v with v^T W_j) cost one eigvalsh
+    and one shifted solve.
+    """
+
+    def __init__(self, obs: ObservationSet, priors: PriorSpec, plate: PlateSpec,
+                 order: int):
+        self.obs, self.priors = obs, priors
+        s = 2.0 / (obs.pair_k * plate.thickness)
+        split = _basis(order)[1]
+        # c[j, i] = C_j of pair i, per branch: never one [4, 3, pairs, n, n]
+        self.c = np.empty((4, s.size, order + 1, order + 1))
+        for b in (0, 1):
+            sel = obs.pair_branch == b
+            si, bb = s[sel, None, None], split[:, :, b, None]
+            self.c[:, sel] = bb[:, 0] + si * (bb[:, 1] + si * bb[:, 2])
+        self.log_norm = -0.5 * len(obs) * math.log(2 * math.pi)
+        self.state = None  # the data of a state whose bounds hold
+
+    def refresh(self, x: np.ndarray) -> None:
+        """Make the accepted state x the one that bounds proposals."""
+        self.state = None
+        q = x[:4] / x[4]
+        det = q[0] * q[2] - q[1] * q[1]
+        blocks = np.tensordot(q, self.c, axes=1)
+        lams = np.linalg.eigvalsh(blocks)
+        if not (det > 0 and np.all(lams[:, -1] < 0)):
+            return
+        # one step of inverse iteration from a shift just above the top
+        # eigenvalue; the bounds hold for any unit v, only their width
+        # depends on how close v is to the eigenvector
+        shifted = blocks - (lams[:, -1] * (1 - 1e-10))[:, None, None] * np.eye(
+            blocks.shape[-1])
+        try:
+            v = np.linalg.solve(shifted, np.ones((*lams.shape, 1)))[..., 0]
+        except np.linalg.LinAlgError:
+            v = np.full(lams.shape, np.nan)
+        if not np.isfinite(v).all():
+            v = np.linalg.eigh(blocks)[1][..., -1]
+        v /= np.sqrt((v * v).sum(axis=1))[:, None]
+        w = (self.c @ v[:, :, None])[..., 0]  # [4, pairs, n]
+        # q @ m gives A(y) v for every pair, then every rho_y
+        self.m = np.concatenate([w.reshape(4, -1), (w * v).sum(axis=2)], axis=1)
+        self.state = (q, det, v, lams[:, -1], lams[:, -2], -lams[:, 0])
+
+    def eigen_bounds(self, y: np.ndarray):
+        """(lo, up) on every observed pair's top eigenvalue at y, widened for
+        rounding; None where y is not physical or no negative bound holds."""
+        if self.state is None or not (np.isfinite(y).all() and y.min() > 0):
+            return None
+        qx, det_x, v, lam1, lam2, norm = self.state
+        q = y[:4] / y[4]
+        det = q[0] * q[2] - q[1] * q[1]
+        b = q[0] * qx[2] + q[2] * qx[0] - 2 * q[1] * qx[1]
+        if not (det > 0 and b > 0):
+            return None
+        # the 2x2 generalized eigenvalues by the stable quadratic roots
+        root = b + math.sqrt(max(b * b - 4 * det_x * det, 0.0))
+        shear = q[3] / qx[3]
+        beta = min(2 * det / root, shear)
+        slack = _SCREEN_NORM * max(root / (2 * det_x), shear) * norm
+        prod = q @ self.m
+        rq = prod[-v.shape[0]:]
+        resid = prod[:-v.shape[0]].reshape(v.shape) - rq[:, None] * v
+        gap = rq - beta * lam2
+        if not np.all(gap > slack):
+            return None
+        up = np.minimum(beta * lam1, rq + (resid * resid).sum(axis=1) / gap)
+        up += _SCREEN_REL * np.abs(up) + slack
+        if not np.all(up < 0):
+            return None
+        return rq - _SCREEN_REL * np.abs(rq) - slack, up
+
+    def bound(self, y: np.ndarray) -> float:
+        """An upper bound on log_posterior at y; inf where none is proved."""
+        eig = self.eigen_bounds(y)
+        if eig is None:
+            return math.inf
+        lp = log_prior(ParamVector.from_array(y), self.priors)
+        if lp == -np.inf:
+            return math.inf
+        obs = self.obs
+        om_lo = np.sqrt(-eig[1])[obs.pair_index] * obs.k
+        om_hi = np.sqrt(-eig[0])[obs.pair_index] * obs.k
+        dist = np.maximum(np.maximum(om_lo - obs.omega, obs.omega - om_hi), 0.0)
+        sigma = y[5]
+        return (lp - len(obs) * math.log(sigma) + self.log_norm
+                - 0.5 * float(dist @ dist) / sigma**2)
+
+
 def mcmc_sample(
     obs: ObservationSet | None,
     priors: PriorSpec,
@@ -337,12 +454,24 @@ def mcmc_sample(
     follows the empirical chain covariance scaled by 2.38^2/d and a scalar
     step size tuned toward the 0.234 acceptance rate.  Adaptation freezes
     after warmup.  Deterministic for a fixed seed.  A non-positive
-    n_samples or proposal_scale is a ValueError.
+    n_samples or proposal_scale, a warmup that is not a non-negative
+    integer and a target_acceptance outside (0, 1) are ValueErrors.
+
+    With observations, the uniform u of each step is drawn before the
+    posterior, so a proposal whose proved upper bound (see _Screen) lies
+    below log posterior(x) + log u - 1e-6 is rejected without an
+    eigensolve: the exact posterior would reject it too, so the chain and
+    its random stream are exactly those of evaluating every proposal.
+    Prior-only chains evaluate every proposal.
     """
     if cfg.n_samples <= 0:
         raise ValueError("n_samples must be positive")
     if not cfg.proposal_scale > 0:
         raise ValueError("proposal_scale must be positive")
+    if not isinstance(cfg.warmup, (int, np.integer)) or cfg.warmup < 0:
+        raise ValueError("warmup must be a non-negative integer")
+    if not 0 < cfg.target_acceptance < 1:
+        raise ValueError("target_acceptance must lie in (0, 1)")
     d = len(PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)
 
@@ -366,6 +495,10 @@ def mcmc_sample(
                 "no finite-posterior start found in 100 prior draws"
             )
 
+    screen = None
+    if obs is not None:
+        screen = _Screen(obs, priors, plate, cfg.forward_order)
+        screen.refresh(x)
     base_sd = np.array([math.sqrt(priors.internal_var(n)) for n in PARAM_NAMES])
     log_step = 0.0
     total = cfg.warmup + cfg.n_samples
@@ -381,15 +514,21 @@ def mcmc_sample(
     for t in range(total):
         step = cfg.proposal_scale * math.exp(log_step)
         prop = x + step * (chol @ rng.standard_normal(d))
-        lp_prop = target(prop)
-        # -inf proposals are always rejected; log u < 0 almost surely
-        log_alpha = lp_prop - lp
-        u = rng.uniform()
-        accept = lp_prop > -np.inf and (
-            u <= 0.0 or math.log(u) < min(0.0, log_alpha)
-        )
+        u = rng.uniform()  # target draws nothing, so drawing u first is free
+        if (screen is not None and u > 0.0
+                and screen.bound(prop) < lp + math.log(u) - _SCREEN_MARGIN):
+            accept = False  # the exact posterior would reject it too
+        else:
+            lp_prop = target(prop)
+            # -inf proposals are always rejected; log u < 0 almost surely
+            log_alpha = lp_prop - lp
+            accept = lp_prop > -np.inf and (
+                u <= 0.0 or math.log(u) < min(0.0, log_alpha)
+            )
         if accept:
             x, lp = prop, lp_prop
+            if screen is not None:
+                screen.refresh(x)
         samples[t] = x
         log_posts[t] = lp
         accepted[t] = accept

@@ -336,3 +336,71 @@ def k_grid_brentq(theta, plate, fh_min: float, fh_max: float,
     k_start = bracket_solve(fh_min, Mode.S0.branch)
     k_stop = bracket_solve(fh_max, Mode.A0.branch)
     return np.geomspace(k_start, k_stop, n_points)
+
+
+def plain_mcmc_sample(obs, priors, plate, cfg):
+    """lambid.bayes.mcmc_sample as it was before early rejection: every
+    proposal's exact log posterior is evaluated, and u is drawn after it.
+    The package's chains must equal this one's byte for byte."""
+    import lambid.bayes as bayes
+
+    d = len(bayes.PARAM_NAMES)
+    rng = np.random.default_rng(cfg.seed)
+
+    def target(x):
+        return bayes._log_posterior_at(x, obs, priors, plate, cfg.forward_order)
+
+    if cfg.init is not None:
+        x = cfg.init.to_array()
+        lp = target(x)
+        if lp == -np.inf:
+            raise bayes.InitializationError("supplied init has -inf posterior")
+    else:
+        lp = -np.inf
+        for _ in range(100):
+            x = priors.sample(rng).to_array()
+            lp = target(x)
+            if lp > -np.inf:
+                break
+        else:
+            raise bayes.InitializationError(
+                "no finite-posterior start found in 100 prior draws")
+
+    base_sd = np.array([math.sqrt(priors.internal_var(n))
+                        for n in bayes.PARAM_NAMES])
+    log_step = 0.0
+    total = cfg.warmup + cfg.n_samples
+    samples = np.empty((total, d))
+    log_posts = np.empty(total)
+    accepted = np.zeros(total, dtype=bool)
+    run_mean = x.copy()
+    run_cov = np.diag(base_sd**2)
+    chol = np.diag(base_sd)
+    adapt_start = 2 * d
+    for t in range(total):
+        step = cfg.proposal_scale * math.exp(log_step)
+        prop = x + step * (chol @ rng.standard_normal(d))
+        lp_prop = target(prop)
+        log_alpha = lp_prop - lp
+        u = rng.uniform()
+        accept = lp_prop > -np.inf and (
+            u <= 0.0 or math.log(u) < min(0.0, log_alpha))
+        if accept:
+            x, lp = prop, lp_prop
+        samples[t] = x
+        log_posts[t] = lp
+        accepted[t] = accept
+        if t < cfg.warmup:
+            w = 1.0 / (t + 2)
+            delta = x - run_mean
+            run_mean = run_mean + w * delta
+            run_cov = (1 - w) * (run_cov + w * np.outer(delta, delta))
+            log_step += (float(accept) - cfg.target_acceptance) / math.sqrt(t + 1)
+            if t >= adapt_start:
+                cov = (2.38**2 / d) * (run_cov + 1e-12 * np.diag(base_sd**2))
+                try:
+                    chol = np.linalg.cholesky(cov)
+                except np.linalg.LinAlgError:
+                    pass
+    return bayes.Chain(samples=samples, log_posts=log_posts, accepted=accepted,
+                       warmup_len=cfg.warmup, seed=cfg.seed)

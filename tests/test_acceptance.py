@@ -5,6 +5,7 @@ real stdout so they survive output capture.  Criteria 10 and 11 share one
 MCMC run (module-scoped fixture) because 11 audits the chain produced by 10.
 """
 
+import dataclasses
 import math
 import sys
 import time
@@ -246,7 +247,7 @@ def recovery_run():
                         proposal_scale=0.1)
     t0 = time.perf_counter()
     chain = mcmc_sample(obs, default_priors(), plate, cfg)
-    return dict(chain=chain, plate=plate, grid=grid, a0=a0,
+    return dict(chain=chain, plate=plate, grid=grid, a0=a0, obs=obs, cfg=cfg,
                 sample_time=time.perf_counter() - t0)
 
 
@@ -293,3 +294,18 @@ def test_criterion_11_rejection_rule(recovery_run):
     _report(11, "no non-physical accepted samples", bad == 0,
             f"{bad}/{unique.shape[0]} unique accepted samples non-physical",
             time.perf_counter() - t0, 1800.0)
+
+
+def test_recovery_chain_matches_plain_sampler(recovery_run):
+    # criteria 10 and 11 read this chain; early rejection in mcmc_sample
+    # must leave it byte for byte as evaluating every proposal gives it.  A
+    # chain with fewer samples is a prefix of the longer one (same seed and
+    # warmup), so the plain loop runs the warmup and 5000 samples only
+    run = recovery_run
+    cfg = dataclasses.replace(run["cfg"], n_samples=5_000)
+    want = oracles.plain_mcmc_sample(run["obs"], default_priors(), run["plate"],
+                                     cfg)
+    rows = cfg.warmup + cfg.n_samples
+    for name in ("samples", "log_posts", "accepted"):
+        got = getattr(run["chain"], name)[:rows]
+        assert got.tobytes() == getattr(want, name).tobytes()

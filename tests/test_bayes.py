@@ -8,9 +8,10 @@ from lambid.bayes import (PARAM_NAMES, Chain, GammaPrior, InitializationError,
                           NormalPrior, ParamVector, PriorSpec, SamplerConfig,
                           default_priors, log_likelihood, log_prior,
                           mcmc_sample, read_chain, write_chain)
+import lambid.bayes as bayes
 import oracles
 from conftest import one_negative_at
-from lambid.dispersion import (PlateSpec, k_grid_for_fh_band,
+from lambid.dispersion import (PlateSpec, _parity_blocks, k_grid_for_fh_band,
                                smallest_physical_cp, trace_curves)
 from lambid.wavefield import ObservationSet
 
@@ -196,6 +197,29 @@ class TestSampler:
             with pytest.raises(ValueError, match="proposal_scale"):
                 mcmc_sample(synth_obs, default_priors(), plate, cfg)
 
+    @pytest.mark.parametrize("warmup", [-3, 2.5, "5"])
+    def test_bad_warmup_rejected_before_any_solve(self, synth_obs, plate,
+                                                  monkeypatch, warmup):
+        # warmup=-3 used to run every step and then fail in Chain
+        def solve(*args, **kwargs):
+            raise AssertionError("log_posterior evaluated")
+
+        monkeypatch.setattr(bayes, "log_posterior", solve)
+        init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
+        cfg = SamplerConfig(n_samples=20, warmup=warmup, seed=1, init=init)
+        with pytest.raises(ValueError, match="warmup"):
+            mcmc_sample(synth_obs, default_priors(), plate, cfg)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_target_acceptance_outside_unit_interval_rejected(self, plate,
+                                                             target):
+        # 1.5 used to push the step size up forever, so a prior-only chain
+        # reported acceptance 1.0
+        cfg = SamplerConfig(n_samples=20, warmup=10, seed=1,
+                            target_acceptance=target)
+        with pytest.raises(ValueError, match="target_acceptance"):
+            mcmc_sample(None, default_priors(), plate, cfg)
+
     def test_reproducible(self, synth_obs, plate):
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         cfg = SamplerConfig(n_samples=300, warmup=100, seed=11, init=init)
@@ -245,6 +269,93 @@ class TestSampler:
         chain = mcmc_sample(synth_obs, default_priors(), plate, cfg)
         if chain.acceptance_fraction < 0.05:
             assert any("acceptance" in w for w in chain.warnings)
+
+
+class TestEarlyRejection:
+    """With observations, mcmc_sample rejects most proposals from a proved
+    upper bound on their log posterior (bayes._Screen), so it must give
+    exactly the chain of evaluating every proposal."""
+
+    INIT = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
+
+    def test_bounds_hold_from_small_to_large_steps(self, synth_obs, plate):
+        priors = default_priors()
+        screen = bayes._Screen(synth_obs, priors, plate, 10)
+        kh = synth_obs.pair_k * plate.thickness
+        rng = np.random.default_rng(17)
+        truth = self.INIT.to_array()
+        checked = 0
+        for i in range(40):
+            # states near the truth, and prior draws every fourth time
+            if i % 4:
+                x = truth * np.exp(rng.normal(0.0, 0.05, 6))
+            else:
+                x = priors.sample(rng).to_array()
+            screen.refresh(x)
+            if screen.state is None:
+                continue
+            for rel in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
+                y = x * (1 + rel * rng.standard_normal(6))
+                exact = bayes.log_posterior(
+                    synth_obs, ParamVector.from_array(y), priors, plate, 10)
+                bound = screen.bound(y)
+                assert exact <= bound
+                eig = screen.eigen_bounds(y)
+                if rel <= 1e-2:  # small steps are always bounded
+                    assert eig is not None and bound < math.inf
+                if eig is None:
+                    continue
+                theta = ParamVector.from_array(y).material()
+                top = np.linalg.eigvalsh(_parity_blocks(
+                    theta, kh, synth_obs.pair_branch, 10))[:, -1]
+                assert np.all((eig[0] <= top) & (top <= eig[1]))
+                checked += 1
+        assert checked >= 120
+
+    def test_singular_shift_falls_back_to_eigh(self, synth_obs, plate,
+                                               monkeypatch):
+        x = self.INIT.to_array()
+        y = x * (1 + 1e-3 * np.random.default_rng(5).standard_normal(6))
+        want = bayes._Screen(synth_obs, default_priors(), plate, 10)
+        want.refresh(x)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        got = bayes._Screen(synth_obs, default_priors(), plate, 10)
+        got.refresh(x)
+        assert np.allclose(got.eigen_bounds(y), want.eigen_bounds(y),
+                           rtol=1e-8, atol=0.0)
+
+    def test_most_steps_skip_the_exact_posterior(self, synth_obs, plate,
+                                                 monkeypatch):
+        # a screen that silently stopped rejecting would still pass every
+        # equivalence test, so count the exact evaluations
+        calls = []
+        exact = bayes.log_posterior
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(bayes, "log_posterior", counted)
+        cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
+                            init=self.INIT)
+        mcmc_sample(synth_obs, default_priors(), plate, cfg)
+        assert len(calls) < 0.5 * (cfg.warmup + cfg.n_samples)
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("start", ["init", "prior draws"])
+    def test_chain_matches_plain_sampler(self, synth_obs, plate, seed, start):
+        # the first steps propose at prior scale, where bounds are loosest
+        cfg = SamplerConfig(n_samples=600, warmup=300, seed=seed,
+                            init=self.INIT if start == "init" else None)
+        got = mcmc_sample(synth_obs, default_priors(), plate, cfg)
+        want = oracles.plain_mcmc_sample(synth_obs, default_priors(), plate,
+                                         cfg)
+        for name in ("samples", "log_posts", "accepted"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestChain:

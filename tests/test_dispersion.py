@@ -295,6 +295,26 @@ class TestBasis:
             assert np.all(np.abs(blocks[0] + blocks[1] - blocks[2])
                           <= 1e-14 * top)
 
+    @pytest.mark.parametrize("order", [10, 14])
+    def test_negative_semidefinite_on_the_psd_cone(self, rng, order):
+        # A(Q) <= 0 for every positive semidefinite Voigt matrix
+        # Q = [[q11, q13], [q13, q33]] + q55, singular ones and q13 < 0
+        # included: the Loewner bracket of the sampler's early rejection
+        # rests on this, since A is linear in Q
+        import lambid.dispersion as dp
+
+        split = dp._basis(order)[1]
+        kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=50))
+        for i in range(60):
+            l11, l31, l33 = rng.normal(size=3)
+            if i % 3 == 1:
+                l33 = 0.0  # singular 2x2 part
+            q55 = 0.0 if i % 3 == 2 else rng.exponential()
+            q = 1e7 * np.array([l11**2, l11 * l31, l31**2 + l33**2, q55])
+            blocks = dp._quadratic(np.tensordot(q, split, axes=1), kh[:, None])
+            lams = np.linalg.eigvalsh(blocks)  # [50, 2, n]
+            assert np.all(lams[..., -1] <= 1e-14 * np.abs(lams).max(axis=-1))
+
     def test_basis_cached_read_only_and_order_checked(self):
         import lambid.dispersion as dp
 
