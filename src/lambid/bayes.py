@@ -7,7 +7,9 @@ space; non-physical forward solves map to -inf and are therefore never
 accepted.  With observations, mcmc_sample rejects most proposals without an
 eigensolve, from a proved upper bound on their log posterior built from the
 current state's eigenpairs (_Screen); it rejects only what the exact
-posterior would, so the chain is unchanged.
+posterior would, so the chain is unchanged.  Those eigenpairs come from the
+spectra of the exact evaluation that accepted the state, so each accepted
+step costs one eigensolve.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import textio
-from .dispersion import ElasticConstants, PlateSpec, TracingError, _basis, mode_cp
+from .dispersion import (ElasticConstants, PlateSpec, TracingError, _basis,
+                         _check_definite, _parity_blocks, _top_negative)
 from .wavefield import ObservationSet
 
 __all__ = [
@@ -234,22 +237,6 @@ class Chain:
         return src[:, col]
 
 
-def _predicted_omegas(
-    obs: ObservationSet, theta: ParamVector, plate: PlateSpec, order: int
-) -> np.ndarray | None:
-    """Model omega at every observed point, in obs.omega's order, from one
-    parity block per observed (mode, k) pair, all in one batched solve.
-    None when any solve is rejected."""
-    try:
-        cps = mode_cp(theta.material(), obs.pair_k * plate.thickness,
-                      obs.pair_branch, order)
-    except TracingError:  # stiffness not positive definite
-        return None
-    if np.isnan(cps).any():
-        return None
-    return cps[obs.pair_index] * obs.k
-
-
 def log_likelihood(
     obs: ObservationSet,
     theta: ParamVector,
@@ -262,29 +249,46 @@ def log_likelihood(
     over all N points; -inf whenever sigma or any stiffness/density is
     non-positive, the 1-3 stiffness block is not positive definite
     (c13^2 >= c11 c33), or the parity block of an observed (mode, k) pair
-    has no negative eigenvalue.  Only observed pairs are solved, so the
-    block of a mode not observed at a k cannot reject it.  Where
-    observations lie (kh >= 0.2) every block of a positive-definite
-    stiffness is negative definite, so this rejects what requiring both
-    blocks did; below kh 0.1, with c13^2 within ~1e-6 of c11 c33, A0's
-    eigenvalue is of rounding size and either block may lose its sign.
+    has no negative eigenvalue.  Only observed pairs are solved, one parity
+    block each in one batched eigvalsh, so the block of a mode not observed
+    at a k cannot reject it.  Where observations lie (kh >= 0.2) every
+    block of a positive-definite stiffness is negative definite, so this
+    rejects what requiring both blocks did; below kh 0.1, with c13^2 within
+    ~1e-6 of c11 c33, A0's eigenvalue is of rounding size and either block
+    may lose its sign.
     """
+    return _log_likelihood_terms(obs, theta, plate, order)[0]
+
+
+def _log_likelihood_terms(obs: ObservationSet, theta: ParamVector,
+                          plate: PlateSpec, order: int):
+    """(log_likelihood, spectra): spectra are the parity block of every
+    observed pair and all its eigenvalues, ascending, as (blocks, lams);
+    None where no eigensolve ran."""
     if len(obs) == 0:
         raise ValueError("observation set is empty")
     if theta.sigma <= 0:
-        return -np.inf
+        return -np.inf, None
     if min(theta.c11, theta.c13, theta.c33, theta.c55, theta.rho) <= 0:
-        return -np.inf
-    om_model = _predicted_omegas(obs, theta, plate, order)
-    if om_model is None:
-        return -np.inf
-    n = om_model.size
-    resid = obs.omega - om_model
+        return -np.inf, None
+    material = theta.material()
+    try:
+        _check_definite(material)
+    except TracingError:
+        return -np.inf, None
+    blocks = _parity_blocks(material, obs.pair_k * plate.thickness,
+                            obs.pair_branch, order)
+    lams = np.linalg.eigvalsh(blocks)
+    top = _top_negative(lams)
+    if np.isnan(top).any():
+        return -np.inf, (blocks, lams)
+    resid = obs.omega - np.sqrt(-top)[obs.pair_index] * obs.k
+    n = resid.size
     return float(
         -n * math.log(theta.sigma)
         - 0.5 * n * math.log(2 * math.pi)
         - 0.5 * float(resid @ resid) / theta.sigma**2
-    )
+    ), (blocks, lams)
 
 
 def log_prior(theta: ParamVector, priors: PriorSpec) -> float:
@@ -306,26 +310,23 @@ def log_posterior(
     order: int = 10,
 ) -> float:
     """Unnormalized log posterior; obs=None gives the prior-only target."""
+    return _log_posterior_terms(obs, theta, priors, plate, order)[0]
+
+
+def _log_posterior_terms(obs: ObservationSet | None, theta: ParamVector,
+                         priors: PriorSpec, plate: PlateSpec, order: int):
+    """(log_posterior, spectra of its likelihood; see _log_likelihood_terms).
+
+    mcmc_sample runs every exact evaluation through this, looked up in the
+    module on every call, so a wrapper installed here sees each one.
+    """
     lp = log_prior(theta, priors)
     if lp == -np.inf:
-        return -np.inf
+        return -np.inf, None
     if obs is None:
-        return lp
-    return lp + log_likelihood(obs, theta, plate, order=order)
-
-
-def _log_posterior_at(x: np.ndarray, obs: ObservationSet | None,
-                      priors: PriorSpec, plate: PlateSpec, order: int) -> float:
-    """log_posterior at an array point; -inf where x is not a ParamVector.
-
-    log_posterior is looked up in the module on every call, so a wrapper
-    installed there sees every evaluation of the sampler.
-    """
-    try:
-        theta = ParamVector.from_array(x)
-    except ValueError:
-        return -np.inf
-    return log_posterior(obs, theta, priors, plate, order=order)
+        return lp, None
+    ll, spectra = _log_likelihood_terms(obs, theta, plate, order)
+    return lp + ll, spectra
 
 
 # every eigenvalue bound is widened by _SCREEN_REL of itself and by
@@ -353,8 +354,9 @@ class _Screen:
     rho_y + |A(y) v - rho_y v|^2 / (rho_y - beta lambda_2(x)),
     as lambda_2(y) <= beta lambda_2(x).  The distance of each observed omega
     to [c_lo k, c_hi k] bounds its residual from below.  The state data
-    (lambda_1, lambda_2, v, and W_j = C_j v with v^T W_j) cost one eigvalsh
-    and one shifted solve.
+    (lambda_1, lambda_2, v, and W_j = C_j v with v^T W_j) come from the
+    blocks and eigenvalues of the exact evaluation that accepted x, with one
+    shifted solve and no eigensolve of their own.
     """
 
     def __init__(self, obs: ObservationSet, priors: PriorSpec, plate: PlateSpec,
@@ -371,13 +373,14 @@ class _Screen:
         self.log_norm = -0.5 * len(obs) * math.log(2 * math.pi)
         self.state = None  # the data of a state whose bounds hold
 
-    def refresh(self, x: np.ndarray) -> None:
-        """Make the accepted state x the one that bounds proposals."""
+    def refresh(self, x: np.ndarray,
+                spectra: tuple[np.ndarray, np.ndarray]) -> None:
+        """Make the accepted state x the one that bounds proposals, from the
+        (blocks, lams) spectra of the exact evaluation that accepted it."""
         self.state = None
+        blocks, lams = spectra
         q = x[:4] / x[4]
         det = q[0] * q[2] - q[1] * q[1]
-        blocks = np.tensordot(q, self.c, axes=1)
-        lams = np.linalg.eigvalsh(blocks)
         if not (det > 0 and np.all(lams[:, -1] < 0)):
             return
         # one step of inverse iteration from a shift just above the top
@@ -453,9 +456,10 @@ def mcmc_sample(
     Multivariate Gaussian proposals; during warmup the proposal covariance
     follows the empirical chain covariance scaled by 2.38^2/d and a scalar
     step size tuned toward the 0.234 acceptance rate.  Adaptation freezes
-    after warmup.  Deterministic for a fixed seed.  A non-positive
-    n_samples or proposal_scale, a warmup that is not a non-negative
-    integer and a target_acceptance outside (0, 1) are ValueErrors.
+    after warmup.  Deterministic for a fixed seed.  An n_samples that is
+    not a positive integer, a warmup that is not a non-negative integer
+    (bools are neither), a non-positive proposal_scale and a
+    target_acceptance outside (0, 1) are ValueErrors.
 
     With observations, the uniform u of each step is drawn before the
     posterior, so a proposal whose proved upper bound (see _Screen) lies
@@ -464,30 +468,38 @@ def mcmc_sample(
     its random stream are exactly those of evaluating every proposal.
     Prior-only chains evaluate every proposal.
     """
-    if cfg.n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    def is_count(value) -> bool:
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+    if not (is_count(cfg.n_samples) and cfg.n_samples > 0):
+        raise ValueError("n_samples must be a positive integer")
     if not cfg.proposal_scale > 0:
         raise ValueError("proposal_scale must be positive")
-    if not isinstance(cfg.warmup, (int, np.integer)) or cfg.warmup < 0:
+    if not (is_count(cfg.warmup) and cfg.warmup >= 0):
         raise ValueError("warmup must be a non-negative integer")
     if not 0 < cfg.target_acceptance < 1:
         raise ValueError("target_acceptance must lie in (0, 1)")
     d = len(PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)
 
-    def target(x: np.ndarray) -> float:
-        return _log_posterior_at(x, obs, priors, plate, cfg.forward_order)
+    def target(x: np.ndarray):
+        """(log posterior, spectra) at x; -inf where x is not a ParamVector."""
+        try:
+            theta = ParamVector.from_array(x)
+        except ValueError:
+            return -np.inf, None
+        return _log_posterior_terms(obs, theta, priors, plate, cfg.forward_order)
 
     if cfg.init is not None:
         x = cfg.init.to_array()
-        lp = target(x)
+        lp, spectra = target(x)
         if lp == -np.inf:
             raise InitializationError("supplied init has -inf posterior")
     else:
         lp = -np.inf
         for _ in range(100):
             x = priors.sample(rng).to_array()
-            lp = target(x)
+            lp, spectra = target(x)
             if lp > -np.inf:
                 break
         else:
@@ -498,7 +510,7 @@ def mcmc_sample(
     screen = None
     if obs is not None:
         screen = _Screen(obs, priors, plate, cfg.forward_order)
-        screen.refresh(x)
+        screen.refresh(x, spectra)
     base_sd = np.array([math.sqrt(priors.internal_var(n)) for n in PARAM_NAMES])
     log_step = 0.0
     total = cfg.warmup + cfg.n_samples
@@ -519,7 +531,7 @@ def mcmc_sample(
                 and screen.bound(prop) < lp + math.log(u) - _SCREEN_MARGIN):
             accept = False  # the exact posterior would reject it too
         else:
-            lp_prop = target(prop)
+            lp_prop, spectra = target(prop)
             # -inf proposals are always rejected; log u < 0 almost surely
             log_alpha = lp_prop - lp
             accept = lp_prop > -np.inf and (
@@ -528,7 +540,7 @@ def mcmc_sample(
         if accept:
             x, lp = prop, lp_prop
             if screen is not None:
-                screen.refresh(x)
+                screen.refresh(x, spectra)
         samples[t] = x
         log_posts[t] = lp
         accepted[t] = accept
@@ -554,7 +566,7 @@ def mcmc_sample(
         warmup_len=cfg.warmup,
         seed=cfg.seed,
     )
-    if cfg.n_samples > 0 and chain.acceptance_fraction < 0.05:
+    if chain.acceptance_fraction < 0.05:
         chain.warnings.append(
             f"post-warmup acceptance {chain.acceptance_fraction:.3f} < 0.05"
         )

@@ -249,6 +249,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"sampler.{key} must be positive")
     if sampler["proposal_scale"] <= 0:  # a zero step accepts every proposal
         raise ConfigError("sampler.proposal_scale must be positive")
+    if sampler["forward_order"] < 1:
+        raise ConfigError("sampler.forward_order must be at least 1")
     ensemble = sections["ensemble"]
     if ensemble["max_members"] < 1:
         raise ConfigError("ensemble.max_members must be positive")

@@ -342,10 +342,9 @@ def inverse_power_eigs(stack: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _smallest_negative(blocks: np.ndarray) -> np.ndarray:
-    """Smallest-magnitude negative eigenvalue of every symmetric block of a
-    stack, by one batched eigvalsh; NaN where a block has none."""
-    lams = np.linalg.eigvalsh(blocks)
+def _top_negative(lams: np.ndarray) -> np.ndarray:
+    """Smallest-magnitude negative eigenvalue of every block, from the
+    eigenvalues of a stack (eigvalsh's output); NaN where a block has none."""
     top = np.where(lams < 0, lams, -np.inf).max(axis=-1)
     return np.where(np.isinf(top), np.nan, top)
 
@@ -386,13 +385,13 @@ def mode_cp(theta: ElasticConstants, kh, branch, order: int,
     _check_definite(theta)
     blocks = _parity_blocks(theta, kh, branch, order)
     if method == "dense":
-        lams = _smallest_negative(blocks)
+        lams = _top_negative(np.linalg.eigvalsh(blocks))
     elif method == "power":
         flat = blocks.reshape(-1, *blocks.shape[-2:])
         lams = inverse_power_eigs(flat, 1)[:, 0]
         redo = ~(lams < 0)
         if redo.any():
-            lams[redo] = _smallest_negative(flat[redo])
+            lams[redo] = _top_negative(np.linalg.eigvalsh(flat[redo]))
         lams = lams.reshape(blocks.shape[:-2])
     else:
         raise ValueError(f"unknown eigensolver method: {method!r}")

@@ -348,7 +348,11 @@ def plain_mcmc_sample(obs, priors, plate, cfg):
     rng = np.random.default_rng(cfg.seed)
 
     def target(x):
-        return bayes._log_posterior_at(x, obs, priors, plate, cfg.forward_order)
+        try:
+            theta = bayes.ParamVector.from_array(x)
+        except ValueError:
+            return -np.inf
+        return bayes.log_posterior(obs, theta, priors, plate, cfg.forward_order)
 
     if cfg.init is not None:
         x = cfg.init.to_array()

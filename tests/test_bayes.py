@@ -197,17 +197,31 @@ class TestSampler:
             with pytest.raises(ValueError, match="proposal_scale"):
                 mcmc_sample(synth_obs, default_priors(), plate, cfg)
 
-    @pytest.mark.parametrize("warmup", [-3, 2.5, "5"])
+    @pytest.mark.parametrize("warmup", [-3, 2.5, "5", True])
     def test_bad_warmup_rejected_before_any_solve(self, synth_obs, plate,
                                                   monkeypatch, warmup):
         # warmup=-3 used to run every step and then fail in Chain
         def solve(*args, **kwargs):
-            raise AssertionError("log_posterior evaluated")
+            raise AssertionError("posterior evaluated")
 
-        monkeypatch.setattr(bayes, "log_posterior", solve)
+        monkeypatch.setattr(bayes, "_log_posterior_terms", solve)
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         cfg = SamplerConfig(n_samples=20, warmup=warmup, seed=1, init=init)
         with pytest.raises(ValueError, match="warmup"):
+            mcmc_sample(synth_obs, default_priors(), plate, cfg)
+
+    @pytest.mark.parametrize("n_samples", [0, -5, 2.5, "5", True])
+    def test_bad_n_samples_rejected_before_any_solve(self, synth_obs, plate,
+                                                     monkeypatch, n_samples):
+        # 2.5 and "5" used to fail with TypeError in np.empty or the
+        # comparison, and True ran a one-sample chain
+        def solve(*args, **kwargs):
+            raise AssertionError("posterior evaluated")
+
+        monkeypatch.setattr(bayes, "_log_posterior_terms", solve)
+        init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
+        cfg = SamplerConfig(n_samples=n_samples, warmup=10, seed=1, init=init)
+        with pytest.raises(ValueError, match="n_samples"):
             mcmc_sample(synth_obs, default_priors(), plate, cfg)
 
     @pytest.mark.parametrize("target", [0.0, 1.0, 1.5, -0.2, float("nan")])
@@ -278,6 +292,18 @@ class TestEarlyRejection:
 
     INIT = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
 
+    @staticmethod
+    def refresh(screen, x, plate):
+        """Refresh screen at x from the spectra of x's exact posterior, as
+        mcmc_sample does on acceptance; False where that evaluation ran no
+        eigensolve."""
+        _, spectra = bayes._log_posterior_terms(
+            screen.obs, ParamVector.from_array(x), screen.priors, plate, 10)
+        if spectra is None:
+            return False
+        screen.refresh(x, spectra)
+        return True
+
     def test_bounds_hold_from_small_to_large_steps(self, synth_obs, plate):
         priors = default_priors()
         screen = bayes._Screen(synth_obs, priors, plate, 10)
@@ -291,8 +317,7 @@ class TestEarlyRejection:
                 x = truth * np.exp(rng.normal(0.0, 0.05, 6))
             else:
                 x = priors.sample(rng).to_array()
-            screen.refresh(x)
-            if screen.state is None:
+            if not self.refresh(screen, x, plate) or screen.state is None:
                 continue
             for rel in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
                 y = x * (1 + rel * rng.standard_normal(6))
@@ -317,14 +342,14 @@ class TestEarlyRejection:
         x = self.INIT.to_array()
         y = x * (1 + 1e-3 * np.random.default_rng(5).standard_normal(6))
         want = bayes._Screen(synth_obs, default_priors(), plate, 10)
-        want.refresh(x)
+        assert self.refresh(want, x, plate)
 
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         got = bayes._Screen(synth_obs, default_priors(), plate, 10)
-        got.refresh(x)
+        assert self.refresh(got, x, plate)
         assert np.allclose(got.eigen_bounds(y), want.eigen_bounds(y),
                            rtol=1e-8, atol=0.0)
 
@@ -333,17 +358,54 @@ class TestEarlyRejection:
         # a screen that silently stopped rejecting would still pass every
         # equivalence test, so count the exact evaluations
         calls = []
-        exact = bayes.log_posterior
+        exact = bayes._log_posterior_terms
 
         def counted(*args, **kwargs):
             calls.append(1)
             return exact(*args, **kwargs)
 
-        monkeypatch.setattr(bayes, "log_posterior", counted)
+        monkeypatch.setattr(bayes, "_log_posterior_terms", counted)
         cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
                             init=self.INIT)
         mcmc_sample(synth_obs, default_priors(), plate, cfg)
         assert len(calls) < 0.5 * (cfg.warmup + cfg.n_samples)
+
+    def test_one_eigvalsh_per_exact_evaluation(self, synth_obs, plate,
+                                               monkeypatch):
+        # an accepted state's bound data come from the spectra of the
+        # evaluation that accepted it, so refresh solves nothing itself
+        eigvalsh_calls, refreshes = [], []
+        per_eval = []  # (eigvalsh calls inside, returned spectra) per evaluation
+        exact, refresh = bayes._log_posterior_terms, bayes._Screen.refresh
+
+        def eigvalsh(a):
+            eigvalsh_calls.append(1)
+            return EIGVALSH(a)
+
+        def counted(*args, **kwargs):
+            before = len(eigvalsh_calls)
+            lp, spectra = exact(*args, **kwargs)
+            per_eval.append((len(eigvalsh_calls) - before, spectra is not None))
+            return lp, spectra
+
+        def refreshed(*args, **kwargs):
+            refreshes.append(1)
+            return refresh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(bayes, "_log_posterior_terms", counted)
+        monkeypatch.setattr(bayes._Screen, "refresh", refreshed)
+        cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
+                            init=self.INIT)
+        chain = mcmc_sample(synth_obs, default_priors(), plate, cfg)
+        assert per_eval[0] == (1, True)  # the start
+        # one solve per evaluation that reaches the likelihood's eigensolve
+        # (a proposal outside the prior's support or with c13^2 >= c11 c33
+        # reaches none), and no solve outside an evaluation
+        assert all(n == solved for n, solved in per_eval)
+        assert sum(n for n, _ in per_eval) == len(eigvalsh_calls)
+        assert len(eigvalsh_calls) > 0.95 * len(per_eval)
+        assert len(refreshes) == chain.accepted.sum() + 1
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     @pytest.mark.parametrize("start", ["init", "prior draws"])

@@ -154,6 +154,17 @@ def test_summarize_short_ensemble_grid_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "resolved_config_summarize.yaml").exists()
 
 
+@pytest.mark.parametrize("command", ["identify", "summarize"])
+def test_forward_order_below_one_exits_config_before_reading(tmp_path, capsys,
+                                                             command):
+    # neither observations.csv nor chain.csv exists: the order is refused
+    # when the config loads, before either command reads its input
+    cfg = write_cfg(tmp_path, base_cfg(sampler={"forward_order": 0}))
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    assert "sampler.forward_order" in capsys.readouterr().err
+
+
 def test_solve_prints_auto_converged_order(tmp_path, capsys):
     payload = base_cfg()
     del payload["band"]  # the default band: order 14 converges at 16

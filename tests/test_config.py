@@ -127,6 +127,14 @@ def test_nonpositive_proposal_scale_rejected(tmp_path, scale):
         load_config(write_cfg(tmp_path, payload))
 
 
+@pytest.mark.parametrize("order", [0, -2])
+def test_forward_order_below_one_rejected(tmp_path, order):
+    payload = full_cfg()
+    payload["sampler"] = {"forward_order": order}
+    with pytest.raises(ConfigError, match="sampler.forward_order"):
+        load_config(write_cfg(tmp_path, payload))
+
+
 @pytest.mark.parametrize("with_cg,n_points,ok", [
     (True, 3, True), (True, 2, False), (False, 1, True), (False, 0, False),
 ])
