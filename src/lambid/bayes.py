@@ -6,7 +6,7 @@ scale on observed angular frequency.  All probabilities are computed in log
 space; non-physical forward solves map to -inf and are therefore never
 accepted.  With observations, mcmc_sample rejects most proposals without an
 eigensolve, from a proved upper bound on their log posterior built from the
-current state's eigenpairs (_Screen); it rejects only what the exact
+current state's eigenpairs (_Posterior); it rejects only what the exact
 posterior would, so the chain is unchanged.  Those eigenpairs come from the
 spectra of the exact evaluation that accepted the state, so each accepted
 step costs one eigensolve.
@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import textio
-from .dispersion import (ElasticConstants, PlateSpec, TracingError, _basis,
-                         _check_definite, _parity_blocks, _top_negative)
+from .dispersion import (ElasticConstants, PlateSpec, _pair_basis,
+                         _top_negative)
 from .wavefield import ObservationSet
 
 __all__ = [
@@ -192,7 +193,7 @@ class SamplerConfig:
     init: ParamVector | None = None
     proposal_scale: float = 0.1
     forward_order: int = 10
-    target_acceptance: float = 0.234
+    target_acceptance: ClassVar[float] = 0.234  # of the warmup's step tuning
 
 
 @dataclass
@@ -251,44 +252,14 @@ def log_likelihood(
     (c13^2 >= c11 c33), or the parity block of an observed (mode, k) pair
     has no negative eigenvalue.  Only observed pairs are solved, one parity
     block each in one batched eigvalsh, so the block of a mode not observed
-    at a k cannot reject it.  Where observations lie (kh >= 0.2) every
-    block of a positive-definite stiffness is negative definite, so this
-    rejects what requiring both blocks did; below kh 0.1, with c13^2 within
-    ~1e-6 of c11 c33, A0's eigenvalue is of rounding size and either block
-    may lose its sign.
+    at a k cannot reject it; each call builds the pairs' operators C_j that
+    a chain builds once (see _Posterior).  Where observations lie
+    (kh >= 0.2) every block of a positive-definite stiffness is negative
+    definite, so this rejects what requiring both blocks did; below kh 0.1,
+    with c13^2 within ~1e-6 of c11 c33, A0's eigenvalue is of rounding size
+    and either block may lose its sign.
     """
-    return _log_likelihood_terms(obs, theta, plate, order)[0]
-
-
-def _log_likelihood_terms(obs: ObservationSet, theta: ParamVector,
-                          plate: PlateSpec, order: int):
-    """(log_likelihood, spectra): spectra are the parity block of every
-    observed pair and all its eigenvalues, ascending, as (blocks, lams);
-    None where no eigensolve ran."""
-    if len(obs) == 0:
-        raise ValueError("observation set is empty")
-    if theta.sigma <= 0:
-        return -np.inf, None
-    if min(theta.c11, theta.c13, theta.c33, theta.c55, theta.rho) <= 0:
-        return -np.inf, None
-    material = theta.material()
-    try:
-        _check_definite(material)
-    except TracingError:
-        return -np.inf, None
-    blocks = _parity_blocks(material, obs.pair_k * plate.thickness,
-                            obs.pair_branch, order)
-    lams = np.linalg.eigvalsh(blocks)
-    top = _top_negative(lams)
-    if np.isnan(top).any():
-        return -np.inf, (blocks, lams)
-    resid = obs.omega - np.sqrt(-top)[obs.pair_index] * obs.k
-    n = resid.size
-    return float(
-        -n * math.log(theta.sigma)
-        - 0.5 * n * math.log(2 * math.pi)
-        - 0.5 * float(resid @ resid) / theta.sigma**2
-    ), (blocks, lams)
+    return _Posterior(obs, None, plate, order).log_likelihood(theta.to_array())[0]
 
 
 def log_prior(theta: ParamVector, priors: PriorSpec) -> float:
@@ -310,23 +281,7 @@ def log_posterior(
     order: int = 10,
 ) -> float:
     """Unnormalized log posterior; obs=None gives the prior-only target."""
-    return _log_posterior_terms(obs, theta, priors, plate, order)[0]
-
-
-def _log_posterior_terms(obs: ObservationSet | None, theta: ParamVector,
-                         priors: PriorSpec, plate: PlateSpec, order: int):
-    """(log_posterior, spectra of its likelihood; see _log_likelihood_terms).
-
-    mcmc_sample runs every exact evaluation through this, looked up in the
-    module on every call, so a wrapper installed here sees each one.
-    """
-    lp = log_prior(theta, priors)
-    if lp == -np.inf:
-        return -np.inf, None
-    if obs is None:
-        return lp, None
-    ll, spectra = _log_likelihood_terms(obs, theta, plate, order)
-    return lp + ll, spectra
+    return _Posterior(obs, priors, plate, order).log_posterior(theta.to_array())[0]
 
 
 # every eigenvalue bound is widened by _SCREEN_REL of itself and by
@@ -337,17 +292,20 @@ _SCREEN_NORM = 1e-12
 _SCREEN_MARGIN = 1e-6  # log-posterior margin of an early rejection
 
 
-class _Screen:
-    """A rigorous upper bound on the log posterior of a proposal y from the
-    eigenpairs of an accepted state x, so that most rejections need no
+class _Posterior:
+    """The log posterior of one observation set (the prior alone for None)
+    at a parameter array, and a rigorous upper bound on it from the
+    eigenpairs of an accepted state, so that most rejections need no
     eigensolve (early rejection; Solonen et al. 2012, Bayesian Anal. 7:715).
 
-    Each observed pair's block is A(q) = sum_j q_j C_j, C_j = sum_p s^p
-    B[j, p, branch], and A(Q) is negative semidefinite for every positive
-    semidefinite Voigt matrix Q = [[q11, q13], [q13, q33]] + q55.  With
-    beta <= alpha the extreme generalized eigenvalues of (Q_y, Q_x),
-    Q_y - beta Q_x and alpha Q_x - Q_y are such matrices, so
-    alpha A(x) <= A(y) <= beta A(x) in the Loewner order.  Each pair's top
+    Each observed pair's block is A(q) = sum_j q_j C_j, and the
+    material-free C_j = sum_p s^p B[j, p, branch] (dispersion._pair_basis)
+    are built once, so every exact evaluation is one product q @ C.  A(Q) is
+    negative semidefinite for every positive semidefinite Voigt matrix
+    Q = [[q11, q13], [q13, q33]] + q55.  With beta <= alpha the extreme
+    generalized eigenvalues of (Q_y, Q_x), Q_y - beta Q_x and
+    alpha Q_x - Q_y are such matrices, so alpha A(x) <= A(y) <= beta A(x)
+    in the Loewner order.  Each pair's top
     eigenvalue lambda(y) = -c_p^2 then lies between the Rayleigh quotient
     rho_y = v^T A(y) v of x's top eigenvector v and the smaller of
     beta lambda_1(x) and Kato-Temple's
@@ -359,25 +317,58 @@ class _Screen:
     shifted solve and no eigensolve of their own.
     """
 
-    def __init__(self, obs: ObservationSet, priors: PriorSpec, plate: PlateSpec,
-                 order: int):
+    def __init__(self, obs: ObservationSet | None, priors: PriorSpec | None,
+                 plate: PlateSpec, order: int):
         self.obs, self.priors = obs, priors
-        s = 2.0 / (obs.pair_k * plate.thickness)
-        split = _basis(order)[1]
-        # c[j, i] = C_j of pair i, per branch: never one [4, 3, pairs, n, n]
-        self.c = np.empty((4, s.size, order + 1, order + 1))
-        for b in (0, 1):
-            sel = obs.pair_branch == b
-            si, bb = s[sel, None, None], split[:, :, b, None]
-            self.c[:, sel] = bb[:, 0] + si * (bb[:, 1] + si * bb[:, 2])
-        self.log_norm = -0.5 * len(obs) * math.log(2 * math.pi)
         self.state = None  # the data of a state whose bounds hold
+        if obs is None:
+            return
+        if len(obs) == 0:
+            raise ValueError("observation set is empty")
+        self.c = _pair_basis(obs.pair_k * plate.thickness, obs.pair_branch,
+                             order)
+        self.log_norm = -0.5 * len(obs) * math.log(2 * math.pi)
 
-    def refresh(self, x: np.ndarray,
-                spectra: tuple[np.ndarray, np.ndarray]) -> None:
+    def log_likelihood(self, x: np.ndarray):
+        """(log likelihood, spectra) at a finite x: spectra are the parity
+        block of every observed pair and all its eigenvalues, ascending, as
+        (blocks, lams); None where no eigensolve ran."""
+        c11, c13, c33, c55, rho, sigma = x
+        # c13^2 >= c11 c33: the 1-3 stiffness block is not positive definite
+        if not (sigma > 0 and min(c11, c13, c33, c55, rho) > 0
+                and c13 ** 2 < c11 * c33):
+            return -np.inf, None
+        blocks = ((x[:4] / rho) @ self.c.reshape(4, -1)).reshape(self.c.shape[1:])
+        lams = np.linalg.eigvalsh(blocks)
+        top = _top_negative(lams)
+        if np.isnan(top).any():
+            return -np.inf, (blocks, lams)
+        obs = self.obs
+        resid = obs.omega - np.sqrt(-top)[obs.pair_index] * obs.k
+        return float(
+            -len(obs) * math.log(sigma) + self.log_norm
+            - 0.5 * float(resid @ resid) / sigma**2
+        ), (blocks, lams)
+
+    def log_posterior(self, x: np.ndarray):
+        """(log posterior, spectra of its likelihood) at x; -inf where x is
+        not a ParamVector."""
+        try:
+            lp = log_prior(ParamVector.from_array(x), self.priors)
+        except ValueError:
+            return -np.inf, None
+        if lp == -np.inf or self.obs is None:
+            return lp, None
+        ll, spectra = self.log_likelihood(x)
+        return lp + ll, spectra
+
+    def refresh(self, x: np.ndarray, spectra) -> None:
         """Make the accepted state x the one that bounds proposals, from the
-        (blocks, lams) spectra of the exact evaluation that accepted it."""
+        (blocks, lams) spectra of the exact evaluation that accepted it;
+        with spectra None (no observations), no state bounds proposals."""
         self.state = None
+        if spectra is None:
+            return
         blocks, lams = spectra
         q = x[:4] / x[4]
         det = q[0] * q[2] - q[1] * q[1]
@@ -458,11 +449,10 @@ def mcmc_sample(
     step size tuned toward the 0.234 acceptance rate.  Adaptation freezes
     after warmup.  Deterministic for a fixed seed.  An n_samples that is
     not a positive integer, a warmup that is not a non-negative integer
-    (bools are neither), a non-positive proposal_scale and a
-    target_acceptance outside (0, 1) are ValueErrors.
+    (bools are neither) and a non-positive proposal_scale are ValueErrors.
 
     With observations, the uniform u of each step is drawn before the
-    posterior, so a proposal whose proved upper bound (see _Screen) lies
+    posterior, so a proposal whose proved upper bound (see _Posterior) lies
     below log posterior(x) + log u - 1e-6 is rejected without an
     eigensolve: the exact posterior would reject it too, so the chain and
     its random stream are exactly those of evaluating every proposal.
@@ -477,29 +467,20 @@ def mcmc_sample(
         raise ValueError("proposal_scale must be positive")
     if not (is_count(cfg.warmup) and cfg.warmup >= 0):
         raise ValueError("warmup must be a non-negative integer")
-    if not 0 < cfg.target_acceptance < 1:
-        raise ValueError("target_acceptance must lie in (0, 1)")
     d = len(PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)
-
-    def target(x: np.ndarray):
-        """(log posterior, spectra) at x; -inf where x is not a ParamVector."""
-        try:
-            theta = ParamVector.from_array(x)
-        except ValueError:
-            return -np.inf, None
-        return _log_posterior_terms(obs, theta, priors, plate, cfg.forward_order)
+    post = _Posterior(obs, priors, plate, cfg.forward_order)
 
     if cfg.init is not None:
         x = cfg.init.to_array()
-        lp, spectra = target(x)
+        lp, spectra = post.log_posterior(x)
         if lp == -np.inf:
             raise InitializationError("supplied init has -inf posterior")
     else:
         lp = -np.inf
         for _ in range(100):
             x = priors.sample(rng).to_array()
-            lp, spectra = target(x)
+            lp, spectra = post.log_posterior(x)
             if lp > -np.inf:
                 break
         else:
@@ -507,10 +488,7 @@ def mcmc_sample(
                 "no finite-posterior start found in 100 prior draws"
             )
 
-    screen = None
-    if obs is not None:
-        screen = _Screen(obs, priors, plate, cfg.forward_order)
-        screen.refresh(x, spectra)
+    post.refresh(x, spectra)
     base_sd = np.array([math.sqrt(priors.internal_var(n)) for n in PARAM_NAMES])
     log_step = 0.0
     total = cfg.warmup + cfg.n_samples
@@ -526,12 +504,11 @@ def mcmc_sample(
     for t in range(total):
         step = cfg.proposal_scale * math.exp(log_step)
         prop = x + step * (chol @ rng.standard_normal(d))
-        u = rng.uniform()  # target draws nothing, so drawing u first is free
-        if (screen is not None and u > 0.0
-                and screen.bound(prop) < lp + math.log(u) - _SCREEN_MARGIN):
+        u = rng.uniform()  # post draws nothing, so drawing u first is free
+        if u > 0.0 and post.bound(prop) < lp + math.log(u) - _SCREEN_MARGIN:
             accept = False  # the exact posterior would reject it too
         else:
-            lp_prop, spectra = target(prop)
+            lp_prop, spectra = post.log_posterior(prop)
             # -inf proposals are always rejected; log u < 0 almost surely
             log_alpha = lp_prop - lp
             accept = lp_prop > -np.inf and (
@@ -539,8 +516,7 @@ def mcmc_sample(
             )
         if accept:
             x, lp = prop, lp_prop
-            if screen is not None:
-                screen.refresh(x, spectra)
+            post.refresh(x, spectra)
         samples[t] = x
         log_posts[t] = lp
         accepted[t] = accept

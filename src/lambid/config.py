@@ -244,9 +244,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError("band: need 0 < fh_min_mhz_mm < fh_max_mhz_mm")
     if band["n_points"] < 1:
         raise ConfigError("band.n_points must be positive")
-    for key in ("n_samples", "warmup"):
-        if sampler[key] < 0 or (key == "n_samples" and sampler[key] == 0):
-            raise ConfigError(f"sampler.{key} must be positive")
+    if sampler["n_samples"] < 1:
+        raise ConfigError("sampler.n_samples must be positive")
+    if sampler["warmup"] < 0:
+        raise ConfigError("sampler.warmup must be non-negative")
     if sampler["proposal_scale"] <= 0:  # a zero step accepts every proposal
         raise ConfigError("sampler.proposal_scale must be positive")
     if sampler["forward_order"] < 1:

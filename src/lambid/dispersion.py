@@ -12,10 +12,11 @@ symmetric about its mid-plane and Legendre polynomials have parity (-1)^m,
 so A and B split exactly into an antisymmetric block (u1 odd, u3 even),
 which holds A0, and a symmetric block (u1 even, u3 odd), which holds S0,
 each (M+1) x (M+1).  mode_cp assembles one block per requested (kh, mode)
-pair in one broadcast and solves them in one batched symmetric eigensolve:
-a curve grid asks for both blocks at every kh (branch_cp), the likelihood
-only for the observed pairs.  Each mode is the smallest-magnitude negative
-eigenvalue of its own block, so the labels are exact where A0 and S0 cross.
+pair in one broadcast and solves them in one batched symmetric eigensolve,
+for both blocks at every kh of a curve grid (branch_cp).  The likelihood
+contracts q with each observed pair's C_j = sum_p s^p B[j, p] (_pair_basis).
+Each mode is the smallest-magnitude negative eigenvalue of its own block,
+so the labels are exact where A0 and S0 cross.
 Deflated inverse power iteration, the paper's solver, is inverse_power_eigs:
 one vectorised iteration over a whole stack of blocks.  mode_cp runs it with
 method="power" and gives the same eigenvalues at about 1.5 times the dense
@@ -91,8 +92,8 @@ class ElasticConstants:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be strictly positive")
+            if not 0 < getattr(self, f.name) < np.inf:
+                raise ValueError(f"{f.name} must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ class PlateSpec:
     thickness: float
 
     def __post_init__(self):
-        if self.thickness <= 0:
-            raise ValueError("thickness must be positive")
+        if not 0 < self.thickness < np.inf:
+            raise ValueError("thickness must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,30 @@ def _parity_blocks(theta: ElasticConstants, kh, branch, order: int) -> np.ndarra
     orders of opposite parity and those of D2 (T1[2], T2[1]) orders of equal
     parity, so no entry joins the two sets.
     """
+    branch = _checked_branch(branch)
+    d = _coefficients(theta, _basis(order)[1])  # [3, 2, M+1, M+1]
+    return _quadratic(d[:, branch], kh)
+
+
+def _checked_branch(branch) -> np.ndarray:
+    """branch as an integer array of 0 (A0) and 1 (S0); ValueError otherwise."""
     branch = np.asarray(branch)
     if branch.dtype.kind not in "iu" or np.any((branch != 0) & (branch != 1)):
         raise ValueError("branch must be the integer 0 (A0) or 1 (S0)")
-    d = _coefficients(theta, _basis(order)[1])  # [3, 2, M+1, M+1]
-    return _quadratic(d[:, branch], kh)
+    return branch
+
+
+def _pair_basis(kh, branch, order: int) -> np.ndarray:
+    """The material-free C[j, i] = sum_p s^p B[j, p, branch_i], s = 2/kh_i,
+    of every pair i of the 1-D kh and branch: [4, pairs, M+1, M+1].  Pair
+    i's parity block is sum_j q_j C[j, i].  Built one branch at a time, so
+    no [4, 3, pairs, M+1, M+1] array is made."""
+    kh, branch = np.asarray(kh, dtype=float), _checked_branch(branch)
+    split = np.moveaxis(_basis(order)[1], 1, 0)  # [3, 4, 2, M+1, M+1]
+    c = np.empty((4, kh.size, order + 1, order + 1))
+    for b in (0, 1):
+        c[:, branch == b] = _quadratic(split[:, :, b, None], kh[branch == b])
+    return c
 
 
 def assemble_system(theta: ElasticConstants, kh: float, order: int) -> SystemMatrices:

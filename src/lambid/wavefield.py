@@ -166,7 +166,8 @@ def synth_wavefield(
     of exp(i k b a dx) and exp(i k r dx), so a mode costs 2 sqrt(n_x)
     exponentials per bin and one complex product per entry.
     geometry: {n_x, dx, n_t, dt}; excitation: chirp {f_lo, f_hi, duration}.
-    Deterministic for fixed seed.
+    noise_rms is the absolute sd of the added Gaussian noise, not a fraction
+    of the signal's RMS.  Deterministic for fixed seed.
     """
     n_x, dx = int(geometry["n_x"]), float(geometry["dx"])
     n_t, dt = int(geometry["n_t"]), float(geometry["dt"])

@@ -338,6 +338,30 @@ def k_grid_brentq(theta, plate, fh_min: float, fh_max: float,
     return np.geomspace(k_start, k_stop, n_points)
 
 
+def parity_block_log_likelihood(obs, theta, plate, order: int) -> float:
+    """lambid.bayes.log_likelihood as it was before the chain held each
+    observed pair's operators C_j: every call assembles the blocks as
+    D0 + s D1 + s^2 D2 through dispersion._parity_blocks, from the material's
+    coefficient matrices D_p = sum_j q_j B[j, p]."""
+    from lambid.dispersion import _parity_blocks
+
+    if theta.sigma <= 0 or min(theta.c11, theta.c13, theta.c33, theta.c55,
+                               theta.rho) <= 0:
+        return -np.inf
+    if theta.c13 ** 2 >= theta.c11 * theta.c33:
+        return -np.inf
+    blocks = _parity_blocks(theta.material(), obs.pair_k * plate.thickness,
+                            obs.pair_branch, order)
+    lams = np.linalg.eigvalsh(blocks)
+    top = np.where(lams < 0, lams, -np.inf).max(axis=-1)
+    if np.isinf(top).any():
+        return -np.inf
+    resid = obs.omega - np.sqrt(-top)[obs.pair_index] * obs.k
+    n = resid.size
+    return (-n * math.log(theta.sigma) - 0.5 * n * math.log(2 * math.pi)
+            - 0.5 * float(resid @ resid) / theta.sigma ** 2)
+
+
 def plain_mcmc_sample(obs, priors, plate, cfg):
     """lambid.bayes.mcmc_sample as it was before early rejection: every
     proposal's exact log posterior is evaluated, and u is drawn after it.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from lambid.bayes import (PARAM_NAMES, Chain, GammaPrior, InitializationError,
                           default_priors, log_likelihood, log_prior,
                           mcmc_sample, read_chain, write_chain)
 import lambid.bayes as bayes
+import lambid.dispersion as dispersion
 import oracles
-from conftest import one_negative_at
+from conftest import one_negative_at, random_constants
 from lambid.dispersion import (PlateSpec, _parity_blocks, k_grid_for_fh_band,
                                smallest_physical_cp, trace_curves)
 from lambid.wavefield import ObservationSet
@@ -137,6 +139,32 @@ class TestLikelihood:
             got = log_likelihood(synth_obs, theta, plate, order=10)
             assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
 
+    def test_matches_parity_block_likelihood(self, synth_obs, gfrp, plate,
+                                             rng):
+        # the observed pairs' operators C_j only reorder the roundings of
+        # each block's assembly
+        thetas = [ParamVector(gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                              2e3)]
+        for _ in range(20):
+            m = random_constants(rng)
+            thetas.append(ParamVector(m.c11, m.c13, m.c33, m.c55, m.rho,
+                                      rng.uniform(1e3, 1e5)))
+        for theta in thetas:
+            want = oracles.parity_block_log_likelihood(synth_obs, theta, plate, 10)
+            got = log_likelihood(synth_obs, theta, plate, order=10)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_chain_blocks_match_parity_blocks(self, synth_obs, plate, rng):
+        post = bayes._Posterior(synth_obs, default_priors(), plate, 10)
+        kh = synth_obs.pair_k * plate.thickness
+        for _ in range(20):
+            m = random_constants(rng)
+            x = np.array([m.c11, m.c13, m.c33, m.c55, m.rho, 2e3])
+            blocks = post.log_likelihood(x)[1][0]
+            want = _parity_blocks(m, kh, synth_obs.pair_branch, 10)
+            norm = np.abs(want).max(axis=(1, 2))
+            assert np.all(np.abs(blocks - want).max(axis=(1, 2)) <= 1e-15 * norm)
+
     def test_rejected_when_a_k_lacks_two_branches(self, synth_obs, gfrp,
                                                   plate, monkeypatch):
         theta = ParamVector(gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
@@ -202,9 +230,9 @@ class TestSampler:
                                                   monkeypatch, warmup):
         # warmup=-3 used to run every step and then fail in Chain
         def solve(*args, **kwargs):
-            raise AssertionError("posterior evaluated")
+            raise AssertionError("posterior built")
 
-        monkeypatch.setattr(bayes, "_log_posterior_terms", solve)
+        monkeypatch.setattr(bayes, "_Posterior", solve)
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         cfg = SamplerConfig(n_samples=20, warmup=warmup, seed=1, init=init)
         with pytest.raises(ValueError, match="warmup"):
@@ -216,23 +244,42 @@ class TestSampler:
         # 2.5 and "5" used to fail with TypeError in np.empty or the
         # comparison, and True ran a one-sample chain
         def solve(*args, **kwargs):
-            raise AssertionError("posterior evaluated")
+            raise AssertionError("posterior built")
 
-        monkeypatch.setattr(bayes, "_log_posterior_terms", solve)
+        monkeypatch.setattr(bayes, "_Posterior", solve)
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         cfg = SamplerConfig(n_samples=n_samples, warmup=10, seed=1, init=init)
         with pytest.raises(ValueError, match="n_samples"):
             mcmc_sample(synth_obs, default_priors(), plate, cfg)
 
-    @pytest.mark.parametrize("target", [0.0, 1.0, 1.5, -0.2, float("nan")])
-    def test_target_acceptance_outside_unit_interval_rejected(self, plate,
-                                                             target):
-        # 1.5 used to push the step size up forever, so a prior-only chain
-        # reported acceptance 1.0
-        cfg = SamplerConfig(n_samples=20, warmup=10, seed=1,
-                            target_acceptance=target)
-        with pytest.raises(ValueError, match="target_acceptance"):
-            mcmc_sample(None, default_priors(), plate, cfg)
+    def test_target_acceptance_is_a_constant(self):
+        # no caller set it, so it is no field a config could get wrong
+        assert len(dataclasses.fields(SamplerConfig)) == 6
+        assert SamplerConfig().target_acceptance == 0.234
+        with pytest.raises(TypeError):
+            SamplerConfig(target_acceptance=0.5)
+
+    @pytest.mark.parametrize("with_obs", [True, False])
+    def test_one_pair_basis_per_chain(self, synth_obs, plate, monkeypatch,
+                                      with_obs):
+        # the chain builds the observed pairs' C_j once, its start's prior
+        # draws included, and never assembles blocks as the grid callers do
+        calls = []
+        pair_basis = bayes._pair_basis
+
+        def counted(*args):
+            calls.append(1)
+            return pair_basis(*args)
+
+        def parity_blocks(*args):
+            raise AssertionError("_parity_blocks called")
+
+        monkeypatch.setattr(bayes, "_pair_basis", counted)
+        monkeypatch.setattr(dispersion, "_parity_blocks", parity_blocks)
+        cfg = SamplerConfig(n_samples=300, warmup=100, seed=3)
+        mcmc_sample(synth_obs if with_obs else None, default_priors(), plate,
+                    cfg)
+        assert len(calls) == with_obs
 
     def test_reproducible(self, synth_obs, plate):
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
@@ -287,26 +334,25 @@ class TestSampler:
 
 class TestEarlyRejection:
     """With observations, mcmc_sample rejects most proposals from a proved
-    upper bound on their log posterior (bayes._Screen), so it must give
-    exactly the chain of evaluating every proposal."""
+    upper bound on their log posterior (bayes._Posterior.bound), so it must
+    give exactly the chain of evaluating every proposal."""
 
     INIT = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
 
     @staticmethod
-    def refresh(screen, x, plate):
-        """Refresh screen at x from the spectra of x's exact posterior, as
+    def refresh(post, x):
+        """Refresh post at x from the spectra of x's exact posterior, as
         mcmc_sample does on acceptance; False where that evaluation ran no
         eigensolve."""
-        _, spectra = bayes._log_posterior_terms(
-            screen.obs, ParamVector.from_array(x), screen.priors, plate, 10)
+        _, spectra = post.log_posterior(x)
         if spectra is None:
             return False
-        screen.refresh(x, spectra)
+        post.refresh(x, spectra)
         return True
 
     def test_bounds_hold_from_small_to_large_steps(self, synth_obs, plate):
         priors = default_priors()
-        screen = bayes._Screen(synth_obs, priors, plate, 10)
+        post = bayes._Posterior(synth_obs, priors, plate, 10)
         kh = synth_obs.pair_k * plate.thickness
         rng = np.random.default_rng(17)
         truth = self.INIT.to_array()
@@ -317,15 +363,15 @@ class TestEarlyRejection:
                 x = truth * np.exp(rng.normal(0.0, 0.05, 6))
             else:
                 x = priors.sample(rng).to_array()
-            if not self.refresh(screen, x, plate) or screen.state is None:
+            if not self.refresh(post, x) or post.state is None:
                 continue
             for rel in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
                 y = x * (1 + rel * rng.standard_normal(6))
                 exact = bayes.log_posterior(
                     synth_obs, ParamVector.from_array(y), priors, plate, 10)
-                bound = screen.bound(y)
+                bound = post.bound(y)
                 assert exact <= bound
-                eig = screen.eigen_bounds(y)
+                eig = post.eigen_bounds(y)
                 if rel <= 1e-2:  # small steps are always bounded
                     assert eig is not None and bound < math.inf
                 if eig is None:
@@ -341,15 +387,15 @@ class TestEarlyRejection:
                                                monkeypatch):
         x = self.INIT.to_array()
         y = x * (1 + 1e-3 * np.random.default_rng(5).standard_normal(6))
-        want = bayes._Screen(synth_obs, default_priors(), plate, 10)
-        assert self.refresh(want, x, plate)
+        want = bayes._Posterior(synth_obs, default_priors(), plate, 10)
+        assert self.refresh(want, x)
 
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        got = bayes._Screen(synth_obs, default_priors(), plate, 10)
-        assert self.refresh(got, x, plate)
+        got = bayes._Posterior(synth_obs, default_priors(), plate, 10)
+        assert self.refresh(got, x)
         assert np.allclose(got.eigen_bounds(y), want.eigen_bounds(y),
                            rtol=1e-8, atol=0.0)
 
@@ -358,13 +404,13 @@ class TestEarlyRejection:
         # a screen that silently stopped rejecting would still pass every
         # equivalence test, so count the exact evaluations
         calls = []
-        exact = bayes._log_posterior_terms
+        exact = bayes._Posterior.log_posterior
 
         def counted(*args, **kwargs):
             calls.append(1)
             return exact(*args, **kwargs)
 
-        monkeypatch.setattr(bayes, "_log_posterior_terms", counted)
+        monkeypatch.setattr(bayes._Posterior, "log_posterior", counted)
         cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
                             init=self.INIT)
         mcmc_sample(synth_obs, default_priors(), plate, cfg)
@@ -376,7 +422,7 @@ class TestEarlyRejection:
         # evaluation that accepted it, so refresh solves nothing itself
         eigvalsh_calls, refreshes = [], []
         per_eval = []  # (eigvalsh calls inside, returned spectra) per evaluation
-        exact, refresh = bayes._log_posterior_terms, bayes._Screen.refresh
+        exact, refresh = bayes._Posterior.log_posterior, bayes._Posterior.refresh
 
         def eigvalsh(a):
             eigvalsh_calls.append(1)
@@ -393,8 +439,8 @@ class TestEarlyRejection:
             return refresh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        monkeypatch.setattr(bayes, "_log_posterior_terms", counted)
-        monkeypatch.setattr(bayes._Screen, "refresh", refreshed)
+        monkeypatch.setattr(bayes._Posterior, "log_posterior", counted)
+        monkeypatch.setattr(bayes._Posterior, "refresh", refreshed)
         cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
                             init=self.INIT)
         chain = mcmc_sample(synth_obs, default_priors(), plate, cfg)

@@ -119,6 +119,16 @@ def test_bad_sampler_counts(tmp_path):
         load_config(write_cfg(tmp_path, payload))
 
 
+def test_warmup_must_be_non_negative(tmp_path):
+    # zero warmup is valid, so "must be positive" misstated the rule
+    payload = full_cfg()
+    payload["sampler"] = {"warmup": 0}
+    assert load_config(write_cfg(tmp_path, payload)).sampler["warmup"] == 0
+    payload["sampler"] = {"warmup": -1}
+    with pytest.raises(ConfigError, match="sampler.warmup must be non-negative"):
+        load_config(write_cfg(tmp_path, payload))
+
+
 @pytest.mark.parametrize("scale", [0.0, 0, -0.1])
 def test_nonpositive_proposal_scale_rejected(tmp_path, scale):
     payload = full_cfg()

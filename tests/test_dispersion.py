@@ -45,6 +45,18 @@ class TestConstants:
         with pytest.raises(ValueError):
             ElasticConstants(1e9, 1e9, 1e9, 1e9, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, plate, bad):
+        # NaN passed `<= 0`: a NaN plate gave an all-NaN k grid and a NaN
+        # c11 failed inside LAPACK ("Eigenvalues did not converge")
+        for i in range(5):
+            values = [30e9, 8e9, 17e9, 8e9, 1200.0]
+            values[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ElasticConstants(*values)
+        with pytest.raises(ValueError, match="finite"):
+            PlateSpec(bad)
+
     def test_loss_of_definiteness_not_rejected_at_type_level(self):
         # c13 >= sqrt(c11 c33) is rejected by the forward model (see
         # test_indefinite_stiffness_rejected_by_forward_model), not the dataclass
@@ -329,6 +341,20 @@ class TestBasis:
             with pytest.raises(ValueError, match="order"):
                 dp._basis(order)
         assert dp._basis.cache_info().currsize == cached
+
+
+    def test_pair_basis_shape_and_checks(self):
+        import lambid.dispersion as dp
+
+        c = dp._pair_basis([0.5, 1.0, 2.0], [0, 1, 0], 4)
+        assert c.shape == (4, 3, 5, 5)
+        for branch in ([0, 2], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="branch"):
+                dp._pair_basis([0.5, 1.0], branch, 4)
+        with pytest.raises(ValueError, match="kh"):
+            dp._pair_basis([0.0, 1.0], [0, 1], 4)
+        with pytest.raises(ValueError, match="order"):
+            dp._pair_basis([0.5, 1.0], [0, 1], 0)
 
 
 class TestEigensolvers:

@@ -48,6 +48,19 @@ def test_package_source_imports_no_scipy():
     assert {name: mods for name, mods in found.items() if mods} == {}
 
 
+def test_bayes_assembles_no_blocks_of_its_own():
+    """The likelihood's blocks come from dispersion._pair_basis only: bayes
+    neither imports nor looks up the grid callers' block assembly."""
+    path = Path(lambid.__file__).parent / "bayes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert names & {"_basis", "_coefficients", "_quadratic", "_parity_blocks"} == set()
+    assert "_pair_basis" in names
+
+
 # Runs in a fresh interpreter: tests/oracles.py imports scipy into pytest's.
 _NO_SCIPY_SCRIPT = """
 import json, sys
