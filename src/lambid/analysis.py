@@ -129,10 +129,13 @@ def curve_ensemble(
     had, and the one the benchmark's ensemble check (bench/checks.py)
     expects.  It differs from trace_curves' parity labels only past an
     A0/S0 crossing.  c_g is d omega / d k by group_velocity's differences.
+    A max_solves below 1 is a ValueError, raised before any solve too.
     """
     k_grid = _checked_k_grid(k_grid)
     if with_cg and k_grid.size < 3:
         raise ValueError("group velocity needs at least 3 points")
+    if max_solves < 1:  # 0 divides by zero and below it solves every row
+        raise ValueError("max_solves must be at least 1")
     _check_order(order)
     draws = chain.post_warmup
     step = max(1, math.ceil(draws.shape[0] / max_solves))

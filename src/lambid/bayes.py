@@ -135,65 +135,82 @@ class NormalPrior:
         return rng.normal(self.mean, self.sd)
 
 
+# name -> multiply internal value by this before the pdf
+_PRIOR_SCALES = {"c11": 1e-9, "c13": 1e-9, "c33": 1e-9, "c55": 1e-9,
+                 "rho": 1.0, "sigma": 1.0}
+
+
 @dataclass(frozen=True)
 class PriorSpec:
-    """Independent per-parameter priors, plus internal-to-prior unit scales.
+    """Independent per-parameter priors.
 
-    Stiffness priors are stated in GPa while the sampler works in Pa; the
-    scale converts before density evaluation, with the log-Jacobian included
-    so densities stay proper over the internal units.
+    Stiffness priors are stated in GPa while the sampler works in Pa;
+    _PRIOR_SCALES converts before density evaluation, with the log-Jacobian
+    included so densities stay proper over the internal units.
     """
 
     priors: dict  # name -> GammaPrior | NormalPrior
-    scales: dict  # name -> multiply internal value by this before the pdf
 
     def logpdf(self, name: str, internal_value: float) -> float:
-        s = self.scales[name]
+        s = _PRIOR_SCALES[name]
         return self.priors[name].logpdf(internal_value * s) + math.log(s)
 
     def sample(self, rng: np.random.Generator) -> ParamVector:
         vals = {
-            name: self.priors[name].sample(rng) / self.scales[name]
+            name: self.priors[name].sample(rng) / _PRIOR_SCALES[name]
             for name in PARAM_NAMES
         }
         return ParamVector(**vals)
 
     def internal_mean(self, name: str) -> float:
-        return self.priors[name].mean / self.scales[name]
+        return self.priors[name].mean / _PRIOR_SCALES[name]
 
     def internal_var(self, name: str) -> float:
-        return self.priors[name].var / self.scales[name] ** 2
+        return self.priors[name].var / _PRIOR_SCALES[name] ** 2
 
 
 def default_priors() -> PriorSpec:
     """Broad Gamma priors on the stiffnesses and noise, tight Normal on
     density.  Stiffness priors are in GPa (e.g. C11 prior mean 100 GPa)."""
-    gpa = 1e-9
-    return PriorSpec(
-        priors={
-            "c11": GammaPrior(shape=2.0, rate=0.02),
-            "c13": GammaPrior(shape=1.5, rate=0.05),
-            "c33": GammaPrior(shape=1.5, rate=0.05),
-            "c55": GammaPrior(shape=1.5, rate=0.025),
-            "rho": NormalPrior(mean=1600.0, sd=300.0),
-            "sigma": GammaPrior(shape=2.0, rate=2e-5),
-        },
-        scales={
-            "c11": gpa, "c13": gpa, "c33": gpa, "c55": gpa,
-            "rho": 1.0, "sigma": 1.0,
-        },
-    )
+    return PriorSpec(priors={
+        "c11": GammaPrior(shape=2.0, rate=0.02),
+        "c13": GammaPrior(shape=1.5, rate=0.05),
+        "c33": GammaPrior(shape=1.5, rate=0.05),
+        "c55": GammaPrior(shape=1.5, rate=0.025),
+        "rho": NormalPrior(mean=1600.0, sd=300.0),
+        "sigma": GammaPrior(shape=2.0, rate=2e-5),
+    })
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
+    """One mcmc_sample chain's settings, and the one owner of their
+    defaults and rules (lambid.config reads both from here): ValueError
+    unless n_samples and forward_order are positive integers, warmup is a
+    non-negative integer (bools are neither) and proposal_scale is positive.
+    """
+
     n_samples: int = 20_000
     warmup: int = 5_000
     seed: int = 0
     init: ParamVector | None = None
-    proposal_scale: float = 0.1
+    proposal_scale: float = 0.1  # a zero step accepts every proposal
     forward_order: int = 10
     target_acceptance: ClassVar[float] = 0.234  # of the warmup's step tuning
+
+    def __post_init__(self):
+        def is_count(value) -> bool:
+            return (isinstance(value, (int, np.integer))
+                    and not isinstance(value, bool))
+
+        if not (is_count(self.n_samples) and self.n_samples > 0):
+            raise ValueError("n_samples must be a positive integer")
+        if not (is_count(self.warmup) and self.warmup >= 0):
+            raise ValueError("warmup must be non-negative and an integer")
+        if not self.proposal_scale > 0:
+            raise ValueError("proposal_scale must be positive")
+        if not (is_count(self.forward_order) and self.forward_order > 0):
+            raise ValueError("forward_order must be a positive integer")
 
 
 @dataclass
@@ -447,9 +464,9 @@ def mcmc_sample(
     Multivariate Gaussian proposals; during warmup the proposal covariance
     follows the empirical chain covariance scaled by 2.38^2/d and a scalar
     step size tuned toward the 0.234 acceptance rate.  Adaptation freezes
-    after warmup.  Deterministic for a fixed seed.  An n_samples that is
-    not a positive integer, a warmup that is not a non-negative integer
-    (bools are neither) and a non-positive proposal_scale are ValueErrors.
+    after warmup.  Deterministic for a fixed seed.  The settings' defaults
+    and range rules belong to SamplerConfig, which checks them when cfg is
+    built.
 
     With observations, the uniform u of each step is drawn before the
     posterior, so a proposal whose proved upper bound (see _Posterior) lies
@@ -458,15 +475,6 @@ def mcmc_sample(
     its random stream are exactly those of evaluating every proposal.
     Prior-only chains evaluate every proposal.
     """
-    def is_count(value) -> bool:
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-    if not (is_count(cfg.n_samples) and cfg.n_samples > 0):
-        raise ValueError("n_samples must be a positive integer")
-    if not cfg.proposal_scale > 0:
-        raise ValueError("proposal_scale must be positive")
-    if not (is_count(cfg.warmup) and cfg.warmup >= 0):
-        raise ValueError("warmup must be a non-negative integer")
     d = len(PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)
     post = _Posterior(obs, priors, plate, cfg.forward_order)

@@ -159,13 +159,7 @@ def cmd_identify(cfg: RunConfig, out: Path, n_chains: int) -> None:
     except (OSError, ValueError) as exc:
         raise CliError("io", f"cannot read observations at {obs_path}: {exc}")
     for i in range(n_chains):
-        scfg = bayes.SamplerConfig(
-            n_samples=cfg.sampler["n_samples"],
-            warmup=cfg.sampler["warmup"],
-            seed=cfg.seed + i,
-            proposal_scale=cfg.sampler["proposal_scale"],
-            forward_order=cfg.sampler["forward_order"],
-        )
+        scfg = bayes.SamplerConfig(**cfg.sampler, seed=cfg.seed + i)
         try:
             chain = bayes.mcmc_sample(obs, cfg.priors, plate, scfg)
         except bayes.InitializationError as exc:

@@ -9,11 +9,12 @@ its own directory.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
-from .bayes import GammaPrior, NormalPrior, PriorSpec, default_priors
+from .bayes import (GammaPrior, NormalPrior, PriorSpec, SamplerConfig,
+                    default_priors)
 from .dispersion import ElasticConstants, PlateSpec, engineering_to_constants
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -32,10 +33,8 @@ _DEFAULTS = {
         "noise_rms": 0.0, "amplitude": 1.0,
     },
     "extract": {"min_prominence": 0.3, "max_jump_bins": 3, "window": False},
-    "sampler": {
-        "n_samples": 20000, "warmup": 5000, "proposal_scale": 0.1,
-        "forward_order": 10,
-    },
+    "sampler": {f.name: f.default for f in fields(SamplerConfig)
+                if f.name not in ("seed", "init")},
     "ensemble": {"with_cg": True, "n_points": 60, "max_members": 200},
     "files": {
         "wavefield": "wavefield", "observations": "observations.csv",
@@ -142,14 +141,9 @@ class RunConfig:
             }
         if self.plate is not None:
             out["plate"] = {"thickness_mm": self.plate.thickness * 1e3}
-        out["priors"] = {
-            name: (
-                {"dist": "gamma", "shape": p.shape, "rate": p.rate}
-                if isinstance(p, GammaPrior)
-                else {"dist": "normal", "mean": p.mean, "sd": p.sd}
-            )
-            for name, p in self.priors.priors.items()
-        }
+        dists = {kind: dist for dist, kind in _PRIOR_KINDS.items()}
+        out["priors"] = {name: {"dist": dists[type(p)], **asdict(p)}
+                         for name, p in self.priors.priors.items()}
         return out
 
     def dump_resolved(self, path) -> None:
@@ -161,8 +155,7 @@ _MATERIAL_KEYS = {
     "elastic": ("c11_gpa", "c13_gpa", "c33_gpa", "c55_gpa", "rho_kg_m3"),
     "engineering": ("e11_gpa", "e22_gpa", "g12_gpa", "nu12", "nu21", "rho_kg_m3"),
 }
-_PRIOR_KINDS = {"gamma": (GammaPrior, ("shape", "rate")),
-                "normal": (NormalPrior, ("mean", "sd"))}
+_PRIOR_KINDS = {"gamma": GammaPrior, "normal": NormalPrior}
 
 
 def _parse_material(raw: dict) -> ElasticConstants | None:
@@ -196,9 +189,8 @@ def _parse_material(raw: dict) -> ElasticConstants | None:
 
 
 def _parse_priors(raw: dict) -> PriorSpec:
-    base = default_priors()
     overrides = _mapping(raw.get("priors"), "priors")
-    priors = dict(base.priors)
+    priors = dict(default_priors().priors)
     for name, spec in overrides.items():
         if name not in priors:
             raise ConfigError(f"priors.{name}: unknown parameter")
@@ -206,14 +198,14 @@ def _parse_priors(raw: dict) -> PriorSpec:
         spec = _mapping(spec, where)
         if spec.get("dist") not in _PRIOR_KINDS:
             raise ConfigError(f"{where}.dist must be 'gamma' or 'normal'")
-        kind, keys = _PRIOR_KINDS[spec["dist"]]
+        kind = _PRIOR_KINDS[spec["dist"]]
+        keys = [f.name for f in fields(kind)]
         _known_keys(spec, ("dist", *keys), where)
-        args = [_number(spec, key, where) for key in keys]
         try:
-            priors[name] = kind(*args)
+            priors[name] = kind(*(_number(spec, key, where) for key in keys))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    return PriorSpec(priors=priors, scales=base.scales)
+    return PriorSpec(priors=priors)
 
 
 def load_config(path) -> RunConfig:
@@ -244,14 +236,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError("band: need 0 < fh_min_mhz_mm < fh_max_mhz_mm")
     if band["n_points"] < 1:
         raise ConfigError("band.n_points must be positive")
-    if sampler["n_samples"] < 1:
-        raise ConfigError("sampler.n_samples must be positive")
-    if sampler["warmup"] < 0:
-        raise ConfigError("sampler.warmup must be non-negative")
-    if sampler["proposal_scale"] <= 0:  # a zero step accepts every proposal
-        raise ConfigError("sampler.proposal_scale must be positive")
-    if sampler["forward_order"] < 1:
-        raise ConfigError("sampler.forward_order must be at least 1")
+    try:
+        SamplerConfig(**sampler)
+    except ValueError as exc:
+        raise ConfigError(f"sampler.{exc}") from exc
     ensemble = sections["ensemble"]
     if ensemble["max_members"] < 1:
         raise ConfigError("ensemble.max_members must be positive")

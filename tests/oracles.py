@@ -365,18 +365,17 @@ def parity_block_log_likelihood(obs, theta, plate, order: int) -> float:
 def plain_mcmc_sample(obs, priors, plate, cfg):
     """lambid.bayes.mcmc_sample as it was before early rejection: every
     proposal's exact log posterior is evaluated, and u is drawn after it.
-    The package's chains must equal this one's byte for byte."""
+    The package's chains must equal this one's byte for byte.  One
+    bayes._Posterior serves the chain (the public log_posterior is its
+    log_posterior on a fresh instance), so the pairs' C_j are built once."""
     import lambid.bayes as bayes
 
     d = len(bayes.PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)
+    post = bayes._Posterior(obs, priors, plate, cfg.forward_order)
 
     def target(x):
-        try:
-            theta = bayes.ParamVector.from_array(x)
-        except ValueError:
-            return -np.inf
-        return bayes.log_posterior(obs, theta, priors, plate, cfg.forward_order)
+        return post.log_posterior(x)[0]
 
     if cfg.init is not None:
         x = cfg.init.to_array()

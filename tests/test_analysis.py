@@ -155,6 +155,21 @@ class TestEnsemble:
             curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate,
                            np.array([500.0, 900.0]), with_cg=True, order=8)
 
+    @pytest.mark.parametrize("max_solves", [0, -3])
+    def test_max_solves_below_one_rejected_before_solving(
+            self, gfrp, plate, monkeypatch, max_solves):
+        # 0 divided by zero, and -3 made the step 1 and solved every row
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the max_solves check")
+
+        monkeypatch.setattr(analysis, "branch_cp", no_solve)
+        row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                        2e3])
+        with pytest.raises(ValueError, match="max_solves must be at least 1"):
+            curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate,
+                           np.array([500.0, 700.0, 900.0]), order=8,
+                           max_solves=max_solves)
+
     def test_bad_order_rejected_before_solving(self, gfrp, plate, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the order check")

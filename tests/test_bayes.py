@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lambid.bayes import (PARAM_NAMES, Chain, GammaPrior, InitializationError,
-                          NormalPrior, ParamVector, PriorSpec, SamplerConfig,
+from lambid.bayes import (Chain, GammaPrior, InitializationError, NormalPrior,
+                          ParamVector, PriorSpec, SamplerConfig,
                           default_priors, log_likelihood, log_prior,
                           mcmc_sample, read_chain, write_chain)
 import lambid.bayes as bayes
@@ -220,9 +220,9 @@ class TestSampler:
         # so the chain would never move and report acceptance 1
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         for scale in (0.0, -0.1, float("nan")):
-            cfg = SamplerConfig(n_samples=200, warmup=50, seed=1, init=init,
-                                proposal_scale=scale)
             with pytest.raises(ValueError, match="proposal_scale"):
+                cfg = SamplerConfig(n_samples=200, warmup=50, seed=1,
+                                    init=init, proposal_scale=scale)
                 mcmc_sample(synth_obs, default_priors(), plate, cfg)
 
     @pytest.mark.parametrize("warmup", [-3, 2.5, "5", True])
@@ -234,8 +234,8 @@ class TestSampler:
 
         monkeypatch.setattr(bayes, "_Posterior", solve)
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
-        cfg = SamplerConfig(n_samples=20, warmup=warmup, seed=1, init=init)
         with pytest.raises(ValueError, match="warmup"):
+            cfg = SamplerConfig(n_samples=20, warmup=warmup, seed=1, init=init)
             mcmc_sample(synth_obs, default_priors(), plate, cfg)
 
     @pytest.mark.parametrize("n_samples", [0, -5, 2.5, "5", True])
@@ -248,9 +248,22 @@ class TestSampler:
 
         monkeypatch.setattr(bayes, "_Posterior", solve)
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
-        cfg = SamplerConfig(n_samples=n_samples, warmup=10, seed=1, init=init)
         with pytest.raises(ValueError, match="n_samples"):
+            cfg = SamplerConfig(n_samples=n_samples, warmup=10, seed=1,
+                                init=init)
             mcmc_sample(synth_obs, default_priors(), plate, cfg)
+
+    @pytest.mark.parametrize("order", [0, 2.5])
+    def test_bad_forward_order_rejected(self, order):
+        # a prior-only chain used to run with either order
+        with pytest.raises(ValueError, match="forward_order must be"):
+            SamplerConfig(n_samples=20, warmup=10, forward_order=order)
+
+    def test_fields_cannot_be_assigned(self):
+        # a config is checked once, when built, so it must not change after
+        cfg = SamplerConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_samples = 0
 
     def test_target_acceptance_is_a_constant(self):
         # no caller set it, so it is no field a config could get wrong
@@ -304,20 +317,18 @@ class TestSampler:
 
     def test_prior_only_toy_gaussian_moments(self, plate):
         # closed-form Gaussian target: all-normal "priors", no likelihood;
-        # chain moments must match analytic moments within 3 MCSE
-        priors = PriorSpec(
-            priors={
-                "c11": NormalPrior(5.0, 1.0), "c13": NormalPrior(4.0, 1.0),
-                "c33": NormalPrior(3.0, 1.0), "c55": NormalPrior(2.0, 1.0),
-                "rho": NormalPrior(10.0, 2.0), "sigma": NormalPrior(7.0, 0.5),
-            },
-            scales={n: 1.0 for n in PARAM_NAMES},
-        )
+        # chain moments must match analytic moments within 3 MCSE.  The
+        # stiffness priors are in GPa, so c11's mean is 5e9 Pa
+        priors = PriorSpec(priors={
+            "c11": NormalPrior(5.0, 1.0), "c13": NormalPrior(4.0, 1.0),
+            "c33": NormalPrior(3.0, 1.0), "c55": NormalPrior(2.0, 1.0),
+            "rho": NormalPrior(10.0, 2.0), "sigma": NormalPrior(7.0, 0.5),
+        })
         cfg = SamplerConfig(n_samples=30_000, warmup=4_000, seed=5,
                             proposal_scale=1.0)
         chain = mcmc_sample(None, priors, plate, cfg)
         from lambid.analysis import mc_standard_error
-        for name, mu in [("c11", 5.0), ("rho", 10.0), ("sigma", 7.0)]:
+        for name, mu in [("c11", 5e9), ("rho", 10.0), ("sigma", 7.0)]:
             x = chain.param(name)
             se = mc_standard_error(x)
             assert abs(x.mean() - mu) < 3 * se

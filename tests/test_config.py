@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from lambid.bayes import GammaPrior, NormalPrior
+from lambid.bayes import GammaPrior, NormalPrior, SamplerConfig
 from lambid.config import ConfigError, load_config
 
 GFRP_ELASTIC = {
@@ -45,6 +45,16 @@ def test_defaults_applied(tmp_path):
     assert cfg.solver["order"] == 14
     assert cfg.sampler["warmup"] == 5000
     assert cfg.files["chain"] == "chain.csv"
+
+
+def test_sampler_defaults_come_from_sampler_config(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, full_cfg()))
+    want = SamplerConfig()
+    assert cfg.sampler == {
+        "n_samples": want.n_samples, "warmup": want.warmup,
+        "proposal_scale": want.proposal_scale,
+        "forward_order": want.forward_order,
+    }
 
 
 def test_section_override_merges(tmp_path):
