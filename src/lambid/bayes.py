@@ -7,9 +7,12 @@ space; non-physical forward solves map to -inf and are therefore never
 accepted.  With observations, mcmc_sample rejects most proposals without an
 eigensolve, from a proved upper bound on their log posterior built from the
 current state's eigenpairs (_Posterior); it rejects only what the exact
-posterior would, so the chain is unchanged.  Those eigenpairs come from the
-spectra of the exact evaluation that accepted the state, so each accepted
-step costs one eigensolve.
+posterior would.  The proposals it evaluates start from the same eigenpairs:
+each pair's top eigenvalue is certified by at most two batched shifted
+solves, with eigvalsh as the fallback and to re-anchor the bounds now and
+then, so an accepted step costs about one batched solve.  Samples and accept
+flags are byte for byte those of evaluating every proposal by eigvalsh; log
+posteriors agree with it to 1e-10 relative.
 """
 
 from __future__ import annotations
@@ -307,6 +310,25 @@ def log_posterior(
 _SCREEN_REL = 1e-9
 _SCREEN_NORM = 1e-12
 _SCREEN_MARGIN = 1e-6  # log-posterior margin of an early rejection
+_CERTIFY_REL = 1e-13  # widest Kato-Temple interval of a certified eigenvalue
+# an eigvalsh evaluation re-anchors the chained lambda_2 bounds once the
+# product of the betas since the last one falls below this
+_REANCHOR = 0.8
+
+
+def _inverse_iteration(blocks: np.ndarray, shift: np.ndarray,
+                       start: np.ndarray):
+    """The unit (blocks - shift I)^-1 start of every pair, by one batched
+    solve; None where a solve is singular or not finite."""
+    try:
+        w = np.linalg.solve(blocks - shift[:, None, None] * np.eye(
+            blocks.shape[-1]), start[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(w).all():
+        return None
+    w /= np.abs(w).max(axis=1)[:, None]  # so that squaring cannot overflow
+    return w / np.sqrt((w * w).sum(axis=1))[:, None]
 
 
 class _Posterior:
@@ -328,10 +350,21 @@ class _Posterior:
     beta lambda_1(x) and Kato-Temple's
     rho_y + |A(y) v - rho_y v|^2 / (rho_y - beta lambda_2(x)),
     as lambda_2(y) <= beta lambda_2(x).  The distance of each observed omega
-    to [c_lo k, c_hi k] bounds its residual from below.  The state data
-    (lambda_1, lambda_2, v, and W_j = C_j v with v^T W_j) come from the
-    blocks and eigenvalues of the exact evaluation that accepted x, with one
-    shifted solve and no eigensolve of their own.
+    to [c_lo k, c_hi k] bounds its residual from below.
+
+    A proposal the screen bounded is evaluated by Rayleigh-quotient
+    iteration from v and rho_y instead of an eigensolve: at most two
+    batched solves (A(y) - rho I) w = v, each pair's lambda_1 the Rayleigh
+    quotient of the unit w, certified when the Kato-Temple width
+    |r|^2 / (lambda_1 - beta lambda_2(x)) is at most 1e-13 |lambda_1|; if
+    any pair is not certified, the evaluation runs eigvalsh.  The state
+    data (lambda_1, the bound on lambda_2, v, the bound on |A| and, with
+    W_j = C_j v, the products v^T W_j) come from the evaluation that
+    accepted x: a certified one hands over its unit w and chains the bounds
+    (lambda_2(y) <= beta lambda_2(x), |A(y)| <= alpha |A(x)|), an eigvalsh
+    one its spectrum and one shifted solve.  An eigvalsh evaluation
+    re-anchors the chained bounds once the product of their betas falls
+    below 0.8.
     """
 
     def __init__(self, obs: ObservationSet | None, priors: PriorSpec | None,
@@ -346,28 +379,58 @@ class _Posterior:
                              order)
         self.log_norm = -0.5 * len(obs) * math.log(2 * math.pi)
 
-    def log_likelihood(self, x: np.ndarray):
-        """(log likelihood, spectra) at a finite x: spectra are the parity
-        block of every observed pair and all its eigenvalues, ascending, as
-        (blocks, lams); None where no eigensolve ran."""
+    def log_likelihood(self, x: np.ndarray, ahead=None):
+        """(log likelihood, spectra) at a finite x, certified from the
+        screen's data ahead (see bound) where they are given and certify
+        every pair.  Spectra are the parity block of every observed pair,
+        its unit top eigenvector (None after eigvalsh), its top eigenvalue,
+        its second eigenvalue and norm or upper bounds on them, and the
+        product of the betas since eigvalsh, as
+        (blocks, v, lam1, lam2, norm, prod); None where no eigensolve ran."""
         c11, c13, c33, c55, rho, sigma = x
         # c13^2 >= c11 c33: the 1-3 stiffness block is not positive definite
         if not (sigma > 0 and min(c11, c13, c33, c55, rho) > 0
                 and c13 ** 2 < c11 * c33):
             return -np.inf, None
         blocks = ((x[:4] / rho) @ self.c.reshape(4, -1)).reshape(self.c.shape[1:])
-        lams = np.linalg.eigvalsh(blocks)
-        top = _top_negative(lams)
-        if np.isnan(top).any():
-            return -np.inf, (blocks, lams)
+        spectra = None if ahead is None else self._certified(blocks, *ahead)
+        if spectra is None:
+            lams = np.linalg.eigvalsh(blocks)
+            top = _top_negative(lams)
+            spectra = (blocks, None, lams[:, -1], lams[:, -2], -lams[:, 0], 1.0)
+            if np.isnan(top).any():
+                return -np.inf, spectra
+        else:
+            # the screen proved every top eigenvalue negative
+            top = spectra[2]
         obs = self.obs
         resid = obs.omega - np.sqrt(-top)[obs.pair_index] * obs.k
         return float(
             -len(obs) * math.log(sigma) + self.log_norm
             - 0.5 * float(resid @ resid) / sigma**2
-        ), (blocks, lams)
+        ), spectra
 
-    def log_posterior(self, x: np.ndarray):
+    @staticmethod
+    def _certified(blocks, v, shift, lam2, norm, prod):
+        """Spectra of Rayleigh-quotient iteration from the unit v and shift,
+        every pair certified against the bound lam2 on its second
+        eigenvalue; None where two steps certify not every pair."""
+        for _ in range(2):
+            v = _inverse_iteration(blocks, shift, v)
+            if v is None:
+                return None
+            av = (blocks @ v[..., None])[..., 0]
+            shift = (v * av).sum(axis=1)
+            resid = av - shift[:, None] * v
+            # Kato-Temple: shift <= lambda_1 <= shift + |r|^2 / gap
+            gap = shift - lam2
+            if np.all(gap > 0) and np.all(
+                    (resid * resid).sum(axis=1)
+                    <= _CERTIFY_REL * np.abs(shift) * gap):
+                return blocks, v, shift, lam2, norm, prod
+        return None
+
+    def log_posterior(self, x: np.ndarray, ahead=None):
         """(log posterior, spectra of its likelihood) at x; -inf where x is
         not a ParamVector."""
         try:
@@ -376,44 +439,42 @@ class _Posterior:
             return -np.inf, None
         if lp == -np.inf or self.obs is None:
             return lp, None
-        ll, spectra = self.log_likelihood(x)
+        ll, spectra = self.log_likelihood(x, ahead)
         return lp + ll, spectra
 
     def refresh(self, x: np.ndarray, spectra) -> None:
         """Make the accepted state x the one that bounds proposals, from the
-        (blocks, lams) spectra of the exact evaluation that accepted it;
-        with spectra None (no observations), no state bounds proposals."""
+        spectra of the exact evaluation that accepted it; with spectra None
+        (no observations), no state bounds proposals."""
         self.state = None
         if spectra is None:
             return
-        blocks, lams = spectra
+        blocks, v, lam1, lam2, norm, prod = spectra
         q = x[:4] / x[4]
         det = q[0] * q[2] - q[1] * q[1]
-        if not (det > 0 and np.all(lams[:, -1] < 0)):
+        if not (det > 0 and np.all(lam1 < 0)):
             return
-        # one step of inverse iteration from a shift just above the top
-        # eigenvalue; the bounds hold for any unit v, only their width
-        # depends on how close v is to the eigenvector
-        shifted = blocks - (lams[:, -1] * (1 - 1e-10))[:, None, None] * np.eye(
-            blocks.shape[-1])
-        try:
-            v = np.linalg.solve(shifted, np.ones((*lams.shape, 1)))[..., 0]
-        except np.linalg.LinAlgError:
-            v = np.full(lams.shape, np.nan)
-        if not np.isfinite(v).all():
-            v = np.linalg.eigh(blocks)[1][..., -1]
-        v /= np.sqrt((v * v).sum(axis=1))[:, None]
+        if v is None:
+            # one step of inverse iteration from a shift just above the top
+            # eigenvalue; the bounds hold for any unit v, only their width
+            # depends on how close v is to the eigenvector
+            v = _inverse_iteration(blocks, lam1 * (1 - 1e-10),
+                                   np.ones(lam1.shape + blocks.shape[-1:]))
+            if v is None:
+                v = np.linalg.eigh(blocks)[1][..., -1]
         w = (self.c @ v[:, :, None])[..., 0]  # [4, pairs, n]
         # q @ m gives A(y) v for every pair, then every rho_y
         self.m = np.concatenate([w.reshape(4, -1), (w * v).sum(axis=2)], axis=1)
-        self.state = (q, det, v, lams[:, -1], lams[:, -2], -lams[:, 0])
+        self.state = (q, det, v, lam1, lam2, norm, prod)
 
     def eigen_bounds(self, y: np.ndarray):
-        """(lo, up) on every observed pair's top eigenvalue at y, widened for
-        rounding; None where y is not physical or no negative bound holds."""
+        """(lo, up, ahead): lo and up bound every observed pair's top
+        eigenvalue at y, widened for rounding, and ahead is the data of a
+        certified evaluation of y (see bound); None where y is not physical
+        or no negative bound holds."""
         if self.state is None or not (np.isfinite(y).all() and y.min() > 0):
             return None
-        qx, det_x, v, lam1, lam2, norm = self.state
+        qx, det_x, v, lam1, lam2, norm, prod = self.state
         q = y[:4] / y[4]
         det = q[0] * q[2] - q[1] * q[1]
         b = q[0] * qx[2] + q[2] * qx[0] - 2 * q[1] * qx[1]
@@ -423,34 +484,40 @@ class _Posterior:
         root = b + math.sqrt(max(b * b - 4 * det_x * det, 0.0))
         shear = q[3] / qx[3]
         beta = min(2 * det / root, shear)
-        slack = _SCREEN_NORM * max(root / (2 * det_x), shear) * norm
-        prod = q @ self.m
-        rq = prod[-v.shape[0]:]
-        resid = prod[:-v.shape[0]].reshape(v.shape) - rq[:, None] * v
-        gap = rq - beta * lam2
-        if not np.all(gap > slack):
+        alpha = max(root / (2 * det_x), shear)
+        slack = _SCREEN_NORM * alpha * norm
+        prod_y = q @ self.m
+        rq = prod_y[-v.shape[0]:]
+        resid = prod_y[:-v.shape[0]].reshape(v.shape) - rq[:, None] * v
+        lam2 = beta * lam2 + slack  # lambda_2(y) <= beta lambda_2(x)
+        gap = rq - lam2
+        if not np.all(gap > 0):
             return None
         up = np.minimum(beta * lam1, rq + (resid * resid).sum(axis=1) / gap)
         up += _SCREEN_REL * np.abs(up) + slack
         if not np.all(up < 0):
             return None
-        return rq - _SCREEN_REL * np.abs(rq) - slack, up
+        ahead = None
+        if beta * prod >= _REANCHOR:
+            ahead = (v, rq, lam2, alpha * norm, beta * prod)
+        return rq - _SCREEN_REL * np.abs(rq) - slack, up, ahead
 
-    def bound(self, y: np.ndarray) -> float:
-        """An upper bound on log_posterior at y; inf where none is proved."""
+    def bound(self, y: np.ndarray):
+        """(an upper bound on log_posterior at y, inf where none is proved;
+        the data ahead from which log_posterior certifies y, or None)."""
         eig = self.eigen_bounds(y)
         if eig is None:
-            return math.inf
+            return math.inf, None
         lp = log_prior(ParamVector.from_array(y), self.priors)
         if lp == -np.inf:
-            return math.inf
+            return math.inf, None
         obs = self.obs
         om_lo = np.sqrt(-eig[1])[obs.pair_index] * obs.k
         om_hi = np.sqrt(-eig[0])[obs.pair_index] * obs.k
         dist = np.maximum(np.maximum(om_lo - obs.omega, obs.omega - om_hi), 0.0)
         sigma = y[5]
         return (lp - len(obs) * math.log(sigma) + self.log_norm
-                - 0.5 * float(dist @ dist) / sigma**2)
+                - 0.5 * float(dist @ dist) / sigma**2), eig[2]
 
 
 def mcmc_sample(
@@ -471,9 +538,12 @@ def mcmc_sample(
     With observations, the uniform u of each step is drawn before the
     posterior, so a proposal whose proved upper bound (see _Posterior) lies
     below log posterior(x) + log u - 1e-6 is rejected without an
-    eigensolve: the exact posterior would reject it too, so the chain and
-    its random stream are exactly those of evaluating every proposal.
-    Prior-only chains evaluate every proposal.
+    eigensolve: the exact posterior would reject it too.  The other
+    proposals are evaluated from the bound's data by certified solves, or
+    by eigvalsh where those certify not every pair.  The samples, accept
+    flags and random stream are byte for byte those of evaluating every
+    proposal by eigvalsh, and the log posteriors agree with it to 1e-10
+    relative.  Prior-only chains evaluate every proposal.
     """
     d = len(PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)
@@ -513,10 +583,11 @@ def mcmc_sample(
         step = cfg.proposal_scale * math.exp(log_step)
         prop = x + step * (chol @ rng.standard_normal(d))
         u = rng.uniform()  # post draws nothing, so drawing u first is free
-        if u > 0.0 and post.bound(prop) < lp + math.log(u) - _SCREEN_MARGIN:
+        bound, ahead = post.bound(prop)
+        if u > 0.0 and bound < lp + math.log(u) - _SCREEN_MARGIN:
             accept = False  # the exact posterior would reject it too
         else:
-            lp_prop, spectra = post.log_posterior(prop)
+            lp_prop, spectra = post.log_posterior(prop, ahead)
             # -inf proposals are always rejected; log u < 0 almost surely
             log_alpha = lp_prop - lp
             accept = lp_prop > -np.inf and (

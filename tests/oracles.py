@@ -364,8 +364,9 @@ def parity_block_log_likelihood(obs, theta, plate, order: int) -> float:
 
 def plain_mcmc_sample(obs, priors, plate, cfg):
     """lambid.bayes.mcmc_sample as it was before early rejection: every
-    proposal's exact log posterior is evaluated, and u is drawn after it.
-    The package's chains must equal this one's byte for byte.  One
+    proposal's exact log posterior is evaluated by eigvalsh, and u is drawn
+    after it.  The package's chains must have this one's samples and accept
+    flags byte for byte, and its log posteriors to 1e-10 relative.  One
     bayes._Posterior serves the chain (the public log_posterior is its
     log_posterior on a fresh instance), so the pairs' C_j are built once."""
     import lambid.bayes as bayes

@@ -297,8 +297,9 @@ def test_criterion_11_rejection_rule(recovery_run):
 
 
 def test_recovery_chain_matches_plain_sampler(recovery_run):
-    # criteria 10 and 11 read this chain; early rejection in mcmc_sample
-    # must leave it byte for byte as evaluating every proposal gives it.  A
+    # criteria 10 and 11 read this chain; early rejection and certified
+    # evaluations in mcmc_sample must leave its samples and accept flags
+    # byte for byte as evaluating every proposal gives them.  A
     # chain with fewer samples is a prefix of the longer one (same seed and
     # warmup), so the plain loop runs the warmup and 5000 samples only
     run = recovery_run
@@ -306,6 +307,9 @@ def test_recovery_chain_matches_plain_sampler(recovery_run):
     want = oracles.plain_mcmc_sample(run["obs"], default_priors(), run["plate"],
                                      cfg)
     rows = cfg.warmup + cfg.n_samples
-    for name in ("samples", "log_posts", "accepted"):
-        got = getattr(run["chain"], name)[:rows]
-        assert got.tobytes() == getattr(want, name).tobytes()
+    got = run["chain"]
+    assert got.samples[:rows].tobytes() == want.samples.tobytes()
+    assert got.accepted[:rows].tobytes() == want.accepted.tobytes()
+    # screened evaluations are certified solves, not eigvalsh
+    assert np.all(np.abs(got.log_posts[:rows] - want.log_posts)
+                  <= 1e-10 * np.abs(want.log_posts))

@@ -215,43 +215,30 @@ class TestLikelihood:
 
 
 class TestSampler:
-    def test_nonpositive_proposal_scale_rejected(self, synth_obs, plate):
+    def test_nonpositive_proposal_scale_rejected(self):
         # a zero step proposes the current state, which is always accepted,
         # so the chain would never move and report acceptance 1
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         for scale in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="proposal_scale"):
-                cfg = SamplerConfig(n_samples=200, warmup=50, seed=1,
-                                    init=init, proposal_scale=scale)
-                mcmc_sample(synth_obs, default_priors(), plate, cfg)
+                SamplerConfig(n_samples=200, warmup=50, seed=1, init=init,
+                              proposal_scale=scale)
 
     @pytest.mark.parametrize("warmup", [-3, 2.5, "5", True])
-    def test_bad_warmup_rejected_before_any_solve(self, synth_obs, plate,
-                                                  monkeypatch, warmup):
-        # warmup=-3 used to run every step and then fail in Chain
-        def solve(*args, **kwargs):
-            raise AssertionError("posterior built")
-
-        monkeypatch.setattr(bayes, "_Posterior", solve)
+    def test_bad_warmup_rejected_before_any_solve(self, warmup):
+        # warmup=-3 used to run every step and then fail in Chain; no chain
+        # can start without a config
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         with pytest.raises(ValueError, match="warmup"):
-            cfg = SamplerConfig(n_samples=20, warmup=warmup, seed=1, init=init)
-            mcmc_sample(synth_obs, default_priors(), plate, cfg)
+            SamplerConfig(n_samples=20, warmup=warmup, seed=1, init=init)
 
     @pytest.mark.parametrize("n_samples", [0, -5, 2.5, "5", True])
-    def test_bad_n_samples_rejected_before_any_solve(self, synth_obs, plate,
-                                                     monkeypatch, n_samples):
+    def test_bad_n_samples_rejected_before_any_solve(self, n_samples):
         # 2.5 and "5" used to fail with TypeError in np.empty or the
         # comparison, and True ran a one-sample chain
-        def solve(*args, **kwargs):
-            raise AssertionError("posterior built")
-
-        monkeypatch.setattr(bayes, "_Posterior", solve)
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         with pytest.raises(ValueError, match="n_samples"):
-            cfg = SamplerConfig(n_samples=n_samples, warmup=10, seed=1,
-                                init=init)
-            mcmc_sample(synth_obs, default_priors(), plate, cfg)
+            SamplerConfig(n_samples=n_samples, warmup=10, seed=1, init=init)
 
     @pytest.mark.parametrize("order", [0, 2.5])
     def test_bad_forward_order_rejected(self, order):
@@ -345,8 +332,9 @@ class TestSampler:
 
 class TestEarlyRejection:
     """With observations, mcmc_sample rejects most proposals from a proved
-    upper bound on their log posterior (bayes._Posterior.bound), so it must
-    give exactly the chain of evaluating every proposal."""
+    upper bound on their log posterior (bayes._Posterior.bound) and
+    certifies the rest by solves, so it must give the samples and accept
+    flags of evaluating every proposal by eigvalsh."""
 
     INIT = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
 
@@ -361,15 +349,13 @@ class TestEarlyRejection:
         post.refresh(x, spectra)
         return True
 
-    def test_bounds_hold_from_small_to_large_steps(self, synth_obs, plate):
-        priors = default_priors()
-        post = bayes._Posterior(synth_obs, priors, plate, 10)
-        kh = synth_obs.pair_k * plate.thickness
+    def proposals(self, post, priors):
+        """(rel, y): post refreshed at 40 states near INIT, every fourth a
+        prior draw, and from each a proposal y of each relative step size
+        rel from 1e-4 to 0.3."""
         rng = np.random.default_rng(17)
         truth = self.INIT.to_array()
-        checked = 0
         for i in range(40):
-            # states near the truth, and prior draws every fourth time
             if i % 4:
                 x = truth * np.exp(rng.normal(0.0, 0.05, 6))
             else:
@@ -377,22 +363,116 @@ class TestEarlyRejection:
             if not self.refresh(post, x) or post.state is None:
                 continue
             for rel in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
-                y = x * (1 + rel * rng.standard_normal(6))
-                exact = bayes.log_posterior(
-                    synth_obs, ParamVector.from_array(y), priors, plate, 10)
-                bound = post.bound(y)
-                assert exact <= bound
-                eig = post.eigen_bounds(y)
-                if rel <= 1e-2:  # small steps are always bounded
-                    assert eig is not None and bound < math.inf
-                if eig is None:
-                    continue
-                theta = ParamVector.from_array(y).material()
-                top = np.linalg.eigvalsh(_parity_blocks(
-                    theta, kh, synth_obs.pair_branch, 10))[:, -1]
-                assert np.all((eig[0] <= top) & (top <= eig[1]))
-                checked += 1
+                yield rel, x * (1 + rel * rng.standard_normal(6))
+
+    def test_bounds_hold_from_small_to_large_steps(self, synth_obs, plate):
+        priors = default_priors()
+        post = bayes._Posterior(synth_obs, priors, plate, 10)
+        kh = synth_obs.pair_k * plate.thickness
+        checked = 0
+        for rel, y in self.proposals(post, priors):
+            exact = bayes.log_posterior(
+                synth_obs, ParamVector.from_array(y), priors, plate, 10)
+            bound, _ = post.bound(y)
+            assert exact <= bound
+            eig = post.eigen_bounds(y)
+            if rel <= 1e-2:  # small steps are always bounded
+                assert eig is not None and bound < math.inf
+            if eig is None:
+                continue
+            theta = ParamVector.from_array(y).material()
+            top = np.linalg.eigvalsh(_parity_blocks(
+                theta, kh, synth_obs.pair_branch, 10))[:, -1]
+            assert np.all((eig[0] <= top) & (top <= eig[1]))
+            checked += 1
         assert checked >= 120
+
+    def test_certified_evaluations_match_eigh(self, synth_obs, plate):
+        # at kh ~0.4 A0's eigenvalue is ~5e-7 of its block's norm, where any
+        # two roundings of the block move it by ~1e-9 relative, so lambda_1
+        # is held to 1e-10 relative plus 1e-14 of the norm (eigvalsh errs by
+        # ~n eps |A|), and v to the angle its certificate allows:
+        # sin(v, e) <= |r| / (lambda_1 - lambda_2), and the certificate has
+        # |r|^2 <= 1e-13 |lambda_1| (lambda_1 - lambda_2)
+        priors = default_priors()
+        post = bayes._Posterior(synth_obs, priors, plate, 10)
+        certified = 0
+        for _, y in self.proposals(post, priors):
+            eig = post.eigen_bounds(y)
+            if eig is None or eig[2] is None:
+                continue
+            lp, spectra = post.log_posterior(y, eig[2])
+            if spectra is None or spectra[1] is None:
+                continue  # outside the prior, or fell back to eigvalsh
+            blocks, v, lam1 = spectra[:3]
+            lams, vecs = np.linalg.eigh(blocks)
+            norm = np.abs(lams).max(axis=1)
+            assert np.all(np.abs(lam1 - lams[:, -1])
+                          <= 1e-10 * np.abs(lams[:, -1]) + 1e-14 * norm)
+            gap = lams[:, -1] - lams[:, -2]
+            e = vecs[..., -1] * np.sign((vecs[..., -1] * v).sum(axis=1))[:, None]
+            angle = np.sqrt(1e-13 * np.abs(lams[:, -1]) / gap) + 1e-13 * norm / gap
+            assert np.all(np.linalg.norm(v - e, axis=1) <= angle)
+            want, _ = post.log_posterior(y)
+            assert lp == pytest.approx(want, rel=1e-10, abs=0.0)
+            certified += 1
+        assert certified >= 100
+
+    def test_failed_certification_falls_back_to_eigvalsh(self, synth_obs,
+                                                         plate, monkeypatch):
+        # a singular or non-finite solve, or a pair the Kato-Temple width
+        # does not certify, sends the whole evaluation to eigvalsh
+        post = bayes._Posterior(synth_obs, default_priors(), plate, 10)
+        x = self.INIT.to_array()
+        assert self.refresh(post, x)
+        y = x * (1 + 1e-3 * np.random.default_rng(5).standard_normal(6))
+        want, spectra = post.log_posterior(y)
+        assert spectra[1] is None
+        ahead = post.eigen_bounds(y)[2]
+        assert post.log_posterior(y, ahead)[1][1] is not None
+        v, shift, lam2, norm, prod = ahead
+        # a bound on lambda_2 above every top eigenvalue certifies no pair
+        uncertified = (v, shift, np.zeros_like(lam2), norm, prod)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        def not_finite(a, b):
+            return np.full(b.shape, np.nan)
+
+        for solve in (None, singular, not_finite):
+            if solve is not None:
+                monkeypatch.setattr(np.linalg, "solve", solve)
+            got, spectra = post.log_posterior(
+                y, uncertified if solve is None else ahead)
+            assert spectra[1] is None
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_chained_bounds_hold(self, synth_obs, plate):
+        # a refresh from a certified evaluation bounds lambda_2 and |A| by
+        # the last state's bounds times beta and alpha; along a walk of
+        # accepted steps they stay above the true values, the screen's
+        # bounds hold, and an eigvalsh evaluation re-anchors them once the
+        # product of the betas would fall below 0.8
+        post = bayes._Posterior(synth_obs, default_priors(), plate, 10)
+        rng = np.random.default_rng(23)
+        x = self.INIT.to_array()
+        assert self.refresh(post, x)
+        anchors = []
+        for _ in range(300):
+            y = x * (1 + 3e-3 * rng.standard_normal(6))
+            eig = post.eigen_bounds(y)
+            lp, spectra = post.log_posterior(y, eig[2])
+            lams = np.linalg.eigvalsh(spectra[0])
+            assert np.all((eig[0] <= lams[:, -1]) & (lams[:, -1] <= eig[1]))
+            post.refresh(y, spectra)
+            x = y
+            lam2, norm, prod = post.state[4:]
+            assert np.all(lam2 >= lams[:, -2]) and np.all(norm >= -lams[:, 0])
+            assert (prod == 1.0) == (spectra[1] is None)
+            assert prod >= bayes._REANCHOR
+            anchors.append(spectra[1] is None)
+        assert 2 <= sum(anchors) < 0.1 * len(anchors)
 
     def test_singular_shift_falls_back_to_eigh(self, synth_obs, plate,
                                                monkeypatch):
@@ -407,7 +487,7 @@ class TestEarlyRejection:
         monkeypatch.setattr(np.linalg, "solve", singular)
         got = bayes._Posterior(synth_obs, default_priors(), plate, 10)
         assert self.refresh(got, x)
-        assert np.allclose(got.eigen_bounds(y), want.eigen_bounds(y),
+        assert np.allclose(got.eigen_bounds(y)[:2], want.eigen_bounds(y)[:2],
                            rtol=1e-8, atol=0.0)
 
     def test_most_steps_skip_the_exact_posterior(self, synth_obs, plate,
@@ -427,12 +507,15 @@ class TestEarlyRejection:
         mcmc_sample(synth_obs, default_priors(), plate, cfg)
         assert len(calls) < 0.5 * (cfg.warmup + cfg.n_samples)
 
-    def test_one_eigvalsh_per_exact_evaluation(self, synth_obs, plate,
-                                               monkeypatch):
-        # an accepted state's bound data come from the spectra of the
-        # evaluation that accepted it, so refresh solves nothing itself
+    def test_eigvalsh_only_anchors_the_bounds(self, synth_obs, plate,
+                                              monkeypatch):
+        # an accepted state's bound data come from the evaluation that
+        # accepted it, and a screened evaluation is certified by solves, so
+        # eigvalsh runs at the start, where certification fails and to
+        # re-anchor the chained bounds; a certification that always fell
+        # back would still pass every equivalence test, so count the calls
         eigvalsh_calls, refreshes = [], []
-        per_eval = []  # (eigvalsh calls inside, returned spectra) per evaluation
+        per_eval = []  # eigvalsh calls inside each exact evaluation
         exact, refresh = bayes._Posterior.log_posterior, bayes._Posterior.refresh
 
         def eigvalsh(a):
@@ -441,9 +524,9 @@ class TestEarlyRejection:
 
         def counted(*args, **kwargs):
             before = len(eigvalsh_calls)
-            lp, spectra = exact(*args, **kwargs)
-            per_eval.append((len(eigvalsh_calls) - before, spectra is not None))
-            return lp, spectra
+            result = exact(*args, **kwargs)
+            per_eval.append(len(eigvalsh_calls) - before)
+            return result
 
         def refreshed(*args, **kwargs):
             refreshes.append(1)
@@ -455,13 +538,10 @@ class TestEarlyRejection:
         cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
                             init=self.INIT)
         chain = mcmc_sample(synth_obs, default_priors(), plate, cfg)
-        assert per_eval[0] == (1, True)  # the start
-        # one solve per evaluation that reaches the likelihood's eigensolve
-        # (a proposal outside the prior's support or with c13^2 >= c11 c33
-        # reaches none), and no solve outside an evaluation
-        assert all(n == solved for n, solved in per_eval)
-        assert sum(n for n, _ in per_eval) == len(eigvalsh_calls)
-        assert len(eigvalsh_calls) > 0.95 * len(per_eval)
+        assert per_eval[0] == 1  # the start
+        assert max(per_eval) <= 1
+        assert sum(per_eval) == len(eigvalsh_calls)  # none outside one
+        assert len(eigvalsh_calls) < 0.1 * len(per_eval)
         assert len(refreshes) == chain.accepted.sum() + 1
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -473,8 +553,11 @@ class TestEarlyRejection:
         got = mcmc_sample(synth_obs, default_priors(), plate, cfg)
         want = oracles.plain_mcmc_sample(synth_obs, default_priors(), plate,
                                          cfg)
-        for name in ("samples", "log_posts", "accepted"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.accepted.tobytes() == want.accepted.tobytes()
+        # screened evaluations are certified solves, not eigvalsh
+        assert np.all(np.abs(got.log_posts - want.log_posts)
+                      <= 1e-10 * np.abs(want.log_posts))
 
 
 class TestChain:
