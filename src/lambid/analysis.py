@@ -172,8 +172,10 @@ def curve_ensemble(
 
 def mc_standard_error(x: np.ndarray) -> float:
     """Batch-means Monte Carlo standard error of the sample mean, over 50
-    batches (fewer when x has under 100 entries)."""
+    batches (fewer when x has under 100 entries); ValueError for under 2."""
     n = x.size
+    if n < 2:
+        raise ValueError(f"need at least 2 entries, got {n}")
     batches = 50 if n >= 100 else max(2, n // 2)
     size = n // batches
     means = x[: size * batches].reshape(batches, size).mean(axis=1)

@@ -4,15 +4,15 @@ The sampled vector is {C11, C13, C33, C55, rho, sigma}: the four stiffness
 entries and density governing the dispersion model, plus the Gaussian noise
 scale on observed angular frequency.  All probabilities are computed in log
 space; non-physical forward solves map to -inf and are therefore never
-accepted.  With observations, mcmc_sample rejects most proposals without an
-eigensolve, from a proved upper bound on their log posterior built from the
-current state's eigenpairs (_Posterior); it rejects only what the exact
-posterior would.  The proposals it evaluates start from the same eigenpairs:
-each pair's top eigenvalue is certified by at most two batched shifted
-solves, with eigvalsh as the fallback and to re-anchor the bounds now and
-then, so an accepted step costs about one batched solve.  Samples and accept
-flags are byte for byte those of evaluating every proposal by eigvalsh; log
-posteriors agree with it to 1e-10 relative.
+accepted.  With observations, the one posterior call of an mcmc_sample step
+rejects most proposals without an eigensolve, from a proved upper bound on
+their log posterior built from the current state's eigenpairs (_Posterior);
+it rejects only what the exact posterior would.  The others start from the
+same eigenpairs: each pair's top eigenvalue is certified by at most two
+batched shifted solves, with eigvalsh as the fallback and to re-anchor the
+bounds now and then, so an accepted step costs about one batched solve.
+Samples and accept flags are byte for byte those of evaluating every
+proposal by eigvalsh; log posteriors agree with it to 1e-10 relative.
 """
 
 from __future__ import annotations
@@ -333,8 +333,8 @@ def _inverse_iteration(blocks: np.ndarray, shift: np.ndarray,
 
 class _Posterior:
     """The log posterior of one observation set (the prior alone for None)
-    at a parameter array, and a rigorous upper bound on it from the
-    eigenpairs of an accepted state, so that most rejections need no
+    at a parameter array; below a given floor, a rigorous upper bound from
+    the eigenpairs of an accepted state rejects most proposals with no
     eigensolve (early rejection; Solonen et al. 2012, Bayesian Anal. 7:715).
 
     Each observed pair's block is A(q) = sum_j q_j C_j, and the
@@ -381,9 +381,9 @@ class _Posterior:
 
     def log_likelihood(self, x: np.ndarray, ahead=None):
         """(log likelihood, spectra) at a finite x, certified from the
-        screen's data ahead (see bound) where they are given and certify
-        every pair.  Spectra are the parity block of every observed pair,
-        its unit top eigenvector (None after eigvalsh), its top eigenvalue,
+        screen's data ahead (see eigen_bounds) where they are given and
+        certify every pair.  Spectra are the parity block of every observed
+        pair, its unit top eigenvector (None after eigvalsh), its top eigenvalue,
         its second eigenvalue and norm or upper bounds on them, and the
         product of the betas since eigvalsh, as
         (blocks, v, lam1, lam2, norm, prod); None where no eigensolve ran."""
@@ -430,16 +430,28 @@ class _Posterior:
                 return blocks, v, shift, lam2, norm, prod
         return None
 
-    def log_posterior(self, x: np.ndarray, ahead=None):
+    def log_posterior(self, x: np.ndarray, floor: float = -math.inf):
         """(log posterior, spectra of its likelihood) at x; -inf where x is
-        not a ParamVector."""
+        not a ParamVector, and (-inf, None) with no eigensolve where the
+        screen proves it below floor."""
         try:
             lp = log_prior(ParamVector.from_array(x), self.priors)
         except ValueError:
             return -np.inf, None
         if lp == -np.inf or self.obs is None:
             return lp, None
-        ll, spectra = self.log_likelihood(x, ahead)
+        eig = self.eigen_bounds(x)
+        if eig is not None:
+            # eigen_bounds holds only for x > 0, so sigma's log is defined
+            obs, sigma = self.obs, x[5]
+            om_lo = np.sqrt(-eig[1])[obs.pair_index] * obs.k
+            om_hi = np.sqrt(-eig[0])[obs.pair_index] * obs.k
+            dist = np.maximum(np.maximum(om_lo - obs.omega, obs.omega - om_hi),
+                              0.0)
+            if (lp - len(obs) * math.log(sigma) + self.log_norm
+                    - 0.5 * float(dist @ dist) / sigma**2) < floor:
+                return -np.inf, None
+        ll, spectra = self.log_likelihood(x, None if eig is None else eig[2])
         return lp + ll, spectra
 
     def refresh(self, x: np.ndarray, spectra) -> None:
@@ -469,9 +481,9 @@ class _Posterior:
 
     def eigen_bounds(self, y: np.ndarray):
         """(lo, up, ahead): lo and up bound every observed pair's top
-        eigenvalue at y, widened for rounding, and ahead is the data of a
-        certified evaluation of y (see bound); None where y is not physical
-        or no negative bound holds."""
+        eigenvalue at y, widened for rounding, and ahead is the data from
+        which log_likelihood certifies y, or None; None where y is not
+        physical or no negative bound holds."""
         if self.state is None or not (np.isfinite(y).all() and y.min() > 0):
             return None
         qx, det_x, v, lam1, lam2, norm, prod = self.state
@@ -502,23 +514,6 @@ class _Posterior:
             ahead = (v, rq, lam2, alpha * norm, beta * prod)
         return rq - _SCREEN_REL * np.abs(rq) - slack, up, ahead
 
-    def bound(self, y: np.ndarray):
-        """(an upper bound on log_posterior at y, inf where none is proved;
-        the data ahead from which log_posterior certifies y, or None)."""
-        eig = self.eigen_bounds(y)
-        if eig is None:
-            return math.inf, None
-        lp = log_prior(ParamVector.from_array(y), self.priors)
-        if lp == -np.inf:
-            return math.inf, None
-        obs = self.obs
-        om_lo = np.sqrt(-eig[1])[obs.pair_index] * obs.k
-        om_hi = np.sqrt(-eig[0])[obs.pair_index] * obs.k
-        dist = np.maximum(np.maximum(om_lo - obs.omega, obs.omega - om_hi), 0.0)
-        sigma = y[5]
-        return (lp - len(obs) * math.log(sigma) + self.log_norm
-                - 0.5 * float(dist @ dist) / sigma**2), eig[2]
-
 
 def mcmc_sample(
     obs: ObservationSet | None,
@@ -536,14 +531,15 @@ def mcmc_sample(
     built.
 
     With observations, the uniform u of each step is drawn before the
-    posterior, so a proposal whose proved upper bound (see _Posterior) lies
-    below log posterior(x) + log u - 1e-6 is rejected without an
-    eigensolve: the exact posterior would reject it too.  The other
-    proposals are evaluated from the bound's data by certified solves, or
-    by eigvalsh where those certify not every pair.  The samples, accept
-    flags and random stream are byte for byte those of evaluating every
-    proposal by eigvalsh, and the log posteriors agree with it to 1e-10
-    relative.  Prior-only chains evaluate every proposal.
+    posterior, and log posterior(x) + log u - 1e-6 is the floor of the
+    step's one _Posterior.log_posterior call: a proposal whose proved upper
+    bound lies below it comes back -inf without an eigensolve, as the exact
+    posterior would reject it too.  The others are evaluated from the
+    bound's data by certified solves, or by eigvalsh where those certify
+    not every pair.  The samples, accept flags and random stream are byte
+    for byte those of evaluating every proposal by eigvalsh, and the log
+    posteriors agree with it to 1e-10 relative.  Prior-only chains evaluate
+    every proposal.
     """
     d = len(PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)
@@ -583,16 +579,11 @@ def mcmc_sample(
         step = cfg.proposal_scale * math.exp(log_step)
         prop = x + step * (chol @ rng.standard_normal(d))
         u = rng.uniform()  # post draws nothing, so drawing u first is free
-        bound, ahead = post.bound(prop)
-        if u > 0.0 and bound < lp + math.log(u) - _SCREEN_MARGIN:
-            accept = False  # the exact posterior would reject it too
-        else:
-            lp_prop, spectra = post.log_posterior(prop, ahead)
-            # -inf proposals are always rejected; log u < 0 almost surely
-            log_alpha = lp_prop - lp
-            accept = lp_prop > -np.inf and (
-                u <= 0.0 or math.log(u) < min(0.0, log_alpha)
-            )
+        log_u = math.log(u) if u > 0.0 else -math.inf
+        # a proposal proved below the acceptance threshold comes back -inf
+        lp_prop, spectra = post.log_posterior(prop, lp + log_u - _SCREEN_MARGIN)
+        # log u < 0, and -inf (or NaN) proposals are always rejected
+        accept = log_u < lp_prop - lp
         if accept:
             x, lp = prop, lp_prop
             post.refresh(x, spectra)

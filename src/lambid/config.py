@@ -236,6 +236,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError("band: need 0 < fh_min_mhz_mm < fh_max_mhz_mm")
     if band["n_points"] < 1:
         raise ConfigError("band.n_points must be positive")
+    synth = sections["synth"]
+    if not synth["f_hi_khz"] > 0:
+        raise ConfigError("synth.f_hi_khz must be positive")
+    if not 0 <= synth["f_lo_khz"] <= synth["f_hi_khz"]:
+        raise ConfigError("synth.f_lo_khz must lie in [0, synth.f_hi_khz]")
     try:
         SamplerConfig(**sampler)
     except ValueError as exc:

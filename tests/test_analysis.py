@@ -207,6 +207,13 @@ class TestDiagnostics:
         se = mc_standard_error(x)
         assert se == pytest.approx(1.0 / np.sqrt(x.size), rel=0.5)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_mcse_needs_two_entries(self, n):
+        # one entry used to warn "Mean of empty slice" and return NaN
+        with pytest.raises(ValueError, match="at least 2"):
+            mc_standard_error(np.ones(n))
+        assert np.isfinite(mc_standard_error(np.arange(2.0)))
+
 
 class TestExports:
     def test_summary_file(self, rng, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,35 @@ class TestSampler:
             se = mc_standard_error(x)
             assert abs(x.mean() - mu) < 3 * se
 
+    def test_nonpositive_sigma_proposals_with_observations(
+            self, synth_obs, plate, monkeypatch):
+        # a Normal prior on sigma gives sigma <= 0 a finite prior, so such
+        # proposals reach the screen; its bound takes log(sigma) and must
+        # only run once the eigenvalue bounds have checked every entry > 0.
+        # The chain starts 0.05 prior sd above sigma = 0
+        priors = PriorSpec(priors={**default_priors().priors,
+                                   "sigma": NormalPrior(2e3, 2e4)})
+        cfg = SamplerConfig(n_samples=300, warmup=100, seed=7,
+                            init=ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9,
+                                             1200.0, 1e3))
+        sigmas = []
+        log_posterior = bayes._Posterior.log_posterior
+
+        def spy(post, x, *args):
+            sigmas.append(x[5])
+            return log_posterior(post, x, *args)
+
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m.setattr(bayes._Posterior, "log_posterior", spy)
+            got = mcmc_sample(synth_obs, priors, plate, cfg)
+        assert min(sigmas) <= 0
+        want = oracles.plain_mcmc_sample(synth_obs, priors, plate, cfg)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.accepted.tobytes() == want.accepted.tobytes()
+        assert np.all(np.abs(got.log_posts - want.log_posts)
+                      <= 1e-10 * np.abs(want.log_posts))
+
     def test_acceptance_warning_attached(self, synth_obs, plate):
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         # enormous frozen steps: nearly everything is rejected post-warmup
@@ -332,18 +362,19 @@ class TestSampler:
 
 class TestEarlyRejection:
     """With observations, mcmc_sample rejects most proposals from a proved
-    upper bound on their log posterior (bayes._Posterior.bound) and
-    certifies the rest by solves, so it must give the samples and accept
-    flags of evaluating every proposal by eigvalsh."""
+    upper bound on their log posterior (the floor of
+    bayes._Posterior.log_posterior) and certifies the rest by solves, so it
+    must give the samples and accept flags of evaluating every proposal by
+    eigvalsh."""
 
     INIT = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
 
     @staticmethod
     def refresh(post, x):
-        """Refresh post at x from the spectra of x's exact posterior, as
+        """Refresh post at x from the spectra of x's eigvalsh likelihood, as
         mcmc_sample does on acceptance; False where that evaluation ran no
         eigensolve."""
-        _, spectra = post.log_posterior(x)
+        _, spectra = post.log_likelihood(x)
         if spectra is None:
             return False
         post.refresh(x, spectra)
@@ -365,19 +396,28 @@ class TestEarlyRejection:
             for rel in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
                 yield rel, x * (1 + rel * rng.standard_normal(6))
 
-    def test_bounds_hold_from_small_to_large_steps(self, synth_obs, plate):
+    def test_bounds_hold_from_small_to_large_steps(self, synth_obs, plate,
+                                                   monkeypatch):
         priors = default_priors()
         post = bayes._Posterior(synth_obs, priors, plate, 10)
         kh = synth_obs.pair_k * plate.thickness
         checked = 0
+
+        def no_likelihood(*args):
+            raise AssertionError("a bounded proposal was solved")
+
         for rel, y in self.proposals(post, priors):
             exact = bayes.log_posterior(
                 synth_obs, ParamVector.from_array(y), priors, plate, 10)
-            bound, _ = post.bound(y)
-            assert exact <= bound
+            # with the exact value as its floor the screen rejects nothing
+            got, _ = post.log_posterior(y, exact)
+            assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
             eig = post.eigen_bounds(y)
             if rel <= 1e-2:  # small steps are always bounded
-                assert eig is not None and bound < math.inf
+                assert eig is not None and exact > -np.inf
+                with monkeypatch.context() as m:
+                    m.setattr(post, "log_likelihood", no_likelihood)
+                    assert post.log_posterior(y, math.inf) == (-np.inf, None)
             if eig is None:
                 continue
             theta = ParamVector.from_array(y).material()
@@ -401,9 +441,9 @@ class TestEarlyRejection:
             eig = post.eigen_bounds(y)
             if eig is None or eig[2] is None:
                 continue
-            lp, spectra = post.log_posterior(y, eig[2])
-            if spectra is None or spectra[1] is None:
-                continue  # outside the prior, or fell back to eigvalsh
+            ll, spectra = post.log_likelihood(y, eig[2])
+            if spectra[1] is None:
+                continue  # fell back to eigvalsh
             blocks, v, lam1 = spectra[:3]
             lams, vecs = np.linalg.eigh(blocks)
             norm = np.abs(lams).max(axis=1)
@@ -413,8 +453,8 @@ class TestEarlyRejection:
             e = vecs[..., -1] * np.sign((vecs[..., -1] * v).sum(axis=1))[:, None]
             angle = np.sqrt(1e-13 * np.abs(lams[:, -1]) / gap) + 1e-13 * norm / gap
             assert np.all(np.linalg.norm(v - e, axis=1) <= angle)
-            want, _ = post.log_posterior(y)
-            assert lp == pytest.approx(want, rel=1e-10, abs=0.0)
+            want, _ = post.log_likelihood(y)
+            assert ll == pytest.approx(want, rel=1e-10, abs=0.0)
             certified += 1
         assert certified >= 100
 
@@ -426,10 +466,10 @@ class TestEarlyRejection:
         x = self.INIT.to_array()
         assert self.refresh(post, x)
         y = x * (1 + 1e-3 * np.random.default_rng(5).standard_normal(6))
-        want, spectra = post.log_posterior(y)
+        want, spectra = post.log_likelihood(y)
         assert spectra[1] is None
         ahead = post.eigen_bounds(y)[2]
-        assert post.log_posterior(y, ahead)[1][1] is not None
+        assert post.log_likelihood(y, ahead)[1][1] is not None
         v, shift, lam2, norm, prod = ahead
         # a bound on lambda_2 above every top eigenvalue certifies no pair
         uncertified = (v, shift, np.zeros_like(lam2), norm, prod)
@@ -443,7 +483,7 @@ class TestEarlyRejection:
         for solve in (None, singular, not_finite):
             if solve is not None:
                 monkeypatch.setattr(np.linalg, "solve", solve)
-            got, spectra = post.log_posterior(
+            got, spectra = post.log_likelihood(
                 y, uncertified if solve is None else ahead)
             assert spectra[1] is None
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -462,7 +502,7 @@ class TestEarlyRejection:
         for _ in range(300):
             y = x * (1 + 3e-3 * rng.standard_normal(6))
             eig = post.eigen_bounds(y)
-            lp, spectra = post.log_posterior(y, eig[2])
+            _, spectra = post.log_likelihood(y, eig[2])
             lams = np.linalg.eigvalsh(spectra[0])
             assert np.all((eig[0] <= lams[:, -1]) & (lams[:, -1] <= eig[1]))
             post.refresh(y, spectra)
@@ -493,19 +533,44 @@ class TestEarlyRejection:
     def test_most_steps_skip_the_exact_posterior(self, synth_obs, plate,
                                                  monkeypatch):
         # a screen that silently stopped rejecting would still pass every
-        # equivalence test, so count the exact evaluations
+        # equivalence test, so count the exact evaluations (log_posterior
+        # runs on every step, log_likelihood once the screen passes a step)
         calls = []
-        exact = bayes._Posterior.log_posterior
+        exact = bayes._Posterior.log_likelihood
 
         def counted(*args, **kwargs):
             calls.append(1)
             return exact(*args, **kwargs)
 
-        monkeypatch.setattr(bayes._Posterior, "log_posterior", counted)
+        monkeypatch.setattr(bayes._Posterior, "log_likelihood", counted)
         cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
                             init=self.INIT)
         mcmc_sample(synth_obs, default_priors(), plate, cfg)
         assert len(calls) < 0.5 * (cfg.warmup + cfg.n_samples)
+
+    @pytest.mark.parametrize("init", [INIT, None])
+    def test_one_prior_evaluation_per_proposal(self, synth_obs, plate,
+                                               monkeypatch, init):
+        # the screen and the exact evaluation share the proposal's prior:
+        # one evaluation per step and one per start candidate, the init or
+        # each prior draw
+        starts, calls = [], []
+        priors = default_priors()
+        sample, prior = PriorSpec.sample, bayes.log_prior
+
+        def drawn(*args):
+            starts.append(1)
+            return sample(*args)
+
+        def counted(*args):
+            calls.append(1)
+            return prior(*args)
+
+        monkeypatch.setattr(PriorSpec, "sample", drawn)
+        monkeypatch.setattr(bayes, "log_prior", counted)
+        cfg = SamplerConfig(n_samples=600, warmup=300, seed=11, init=init)
+        mcmc_sample(synth_obs, priors, plate, cfg)
+        assert len(calls) == cfg.warmup + cfg.n_samples + max(len(starts), 1)
 
     def test_eigvalsh_only_anchors_the_bounds(self, synth_obs, plate,
                                               monkeypatch):
@@ -516,7 +581,7 @@ class TestEarlyRejection:
         # back would still pass every equivalence test, so count the calls
         eigvalsh_calls, refreshes = [], []
         per_eval = []  # eigvalsh calls inside each exact evaluation
-        exact, refresh = bayes._Posterior.log_posterior, bayes._Posterior.refresh
+        exact, refresh = bayes._Posterior.log_likelihood, bayes._Posterior.refresh
 
         def eigvalsh(a):
             eigvalsh_calls.append(1)
@@ -533,7 +598,7 @@ class TestEarlyRejection:
             return refresh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        monkeypatch.setattr(bayes._Posterior, "log_posterior", counted)
+        monkeypatch.setattr(bayes._Posterior, "log_likelihood", counted)
         monkeypatch.setattr(bayes._Posterior, "refresh", refreshed)
         cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
                             init=self.INIT)

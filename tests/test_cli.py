@@ -224,14 +224,23 @@ def test_indefinite_stiffness_exits_solver(tmp_path, capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,section,key,value", [
-    ("synth", "synth", "f_hi_khz", 600.0),  # above the time-axis Nyquist
-    ("solve", "solver", "order", 0),
+# rules that load_config checks, whose message names section.key
+KEY_NAMED = [
     ("summarize", "ensemble", "n_points", 1),  # with_cg needs 3 points
     ("summarize", "ensemble", "n_points", 2),
     ("summarize", "ensemble", "max_members", 0),
     ("solve", "band", "n_points", "abc"),  # not an integer
     ("identify", "sampler", "proposal_scale", "fast"),  # not a number
+    ("synth", "synth", "f_hi_khz", -100.0),
+    ("synth", "synth", "f_lo_khz", 600.0),  # above f_hi_khz
+    ("synth", "synth", "f_lo_khz", -10.0),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("synth", "synth", "f_hi_khz", 600.0),  # above the time-axis Nyquist
+    ("solve", "solver", "order", 0),
+    *KEY_NAMED,
     ("synth", "synth", "duration_ms", 0),  # divided by in the chirp
     ("synth", "synth", "duration_ms", -1),  # an all-zero wavefield
     ("synth", "synth", "noise_rms", -1.0),  # no noise added
@@ -252,7 +261,10 @@ def test_rejected_config_value_exits_config(tmp_path, capsys, command,
         samples=np.zeros((64, 256)), dt=0.9765625e-6, dx=1.8e-3))
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["config"] == 2
-    assert "error:config:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:config:" in err
+    if (command, section, key, value) in KEY_NAMED:
+        assert f"{section}.{key}" in err
 
 
 @pytest.mark.parametrize("key,value", [

@@ -122,6 +122,27 @@ def test_bad_band_ordering(tmp_path):
         load_config(write_cfg(tmp_path, payload))
 
 
+@pytest.mark.parametrize("f_lo,f_hi,key", [
+    (300.0, 100.0, "synth.f_lo_khz"),
+    (-10.0, 500.0, "synth.f_lo_khz"),
+    (10.0, -100.0, "synth.f_hi_khz"),
+    (0.0, 0.0, "synth.f_hi_khz"),
+])
+def test_bad_excitation_band(tmp_path, f_lo, f_hi, key):
+    payload = full_cfg()
+    payload["synth"] = {"f_lo_khz": f_lo, "f_hi_khz": f_hi}
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(write_cfg(tmp_path, payload))
+
+
+@pytest.mark.parametrize("f_lo", [0.0, 100.0])
+def test_excitation_band_edges_accepted(tmp_path, f_lo):
+    # f_lo_khz == f_hi_khz is the sine excitation
+    payload = full_cfg()
+    payload["synth"] = {"f_lo_khz": f_lo, "f_hi_khz": 100.0}
+    assert load_config(write_cfg(tmp_path, payload)).synth["f_lo_khz"] == f_lo
+
+
 def test_bad_sampler_counts(tmp_path):
     payload = full_cfg()
     payload["sampler"] = {"n_samples": 0}
