@@ -12,7 +12,10 @@ same eigenpairs: each pair's top eigenvalue is certified by at most two
 batched shifted solves, with eigvalsh as the fallback and to re-anchor the
 bounds now and then, so an accepted step costs about one batched solve.
 Samples and accept flags are byte for byte those of evaluating every
-proposal by eigvalsh; log posteriors agree with it to 1e-10 relative.
+proposal by eigvalsh.  Log posteriors differ from it by less than eigvalsh's
+own rounding of the model frequencies carried through the misfit, about
+sum |r| omega n eps |A| / (2 |lambda| sigma^2) over the residuals r; that is
+within 1e-10 relative unless sigma lies far below the residuals.
 """
 
 from __future__ import annotations
@@ -538,8 +541,10 @@ def mcmc_sample(
     bound's data by certified solves, or by eigvalsh where those certify
     not every pair.  The samples, accept flags and random stream are byte
     for byte those of evaluating every proposal by eigvalsh, and the log
-    posteriors agree with it to 1e-10 relative.  Prior-only chains evaluate
-    every proposal.
+    posteriors differ from it by less than eigvalsh's rounding carried
+    through the misfit (see the module docstring): 1e-10 relative unless
+    sigma lies far below the residuals.  Prior-only chains evaluate every
+    proposal.
     """
     d = len(PARAM_NAMES)
     rng = np.random.default_rng(cfg.seed)

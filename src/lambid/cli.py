@@ -170,6 +170,13 @@ def cmd_identify(cfg: RunConfig, out: Path, n_chains: int) -> None:
         bayes.write_chain(out / name, chain)
         for w in chain.warnings:
             print(f"warning: chain {i}: {w}", file=sys.stderr)
+    if n_chains > 1:  # leave _read_run_chain only this run's files to pool
+        name = cfg.files["chain"]
+        (out / name).unlink(missing_ok=True)
+        i = n_chains
+        while (out / _chain_file(name, i)).exists():
+            (out / _chain_file(name, i)).unlink()
+            i += 1
 
 
 def cmd_summarize(cfg: RunConfig, out: Path) -> None:

@@ -236,11 +236,28 @@ def load_config(path) -> RunConfig:
         raise ConfigError("band: need 0 < fh_min_mhz_mm < fh_max_mhz_mm")
     if band["n_points"] < 1:
         raise ConfigError("band.n_points must be positive")
+    if sections["solver"]["order"] < 1:
+        raise ConfigError("solver.order must be at least 1")
     synth = sections["synth"]
-    if not synth["f_hi_khz"] > 0:
-        raise ConfigError("synth.f_hi_khz must be positive")
+    for key in ("n_x", "n_t"):
+        if synth[key] < 2:
+            raise ConfigError(f"synth.{key} must be at least 2")
+    for key in ("dx_mm", "dt_us", "duration_ms", "f_hi_khz"):
+        if not synth[key] > 0:
+            raise ConfigError(f"synth.{key} must be positive")
+    if synth["noise_rms"] < 0:
+        raise ConfigError("synth.noise_rms must be non-negative")
+    f_nyq = 0.5 / (synth["dt_us"] * 1e-6)  # Hz, as synth_wavefield computes it
+    if synth["f_hi_khz"] * 1e3 >= f_nyq:
+        raise ConfigError(f"synth.f_hi_khz must lie below the Nyquist frequency "
+                          f"1/(2 synth.dt_us) = {f_nyq * 1e-3:.6g} kHz")
     if not 0 <= synth["f_lo_khz"] <= synth["f_hi_khz"]:
         raise ConfigError("synth.f_lo_khz must lie in [0, synth.f_hi_khz]")
+    extract = sections["extract"]
+    if not 0 <= extract["min_prominence"] <= 1:
+        raise ConfigError("extract.min_prominence must lie in [0, 1]")
+    if extract["max_jump_bins"] < 0:
+        raise ConfigError("extract.max_jump_bins must be non-negative")
     try:
         SamplerConfig(**sampler)
     except ValueError as exc:

@@ -58,7 +58,6 @@ __all__ = [
     "sensitivity_sweep",
     "k_grid_for_fh_band",
     "write_curves",
-    "read_curves",
 ]
 
 class Mode(str, Enum):
@@ -632,15 +631,3 @@ def write_curves(path, curves, plate: PlateSpec) -> None:
         np.concatenate([np.full(c.k.shape, np.nan) if c.c_g is None else c.c_g
                         for c in curves]),
     ])
-
-
-def read_curves(path) -> dict[str, dict[str, np.ndarray]]:
-    """Read a curve export back as arrays keyed by mode then column."""
-    _, lines = textio.read_table(path, _CURVE_HEADER)
-    modes = np.array(textio.labels(lines))
-    values = textio.float_columns(lines, 1, 5)
-    return {
-        mode: dict(zip(("k", "f", "fh", "c_p", "c_g"),
-                       np.ascontiguousarray(values[modes == mode].T)))
-        for mode in dict.fromkeys(modes.tolist())
-    }

@@ -18,17 +18,15 @@ chain rule: NT1 scales as (2/kh)^n and NT2 as (2/kh)^(n+1).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-__all__ = ["nt1", "nt2", "nt_tables", "reference_tables"]
+__all__ = ["reference_tables"]
 
 
-@lru_cache(maxsize=32)
 def reference_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only NT1/NT2 at kh = 2, basis indices 0..order, indexed [n, j, m]."""
+    """NT1/NT2 at kh = 2, basis indices 0..order, indexed [n, j, m].  Not
+    cached: dispersion._basis, the one caller, caches what it builds."""
     size = order + 1
     odd = 2.0 * np.arange(size) + 1.0
     norm = np.sqrt(np.outer(odd, odd))
@@ -45,34 +43,4 @@ def reference_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
         t1[n, :rows] = d / odd[:rows, None] * norm[:rows]
         ends = np.outer(sign, sign[:rows] @ d) - d.sum(axis=0)
         t2[n] = ends * norm * 0.5
-    t1.flags.writeable = t2.flags.writeable = False  # shared by every caller
     return t1, t2
-
-
-def nt_tables(kh: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """NT1/NT2 at kh for basis indices 0..order, indexed [n, j, m]."""
-    t1, t2 = reference_tables(order)
-    s = 2.0 / kh
-    scale = np.array([1.0, s, s * s])[:, None, None]
-    return t1 * scale, t2 * (scale * s)
-
-
-def _check_nt_args(m: int, j: int, n: int, kh: float) -> None:
-    if m < 0 or j < 0:
-        raise ValueError("basis indices must be non-negative")
-    if not 0 <= n <= 2:
-        raise ValueError("derivative order restricted to 0..2")
-    if kh <= 0:
-        raise ValueError("kh must be positive")
-
-
-def nt1(m: int, j: int, n: int, kh: float) -> float:
-    """Integral over [0, kh] of Q_j times the n-th derivative of Q_m."""
-    _check_nt_args(m, j, n, kh)
-    return float(nt_tables(kh, max(m, j))[0][n, j, m])
-
-
-def nt2(m: int, j: int, n: int, kh: float) -> float:
-    """Boundary bracket f(0) - f(kh) with f = Q_j * d^n Q_m / dq3^n."""
-    _check_nt_args(m, j, n, kh)
-    return float(nt_tables(kh, max(m, j))[1][n, j, m])

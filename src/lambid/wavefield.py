@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +75,6 @@ class DispersionImage:
     f_axis: np.ndarray  # Hz
     k_axis: np.ndarray  # rad/m
     normalized: bool = False
-    zero_rows: np.ndarray | None = None  # flags for all-zero raw rows
 
 
 _BRANCHES = tuple(mode.value for mode in Mode)  # indexed by Mode.branch
@@ -273,7 +271,7 @@ def two_dft(field: TXField, window: bool = False) -> DispersionImage:
 
 
 def normalize_energy(image: DispersionImage) -> DispersionImage:
-    """Divide each frequency row by its sum; all-zero rows are flagged."""
+    """Divide each frequency row by its sum; all-zero rows stay zero."""
     mag = image.magnitude.copy()
     sums = mag.sum(axis=1)
     zero = sums == 0
@@ -283,7 +281,6 @@ def normalize_energy(image: DispersionImage) -> DispersionImage:
         f_axis=image.f_axis,
         k_axis=image.k_axis,
         normalized=True,
-        zero_rows=zero,
     )
 
 

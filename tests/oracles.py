@@ -47,12 +47,22 @@ def nt2_boundary(m: int, j: int, n: int, kh: float) -> float:
     return f(0.0) - f(kh)
 
 
+def nt_tables(kh: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """NT1/NT2 at kh for basis indices 0..order, indexed [n, j, m]: the
+    kh = 2 tables that lambid.dispersion reads, scaled by the chain rule,
+    NT1 by (2/kh)^n and NT2 by (2/kh)^(n+1)."""
+    from lambid.legendre import reference_tables
+
+    t1, t2 = reference_tables(order)
+    s = 2.0 / kh
+    scale = np.array([1.0, s, s * s])[:, None, None]
+    return t1 * scale, t2 * (scale * s)
+
+
 def per_k_system(theta, kh: float, order: int) -> np.ndarray:
     """Realified system matrix at one kh, assembled block by block from the
     NT tables at that kh: the per-wavenumber loop the batched operator in
     lambid.dispersion replaced, kept as its reference."""
-    from lambid.legendre import nt_tables
-
     t1, t2 = nt_tables(kh, order)
     r = theta.rho
     c11, c13, c33, c55 = theta.c11, theta.c13, theta.c33, theta.c55
@@ -366,9 +376,11 @@ def plain_mcmc_sample(obs, priors, plate, cfg):
     """lambid.bayes.mcmc_sample as it was before early rejection: every
     proposal's exact log posterior is evaluated by eigvalsh, and u is drawn
     after it.  The package's chains must have this one's samples and accept
-    flags byte for byte, and its log posteriors to 1e-10 relative.  One
-    bayes._Posterior serves the chain (the public log_posterior is its
-    log_posterior on a fresh instance), so the pairs' C_j are built once."""
+    flags byte for byte, and its log posteriors to within eigvalsh's
+    rounding carried through the misfit: 1e-10 relative unless sigma lies
+    far below the residuals.  One bayes._Posterior serves the chain (the
+    public log_posterior is its log_posterior on a fresh instance), so the
+    pairs' C_j are built once."""
     import lambid.bayes as bayes
 
     d = len(bayes.PARAM_NAMES)

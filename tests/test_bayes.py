@@ -350,6 +350,31 @@ class TestSampler:
         assert np.all(np.abs(got.log_posts - want.log_posts)
                       <= 1e-10 * np.abs(want.log_posts))
 
+    def test_log_posts_within_the_eigvalsh_rounding_bound(self, synth_obs,
+                                                          plate):
+        # with sigma 40 times below the residuals the misfit term amplifies
+        # eigvalsh's own rounding past 1e-10 relative (1.58e-10 here); the
+        # difference stays below sum |r| d_omega / sigma^2, with d_omega =
+        # omega n eps |A| / (2 |lambda|) eigvalsh's rounding of omega
+        priors = PriorSpec(priors={**default_priors().priors,
+                                   "sigma": NormalPrior(2e3, 5e3)})
+        cfg = SamplerConfig(n_samples=300, warmup=100, seed=7,
+                            init=ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9,
+                                             1200.0, 50.0))
+        got = mcmc_sample(synth_obs, priors, plate, cfg)
+        want = oracles.plain_mcmc_sample(synth_obs, priors, plate, cfg)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.accepted.tobytes() == want.accepted.tobytes()
+        post = bayes._Posterior(synth_obs, priors, plate, cfg.forward_order)
+        eps = np.finfo(float).eps
+        for x, diff in zip(got.samples, got.log_posts - want.log_posts):
+            blocks, _, top, _, norm, _ = post.log_likelihood(x)[1]
+            omega = np.sqrt(-top)[synth_obs.pair_index] * synth_obs.k
+            d_omega = omega * (blocks.shape[-1] * eps * norm
+                               / (2 * -top))[synth_obs.pair_index]
+            resid = np.abs(synth_obs.omega - omega)
+            assert abs(diff) <= np.sum(resid * d_omega) / x[5] ** 2
+
     def test_acceptance_warning_attached(self, synth_obs, plate):
         init = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
         # enormous frozen steps: nearly everything is rejected post-warmup

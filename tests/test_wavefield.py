@@ -86,15 +86,14 @@ class TestNormalize:
         assert np.allclose(sums[nonzero], 1.0)
         assert img.normalized
 
-    def test_zero_row_flagged_and_unchanged(self):
+    def test_zero_row_left_unchanged(self):
         mag = np.zeros((4, 8))
         mag[1] = np.arange(8.0)
         img = DispersionImage(magnitude=mag, f_axis=np.arange(4.0),
-                              k_axis=np.arange(8.0), normalized=False,
-                              zero_rows=None)
+                              k_axis=np.arange(8.0), normalized=False)
         out = normalize_energy(img)
-        assert out.zero_rows[0] and not out.zero_rows[1]
-        assert np.allclose(out.magnitude[0], 0.0)
+        assert np.all(out.magnitude[[0, 2, 3]] == 0.0)
+        assert out.magnitude[1].sum() == pytest.approx(1.0)
 
 
 class TestRidgePick:
@@ -103,7 +102,7 @@ class TestRidgePick:
             DispersionImage(magnitude=np.ones((64, 64)),
                             f_axis=np.linspace(0, 2e6, 64),
                             k_axis=np.linspace(0, 4000, 64),
-                            normalized=False, zero_rows=None))
+                            normalized=False))
         with pytest.raises(RidgeError):
             ridge_pick(img, band=(0.2, 4.0), plate=plate)
 
@@ -111,7 +110,7 @@ class TestRidgePick:
         img = DispersionImage(magnitude=np.ones((8, 8)),
                               f_axis=np.linspace(0, 2e6, 8),
                               k_axis=np.linspace(0, 4000, 8),
-                              normalized=False, zero_rows=None)
+                              normalized=False)
         with pytest.raises(ValueError):
             ridge_pick(img, band=(0.2, 4.0), plate=plate)
 
