@@ -95,8 +95,8 @@ class GammaPrior:
     rate: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("shape and rate must be positive")
+        if not (0 < self.shape < np.inf and 0 < self.rate < np.inf):
+            raise ValueError("shape and rate must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -126,8 +126,8 @@ class NormalPrior:
     sd: float
 
     def __post_init__(self):
-        if self.sd <= 0:
-            raise ValueError("sd must be positive")
+        if not (0 < self.sd < np.inf and np.isfinite(self.mean)):
+            raise ValueError("sd must be positive and finite, and mean finite")
 
     @property
     def var(self) -> float:
@@ -193,7 +193,8 @@ class SamplerConfig:
     """One mcmc_sample chain's settings, and the one owner of their
     defaults and rules (lambid.config reads both from here): ValueError
     unless n_samples and forward_order are positive integers, warmup is a
-    non-negative integer (bools are neither) and proposal_scale is positive.
+    non-negative integer (bools are neither), proposal_scale is positive and
+    finite and seed is non-negative.
     """
 
     n_samples: int = 20_000
@@ -213,10 +214,12 @@ class SamplerConfig:
             raise ValueError("n_samples must be a positive integer")
         if not (is_count(self.warmup) and self.warmup >= 0):
             raise ValueError("warmup must be non-negative and an integer")
-        if not self.proposal_scale > 0:
-            raise ValueError("proposal_scale must be positive")
+        if not 0 < self.proposal_scale < np.inf:
+            raise ValueError("proposal_scale must be positive and finite")
         if not (is_count(self.forward_order) and self.forward_order > 0):
             raise ValueError("forward_order must be a positive integer")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -249,6 +249,9 @@ def main(argv=None) -> int:
         print(f"error:config: {exc}", file=sys.stderr)
         return EXIT_CODES["config"]
     if args.seed is not None:
+        if args.seed < 0:
+            print(f"error:args: --seed {args.seed} is negative", file=sys.stderr)
+            return EXIT_CODES["args"]
         cfg.seed = args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -271,6 +271,8 @@ def load_config(path) -> RunConfig:
 
     seed = raw.get("seed", 0)
     _check_kind("seed", seed, 0)
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
 
     return RunConfig(
         seed=seed,

@@ -318,12 +318,14 @@ def ridge_pick(
     """Track the two energy ridges (A0, S0) through the banded image rows.
 
     Per frequency row inside the band, local maxima exceeding
-    min_prominence times the row max are candidates.  Ridges are seeded
-    from the strongest maxima at the low-frequency edge and grown upward by
-    nearest-k association within max_jump_bins; each must cover 30% of the
+    min_prominence times the row max are candidates.  Going up in
+    frequency, each row extends every ridge to its nearest unclaimed
+    candidate within max_jump_bins, then starts ridges from the strongest
+    unclaimed ones while fewer than two exist; each must cover 30% of the
     band rows.  A0 is the larger-k ridge at shared frequencies (lower phase
-    velocity).  Raises ValueError unless 0 <= min_prominence <= 1 and
-    max_jump_bins >= 0.
+    velocity).  Each k bin keeps the ridge's lowest-frequency row in it,
+    whose k lies about half a bin above the ridge's.  Raises ValueError
+    unless 0 <= min_prominence <= 1 and max_jump_bins >= 0.
     """
     n_modes = len(_BRANCHES)
     if not 0 <= min_prominence <= 1:
@@ -347,40 +349,26 @@ def ridge_pick(
     cols = peak_col.tolist()
     row_peaks = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    # seed ridges at the low-frequency edge: first row with enough peaks
-    ridges: list[list[tuple[int, int]]] = []  # list of (row_idx, k_idx)
-    seeded = next((i for i, peaks in enumerate(row_peaks) if peaks), None)
-    if seeded is None:
-        raise RidgeError("no row in the band has a prominent maximum")
-    peaks = np.array(row_peaks[seeded])
-    strongest = peaks[np.argsort(band_rows[seeded][peaks])[::-1]]
-    for p in strongest[:n_modes]:
-        ridges.append([(rows[seeded], int(p))])
-
-    for ri, peaks in zip(rows[seeded + 1:], row_peaks[seeded + 1:]):
-        if not peaks:
-            continue
+    ridges: list[list[tuple[int, int]]] = []  # (row index, k index) pairs
+    for i, peaks in enumerate(row_peaks):
         taken: set[int] = set()
         for ridge in ridges:
             last_k = ridge[-1][1]
             cands = [p for p in peaks if p not in taken
                      and abs(p - last_k) <= max_jump_bins]
-            if not cands:
-                continue
-            best = min(cands, key=lambda p: abs(p - last_k))
-            ridge.append((ri, best))
-            taken.add(best)
-        # start additional ridges from strong unclaimed peaks
+            if cands:
+                best = min(cands, key=lambda p: abs(p - last_k))
+                ridge.append((rows[i], best))
+                taken.add(best)
         if len(ridges) < n_modes:
-            for p in peaks:
-                if p not in taken:
-                    ridges.append([(ri, p)])
-                    taken.add(p)
-                    if len(ridges) >= n_modes:
-                        break
+            free = np.array([p for p in peaks if p not in taken], dtype=int)
+            strongest = free[np.argsort(band_rows[i][free])[::-1]]
+            for p in strongest[:n_modes - len(ridges)]:
+                ridges.append([(rows[i], p)])
+    if not ridges:
+        raise RidgeError("no row in the band has a prominent maximum")
 
     ridges.sort(key=len, reverse=True)
-    ridges = ridges[:n_modes]
     need = 0.3 * rows.size
     for i, ridge in enumerate(ridges):
         if len(ridge) < need:
@@ -396,17 +384,12 @@ def ridge_pick(
     ordering = np.argsort(mean_k)[::-1]  # descending k
     points = []
     for label, ridge_idx in zip(_BRANCHES, ordering):
-        pts = sorted(
-            ((image.k_axis[kx], 2 * np.pi * image.f_axis[ri])
-             for ri, kx in ridges[ridge_idx]),
-            key=lambda p: p[0],
-        )
-        last_k = -np.inf
-        for k_hat, om_hat in pts:
-            if k_hat <= last_k:  # enforce strictly increasing k per mode
-                continue
-            last_k = k_hat
-            points.append((label, float(om_hat), float(k_hat)))
+        row_idx, k_idx = np.array(ridges[ridge_idx]).T
+        # rows run up in frequency, so each k bin's first row is its lowest
+        k_bins, first = np.unique(k_idx, return_index=True)
+        omega = 2 * np.pi * image.f_axis[row_idx[first]]
+        points += [(label, float(om_hat), float(k_hat))
+                   for om_hat, k_hat in zip(omega, image.k_axis[k_bins])]
     return ObservationSet(points=points, band=tuple(band))
 
 

@@ -79,6 +79,21 @@ class TestPriors:
             assert n.logpdf(x) == pytest.approx(
                 stats.norm.logpdf(x, 1600.0, 300.0), rel=1e-12)
 
+    @pytest.mark.parametrize("prior", [
+        lambda: GammaPrior(shape=np.inf, rate=1.0),  # logpdf gave NaN
+        lambda: GammaPrior(shape=np.nan, rate=1.0),
+        lambda: GammaPrior(shape=2.0, rate=np.inf),
+        lambda: NormalPrior(mean=np.nan, sd=300.0),  # a chain of NaN posteriors
+        lambda: NormalPrior(mean=-np.inf, sd=300.0),
+        lambda: NormalPrior(mean=1600.0, sd=np.nan),
+        lambda: NormalPrior(mean=1600.0, sd=np.inf),
+    ], ids=["gamma_inf_shape", "gamma_nan_shape", "gamma_inf_rate",
+            "normal_nan_mean", "normal_neg_inf_mean", "normal_nan_sd",
+            "normal_inf_sd"])
+    def test_non_finite_parameters_rejected(self, prior):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            prior()
+
     def test_gamma_moments(self):
         g = GammaPrior(shape=1.5, rate=0.05)
         assert g.mean == pytest.approx(30.0)
@@ -224,6 +239,15 @@ class TestSampler:
             with pytest.raises(ValueError, match="proposal_scale"):
                 SamplerConfig(n_samples=200, warmup=50, seed=1, init=init,
                               proposal_scale=scale)
+
+    def test_infinite_proposal_scale_rejected(self):
+        with pytest.raises(ValueError, match="proposal_scale must be positive"):
+            SamplerConfig(proposal_scale=float("inf"))
+
+    def test_negative_seed_rejected(self):
+        # numpy's generators refuse it only when the chain starts
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SamplerConfig(seed=-1)
 
     @pytest.mark.parametrize("warmup", [-3, 2.5, "5", True])
     def test_bad_warmup_rejected_before_any_solve(self, warmup):

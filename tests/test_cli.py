@@ -7,6 +7,8 @@ import pytest
 import yaml
 
 from lambid import bayes, cli, wavefield
+from lambid.dispersion import (ElasticConstants, PlateSpec, k_grid_for_fh_band,
+                               trace_curves)
 from lambid.wavefield import TXField
 
 
@@ -308,6 +310,21 @@ def test_malformed_config_exits_config(tmp_path, capsys, key, value):
     assert "error:config:" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_before_synth(tmp_path, capsys):
+    # the noisy field used to be traced first and then refused by numpy
+    # with a message that named no key
+    cfg = write_cfg(tmp_path, base_cfg(seed=-3, synth={"noise_rms": 0.05}))
+    rc = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "a")])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    assert "error:config: seed must be non-negative" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, base_cfg(synth={"noise_rms": 0.05}))
+    rc = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "b"),
+                   "--seed", "-1"])
+    assert rc == cli.EXIT_CODES["args"] == 7
+    assert "error:args: --seed -1" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("section,keys,value", [
     ("material", ("elastic", "c11_gpa"), float("nan")),
     ("material", ("elastic", "rho_kg_m3"), float("inf")),
@@ -398,6 +415,51 @@ def test_summarize_missing_chain_exits_io(tmp_path, capsys):
     rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     assert "error:io:" in capsys.readouterr().err
+
+
+def _write_curve_observations(out):
+    """Noise-free A0/S0 points of base_cfg's material over its band."""
+    material = ElasticConstants(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0)
+    plate = PlateSpec(2e-3)
+    grid = k_grid_for_fh_band(material, plate, 0.3, 2.5, n_points=8, order=6)
+    points = [(curve.mode_label.value, om, k)
+              for curve in trace_curves(material, plate, grid, order=6)
+              for om, k in zip(curve.omega, curve.k)]
+    wavefield.write_observations(out / "observations.csv",
+                                 wavefield.ObservationSet(points, (0.3, 2.5)))
+
+
+def test_identify_without_a_finite_start_exits_sampler(tmp_path, capsys):
+    # every prior draw of c13 (about 1e4 GPa) makes the stiffness indefinite
+    _write_curve_observations(tmp_path)
+    cfg = write_cfg(tmp_path, base_cfg(
+        priors={"c13": {"dist": "gamma", "shape": 10000.0, "rate": 1.0}}))
+    rc = cli.main(["identify", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["sampler"] == 5
+    assert ("error:sampler: no finite-posterior start found in 100 prior "
+            "draws") in capsys.readouterr().err
+
+
+def test_identify_warns_on_low_acceptance(tmp_path, capsys):
+    _write_curve_observations(tmp_path)
+    payload = base_cfg()
+    payload["sampler"].update(n_samples=150, warmup=20, proposal_scale=1000.0)
+    cfg = write_cfg(tmp_path, payload)
+    assert cli.main(["identify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert ("warning: chain 0: post-warmup acceptance 0.000 < 0.05"
+            in capsys.readouterr().err)
+    assert "post-warmup acceptance" in (tmp_path / "chain.csv").read_text()
+
+
+def test_summarize_short_chain_exits_sampler(tmp_path, capsys):
+    _write_curve_observations(tmp_path)
+    payload = base_cfg()
+    payload["sampler"]["n_samples"] = 50
+    cfg = write_cfg(tmp_path, payload)
+    assert cli.main(["identify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["sampler"] == 5
+    assert "error:sampler: too few samples: 50 < 100" in capsys.readouterr().err
 
 
 def test_synth_extract_identify_summarize_pipeline(tmp_path):

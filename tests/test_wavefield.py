@@ -20,7 +20,19 @@ SYNTH_CASES = {
     "criterion_08": (GEOMETRY, EXCITATION, 0.01, 12),
     # b = 19 does not divide n_x = 333, and n_t is odd
     "odd": (dict(n_x=333, dx=0.3e-3, n_t=2047, dt=0.2e-6), EXCITATION, 0.0, 12),
+    # f_lo == f_hi: a four-cycle 400 kHz sine burst
+    "sine": (dict(n_x=256, dx=1.8e-3, n_t=4096, dt=0.9765625e-6),
+             dict(f_lo=400e3, f_hi=400e3, duration=10e-6), 0.0, 10),
 }
+
+# a 40 x 64 image spanning fh 0.2-2.0 MHz*mm on the 2 mm plate
+RIDGE_F = np.linspace(0.1e6, 1.0e6, 40)
+RIDGE_K = np.arange(1.0, 65.0) * 10.0
+
+
+def _ridge_image(mag):
+    return DispersionImage(magnitude=mag, f_axis=RIDGE_F, k_axis=RIDGE_K,
+                           normalized=True)
 
 
 def _plane_wave_field(f0, k0, n_t=512, n_x=256, dt=1e-6, dx=1e-3):
@@ -113,6 +125,32 @@ class TestRidgePick:
                               normalized=False)
         with pytest.raises(ValueError):
             ridge_pick(img, band=(0.2, 4.0), plate=plate)
+
+    def test_later_ridge_starts_at_strongest_free_peak(self, plate):
+        mag = np.zeros((40, 64))
+        mag[:, 40] = 1.0  # row 0 has this peak only
+        mag[1:, 10] = 0.5
+        mag[1:, 25] = 0.9
+        modes = ridge_pick(_ridge_image(mag), band=(0.2, 2.0), plate=plate
+                           ).by_mode()
+        # each ridge keeps one point per k bin, at the bin's lowest row
+        assert modes["A0"][1].tolist() == [RIDGE_K[40]]
+        assert modes["S0"][1].tolist() == [RIDGE_K[25]]
+        assert modes["S0"][0].tolist() == [2 * np.pi * RIDGE_F[1]]
+
+    def test_short_ridge_raises(self, plate):
+        mag = np.zeros((40, 64))
+        mag[:, 40] = 1.0
+        mag[:5, 10] = 0.5
+        with pytest.raises(RidgeError, match="ridge 1 only trackable over "
+                           "5/40 band rows"):
+            ridge_pick(_ridge_image(mag), band=(0.2, 2.0), plate=plate)
+
+    def test_single_ridge_raises(self, plate):
+        mag = np.zeros((40, 64))
+        mag[:, 40] = 1.0
+        with pytest.raises(RidgeError, match="only 1 of 2 ridges found"):
+            ridge_pick(_ridge_image(mag), band=(0.2, 2.0), plate=plate)
 
     def test_recovers_synthetic_ridges(self, gfrp, plate):
         field = synth_wavefield(gfrp, plate, GEOMETRY, EXCITATION,
