@@ -8,9 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .bayes import PARAM_NAMES, Chain, ParamVector
-from .dispersion import (Mode, PlateSpec, TracingError, _check_order,
-                         _checked_k_grid, branch_cp)
+from .bayes import (_RQI_STEPS, _SCREEN_NORM, PARAM_NAMES, Chain,
+                    ParamVector, _loewner_factors, _rayleigh_step)
+from .dispersion import (Mode, PlateSpec, TracingError, _check_definite,
+                         _check_order, _checked_k_grid, _pair_basis,
+                         _top_negative)
 
 __all__ = [
     "ParamSummary",
@@ -121,15 +123,17 @@ def curve_ensemble(
 
     The grid (as trace_curves checks it) and the order are checked once,
     before any solve; with_cg needs 3 points.  The thinning step caps the
-    ensemble at max_solves members, one branch_cp call each.  Samples that
-    are no material, or whose solve is rejected or NaN anywhere on the
-    grid, are skipped and counted; more than half skipped raises (the posterior is
-    inconsistent with the model).  Each member's "A0" is its slower branch
-    at every k and "S0" the faster: the order ensemble files have always
-    had, and the one the benchmark's ensemble check (bench/checks.py)
-    expects.  It differs from trace_curves' parity labels only past an
-    A0/S0 crossing.  c_g is d omega / d k by group_velocity's differences.
-    A max_solves below 1 is a ValueError, raised before any solve too.
+    ensemble at max_solves members.  Samples that are no material, or whose
+    solve is rejected or NaN anywhere on the grid, are skipped and counted;
+    more than half skipped raises (the posterior is inconsistent with the
+    model).  The members are solved together by _member_cp, which gives
+    branch_cp's phase velocities up to eigvalsh's own rounding.  Each
+    member's "A0" is its slower branch at every k and "S0" the faster: the
+    order ensemble files have always had, and the one the benchmark's
+    ensemble check (bench/checks.py) expects.  It differs from trace_curves'
+    parity labels only past an A0/S0 crossing.  c_g is d omega / d k by
+    group_velocity's differences.  A max_solves below 1 is a ValueError,
+    raised before any solve too.
     """
     k_grid = _checked_k_grid(k_grid)
     if with_cg and k_grid.size < 3:
@@ -140,34 +144,121 @@ def curve_ensemble(
     draws = chain.post_warmup
     step = max(1, math.ceil(draws.shape[0] / max_solves))
     idx = np.arange(0, draws.shape[0], step)
-    kh = k_grid * plate.thickness
 
-    kept, cps = [], []
+    members, qs = [], []
     for i in idx:
         try:
             material = ParamVector.from_array(draws[i]).material()
-            member = branch_cp(material, kh, order)
+            _check_definite(material)
         except (ValueError, TracingError):
             continue
-        if not np.isnan(member).any():
-            kept.append(i)
-            cps.append(member)
-    skipped = idx.size - len(kept)
+        members.append(i)
+        qs.append(np.array([material.c11, material.c13, material.c33,
+                            material.c55]) / material.rho)
+    cps = _member_cp(np.reshape(qs, (-1, 4)), k_grid * plate.thickness, order)
+    solved = ~np.isnan(cps).any(axis=(1, 2))
+    kept = np.asarray(members, dtype=int)[solved]
+    skipped = idx.size - kept.size
     if skipped > 0.5 * idx.size:
         raise TracingError(
             f"{skipped}/{idx.size} ensemble members failed to solve; "
             "posterior is inconsistent with the model"
         )
-    cps = np.sort(np.reshape(cps, (len(kept), k_grid.size, 2)), axis=-1)
+    cps = np.sort(cps[solved], axis=-1)
     omega = np.moveaxis(cps, -1, 0) * k_grid  # [slower/faster, member, k]
     c_g = np.gradient(omega, k_grid, axis=-1, edge_order=2) if with_cg else None
     return CurveEnsemble(
         k_grid=k_grid,
         omega=dict(zip(_LABELS, omega)),
         c_g=dict(zip(_LABELS, c_g)) if with_cg else None,
-        sample_ids=np.asarray(kept, dtype=int),
+        sample_ids=kept,
         n_skipped=skipped,
     )
+
+
+_CHUNK = 8  # members whose blocks one batched certificate covers
+
+
+def _member_cp(qs: np.ndarray, kh: np.ndarray, order: int) -> np.ndarray:
+    """Phase velocities [member, kh, (A0, S0)] of every ratio vector
+    q = (c11, c13, c33, c55) / rho in qs, as branch_cp gives them up to
+    eigvalsh's rounding; NaN where a block has no negative eigenvalue.
+
+    The blocks of both parities at every kh are q @ C, with C from
+    dispersion._pair_basis, formed _CHUNK members at a time.  An anchor is
+    solved by eigh.  Every other member's top eigenvalues come from at most
+    two batched Rayleigh-quotient steps started from the anchor's top
+    eigenpairs, each block certified on its own by Kato-Temple against
+    beta lambda_2(anchor) plus the sampler's slack, beta the Loewner factor
+    of the member against the anchor (bayes._loewner_factors,
+    bayes._rayleigh_step): a certified value lies within 1e-13 relative of
+    the block's top eigenvalue.  A member with a block left uncertified is
+    solved by eigh, and becomes the anchor when all its blocks are negative
+    definite.
+    """
+    n_k, size = kh.size, order + 1
+    c = _pair_basis(np.tile(kh, 2), np.repeat([0, 1], n_k), order)
+    tops = np.empty((qs.shape[0], 2 * n_k))
+    anchor = None
+    for start in range(0, qs.shape[0], _CHUNK):
+        q = qs[start:start + _CHUNK]
+        blocks = (q @ c.reshape(4, -1)).reshape(-1, *c.shape[1:])
+        todo = np.arange(q.shape[0])
+        if anchor is None:
+            tops[start], anchor = _eigh_tops(blocks[0], q[0], c)
+            todo = todo[1:]
+        if anchor is not None and todo.size:
+            lam = _certified_tops(blocks[todo], q[todo], anchor)
+            certified = ~np.isnan(lam).any(axis=1)
+            tops[start + todo[certified]] = lam[certified]
+            todo = todo[~certified]
+        for j in todo:
+            tops[start + j], new = _eigh_tops(blocks[j], q[j], c)
+            if new is not None:
+                anchor = new
+    return np.sqrt(-tops).reshape(-1, 2, n_k).transpose(0, 2, 1)
+
+
+def _eigh_tops(blocks: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """(top negative eigenvalue of every block, NaN where none; the
+    member's anchor data, None unless every block is negative definite) of
+    one member's blocks q @ c, by eigh."""
+    lams, vecs = np.linalg.eigh(blocks)
+    if not np.all(lams[:, -1] < 0):
+        return _top_negative(lams), None
+    v = vecs[..., -1]
+    vcv = ((c @ v[:, :, None])[..., 0] * v).sum(axis=-1)  # v^T C_j v
+    det = q[0] * q[2] - q[1] * q[1]
+    return _top_negative(lams), (q, det, v, vcv, lams[:, -2], -lams[:, 0])
+
+
+def _certified_tops(blocks: np.ndarray, qs: np.ndarray, anchor) -> np.ndarray:
+    """The top eigenvalues [member, block] of the members' blocks, each
+    certified negative by Rayleigh-quotient steps from the anchor's unit
+    top eigenvectors v and their Rayleigh quotients on the member's blocks;
+    NaN where a block is left uncertified."""
+    qx, det_x, v, vcv, lam2, norm = anchor
+    factors = [_loewner_factors(qx, det_x, q) or (np.nan, np.nan) for q in qs]
+    beta, alpha = np.array(factors).T[:, :, None]
+    # lambda_2(y) <= beta lambda_2(x), widened as the sampler's screen does
+    bound = (beta * lam2 + _SCREEN_NORM * alpha * norm).ravel()
+    flat = blocks.reshape(-1, *blocks.shape[-2:])
+    w, shift = np.tile(v, (qs.shape[0], 1)), (qs @ vcv).ravel()
+    lam = np.full(flat.shape[0], np.nan)
+    todo = np.arange(flat.shape[0])
+    for _ in range(_RQI_STEPS):
+        step = _rayleigh_step(flat, w, shift, bound)
+        if step is None:
+            break
+        w, shift, certified = step
+        certified &= shift < 0
+        lam[todo[certified]] = shift[certified]
+        left = ~certified
+        if not left.any():
+            break
+        todo, flat, w, shift, bound = (todo[left], flat[left], w[left],
+                                       shift[left], bound[left])
+    return lam.reshape(qs.shape[0], -1)
 
 
 def mc_standard_error(x: np.ndarray) -> float:

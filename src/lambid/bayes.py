@@ -322,19 +322,62 @@ _CERTIFY_REL = 1e-13  # widest Kato-Temple interval of a certified eigenvalue
 _REANCHOR = 0.8
 
 
+# The certificate that the sampler and analysis.curve_ensemble share (the
+# bounds are derived in _Posterior's docstring): the Loewner factors of two
+# materials, and one Rayleigh-quotient step with its Kato-Temple test.
+_RQI_STEPS = 2  # Rayleigh-quotient steps before a block goes to eigensolve
+
+
+def _loewner_factors(qx: np.ndarray, det_x: float, qy: np.ndarray):
+    """(beta, alpha) with alpha A(x) <= A(y) <= beta A(x) in the Loewner
+    order, for the ratios q = (c11, c13, c33, c55) / rho of x and y and
+    det_x = qx11 qx33 - qx13^2: the extreme generalized eigenvalues of their
+    2x2 blocks, bounded by the ratio of their q55; None unless both 2x2
+    blocks are positive definite."""
+    det = qy[0] * qy[2] - qy[1] * qy[1]
+    b = qy[0] * qx[2] + qy[2] * qx[0] - 2 * qy[1] * qx[1]
+    if not (det_x > 0 and det > 0 and b > 0):
+        return None
+    # the 2x2 generalized eigenvalues by the stable quadratic roots
+    root = b + math.sqrt(max(b * b - 4 * det_x * det, 0.0))
+    shear = qy[3] / qx[3]
+    return min(2 * det / root, shear), max(root / (2 * det_x), shear)
+
+
 def _inverse_iteration(blocks: np.ndarray, shift: np.ndarray,
                        start: np.ndarray):
     """The unit (blocks - shift I)^-1 start of every pair, by one batched
     solve; None where a solve is singular or not finite."""
+    n = blocks.shape[-1]
+    shifted = blocks.copy()
+    shifted.reshape(-1, n * n)[:, ::n + 1] -= shift[:, None]  # the diagonals
     try:
-        w = np.linalg.solve(blocks - shift[:, None, None] * np.eye(
-            blocks.shape[-1]), start[..., None])[..., 0]
+        w = np.linalg.solve(shifted, start[..., None])[..., 0]
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(w).all():
         return None
     w /= np.abs(w).max(axis=1)[:, None]  # so that squaring cannot overflow
     return w / np.sqrt((w * w).sum(axis=1))[:, None]
+
+
+def _rayleigh_step(blocks: np.ndarray, v: np.ndarray, shift: np.ndarray,
+                   lam2: np.ndarray):
+    """One batched Rayleigh-quotient iteration step from the unit v and
+    shift of every block: (unit w, Rayleigh quotient of w, certified), where
+    a block is certified when Kato-Temple's interval
+    [rq, rq + |A w - rq w|^2 / (rq - lam2)] for its top eigenvalue, given
+    the upper bound lam2 on its second, is at most 1e-13 |rq| wide; None
+    where the solve is singular or not finite."""
+    w = _inverse_iteration(blocks, shift, v)
+    if w is None:
+        return None
+    aw = (blocks @ w[..., None])[..., 0]
+    rq = (w * aw).sum(axis=1)
+    resid = aw - rq[:, None] * w
+    gap = rq - lam2
+    return w, rq, (gap > 0) & ((resid * resid).sum(axis=1)
+                               <= _CERTIFY_REL * np.abs(rq) * gap)
 
 
 class _Posterior:
@@ -350,7 +393,7 @@ class _Posterior:
     Q = [[q11, q13], [q13, q33]] + q55.  With beta <= alpha the extreme
     generalized eigenvalues of (Q_y, Q_x), Q_y - beta Q_x and
     alpha Q_x - Q_y are such matrices, so alpha A(x) <= A(y) <= beta A(x)
-    in the Loewner order.  Each pair's top
+    in the Loewner order (_loewner_factors).  Each pair's top
     eigenvalue lambda(y) = -c_p^2 then lies between the Rayleigh quotient
     rho_y = v^T A(y) v of x's top eigenvector v and the smaller of
     beta lambda_1(x) and Kato-Temple's
@@ -359,9 +402,9 @@ class _Posterior:
     to [c_lo k, c_hi k] bounds its residual from below.
 
     A proposal the screen bounded is evaluated by Rayleigh-quotient
-    iteration from v and rho_y instead of an eigensolve: at most two
-    batched solves (A(y) - rho I) w = v, each pair's lambda_1 the Rayleigh
-    quotient of the unit w, certified when the Kato-Temple width
+    iteration (_rayleigh_step) from v and rho_y instead of an eigensolve: at
+    most two batched solves (A(y) - rho I) w = v, each pair's lambda_1 the
+    Rayleigh quotient of the unit w, certified when the Kato-Temple width
     |r|^2 / (lambda_1 - beta lambda_2(x)) is at most 1e-13 |lambda_1|; if
     any pair is not certified, the evaluation runs eigvalsh.  The state
     data (lambda_1, the bound on lambda_2, v, the bound on |A| and, with
@@ -421,18 +464,12 @@ class _Posterior:
         """Spectra of Rayleigh-quotient iteration from the unit v and shift,
         every pair certified against the bound lam2 on its second
         eigenvalue; None where two steps certify not every pair."""
-        for _ in range(2):
-            v = _inverse_iteration(blocks, shift, v)
-            if v is None:
+        for _ in range(_RQI_STEPS):
+            step = _rayleigh_step(blocks, v, shift, lam2)
+            if step is None:
                 return None
-            av = (blocks @ v[..., None])[..., 0]
-            shift = (v * av).sum(axis=1)
-            resid = av - shift[:, None] * v
-            # Kato-Temple: shift <= lambda_1 <= shift + |r|^2 / gap
-            gap = shift - lam2
-            if np.all(gap > 0) and np.all(
-                    (resid * resid).sum(axis=1)
-                    <= _CERTIFY_REL * np.abs(shift) * gap):
+            v, shift, certified = step
+            if certified.all():
                 return blocks, v, shift, lam2, norm, prod
         return None
 
@@ -494,15 +531,10 @@ class _Posterior:
             return None
         qx, det_x, v, lam1, lam2, norm, prod = self.state
         q = y[:4] / y[4]
-        det = q[0] * q[2] - q[1] * q[1]
-        b = q[0] * qx[2] + q[2] * qx[0] - 2 * q[1] * qx[1]
-        if not (det > 0 and b > 0):
+        factors = _loewner_factors(qx, det_x, q)
+        if factors is None:
             return None
-        # the 2x2 generalized eigenvalues by the stable quadratic roots
-        root = b + math.sqrt(max(b * b - 4 * det_x * det, 0.0))
-        shear = q[3] / qx[3]
-        beta = min(2 * det / root, shear)
-        alpha = max(root / (2 * det_x), shear)
+        beta, alpha = factors
         slack = _SCREEN_NORM * alpha * norm
         prod_y = q @ self.m
         rq = prod_y[-v.shape[0]:]
@@ -643,8 +675,7 @@ def write_chain(path, chain: Chain) -> None:
 
 
 def read_chain(path) -> Chain:
-    meta, lines = textio.read_table(path, _CHAIN_HEADER)
-    values = textio.float_columns(lines, 1, 8)
+    meta, values = textio.read_floats(path, _CHAIN_HEADER, 1, 8)
     first = dict(meta)
     return Chain(
         samples=np.ascontiguousarray(values[:, :6]),

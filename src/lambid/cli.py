@@ -130,15 +130,23 @@ def _chain_file(name: str, i: int) -> str:
     return f"{stem}_{i}{dot}{ext}"
 
 
+def _read_chain(path: Path) -> bayes.Chain:
+    """The chain file at path; CliError "io" naming it where it cannot be read."""
+    try:
+        return bayes.read_chain(path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise CliError("io", f"cannot read chain at {path}: {exc}")
+
+
 def _read_run_chain(out: Path, name: str) -> bayes.Chain:
     """The named chain file or, when it is absent, the post-warmup rows of
     every per-chain file of a multi-chain run pooled into one chain."""
     parts: list[bayes.Chain] = []
     if not (out / name).exists():
         while (out / _chain_file(name, len(parts))).exists():
-            parts.append(bayes.read_chain(out / _chain_file(name, len(parts))))
+            parts.append(_read_chain(out / _chain_file(name, len(parts))))
     if not parts:
-        return bayes.read_chain(out / name)
+        return _read_chain(out / name)
     return bayes.Chain(
         samples=np.concatenate([c.post_warmup for c in parts]),
         log_posts=np.concatenate([c.log_posts[c.warmup_len:] for c in parts]),
@@ -181,11 +189,7 @@ def cmd_identify(cfg: RunConfig, out: Path, n_chains: int) -> None:
 
 def cmd_summarize(cfg: RunConfig, out: Path) -> None:
     plate = cfg.require_plate()
-    chain_path = out / cfg.files["chain"]
-    try:
-        chain = _read_run_chain(out, cfg.files["chain"])
-    except (OSError, ValueError, IndexError) as exc:
-        raise CliError("io", f"cannot read chain at {chain_path}: {exc}")
+    chain = _read_run_chain(out, cfg.files["chain"])
     try:
         summary = analysis.summarize(chain)
     except ValueError as exc:

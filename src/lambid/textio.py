@@ -8,9 +8,11 @@ Floats are written as ``%.12g`` and every other cell with ``str``.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-__all__ = ["write_table", "read_table", "float_columns", "labels"]
+__all__ = ["write_table", "read_table", "read_floats", "float_columns", "labels"]
 
 
 def _row_format(cells) -> str:
@@ -33,6 +35,22 @@ def write_table(path, header: str, columns, comments=()) -> None:
         fh.writelines(row_format % row for row in zip(*columns))
 
 
+def _read_header(fh, path, header: str) -> list[tuple[str, str]]:
+    """The metadata before the header line of the open table file, read up
+    to and including the header; ValueError where it is missing."""
+    meta: list[tuple[str, str]] = []
+    while line := fh.readline():
+        line = line.strip()
+        if line.startswith("#"):
+            key, _, value = line.lstrip("# ").partition(",")
+            meta.append((key, value))
+        elif line == header:
+            return meta
+        elif line:
+            break
+    raise ValueError(f"{path}: missing header line {header!r}")
+
+
 def read_table(path, header: str) -> tuple[list[tuple[str, str]], list[str]]:
     """(metadata, data lines) of a table file.
 
@@ -40,18 +58,30 @@ def read_table(path, header: str) -> tuple[list[tuple[str, str]], list[str]]:
     file order.  Blank lines are skipped; a file whose first other line is
     not a comment or the header raises ValueError.
     """
-    meta: list[tuple[str, str]] = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition(",")
-                meta.append((key, value))
-            elif line == header:
-                return meta, [ln for ln in fh if ln.strip()]
-            elif line:
-                break
-    raise ValueError(f"{path}: missing header line {header!r}")
+        meta = _read_header(fh, path, header)
+        return meta, [ln for ln in fh if ln.strip()]
+
+
+def read_floats(path, header: str, first: int,
+                count: int) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """(metadata, float_columns(lines, first, count)) of a table file, as
+    read_table and float_columns give them, with the data parsed straight
+    from the file in one pass.  np.loadtxt rejects a whitespace-only line,
+    which a table skips, so a file it rejects is read again line by line."""
+    with open(path) as fh:
+        meta = _read_header(fh, path, header)
+        start = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # a header-only table is empty, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                    usecols=range(first, first + count))
+        except ValueError:
+            fh.seek(start)
+            values = float_columns([ln for ln in fh if ln.strip()], first, count)
+    return meta, values.reshape(-1, count)
 
 
 def float_columns(lines: list[str], first: int, count: int) -> np.ndarray:

@@ -245,10 +245,9 @@ def two_dft(field: TXField, window: bool = False) -> DispersionImage:
     it is asserted on the half spectrum, where each bin other than DC and
     (for even n_t) Nyquist also stands for its -f twin.
     """
-    samples = field.samples.copy()
-    peaks = np.abs(samples).max(axis=1)
-    nonzero = peaks > 0
-    samples[nonzero] /= peaks[nonzero, None]
+    peaks = np.abs(field.samples).max(axis=1)
+    # an all-zero trace is divided by 1, so it stays as it is
+    samples = field.samples / np.where(peaks > 0, peaks, 1.0)[:, None]
     if window:
         samples = samples * np.hanning(samples.shape[1])[None, :]
 

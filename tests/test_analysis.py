@@ -9,14 +9,51 @@ from lambid import analysis
 from lambid.analysis import (curve_ensemble, mc_standard_error, summarize,
                              write_ensemble, write_summary)
 from lambid.bayes import PARAM_NAMES, Chain, ParamVector
-from lambid.dispersion import (ElasticConstants, TracingError, group_velocity,
-                               k_grid_for_fh_band, trace_curves)
+from lambid.dispersion import (ElasticConstants, TracingError, _parity_blocks,
+                               branch_cp, group_velocity, k_grid_for_fh_band,
+                               trace_curves)
 
 
 def _chain_from(samples, warmup=0):
     n = samples.shape[0]
     return Chain(samples=samples, log_posts=np.zeros(n),
                  accepted=np.ones(n, dtype=bool), warmup_len=warmup, seed=0)
+
+
+def _omega_rounding(theta, plate, k, order):
+    """eigvalsh's rounding of every omega, slower branch first: [2, k],
+    omega n eps |A| / (2 |lambda|) for lambda the top eigenvalue of a
+    parity block A of order + 1 rows (README "Inference")."""
+    lams = np.linalg.eigvalsh(
+        _parity_blocks(theta, k * plate.thickness, [[0], [1]], order))
+    top = lams[..., -1]
+    omega = np.sqrt(-top) * k
+    bound = (omega * (order + 1) * np.finfo(float).eps
+             * np.abs(lams).max(axis=-1) / (2 * np.abs(top)))
+    return np.take_along_axis(bound, np.argsort(omega, axis=0), axis=0)
+
+
+def _gradient_rounding(bound, k):
+    """The omega rounding bound carried through np.gradient: |G| bound,
+    with G the matrix of np.gradient(., k, edge_order=2)."""
+    g = np.gradient(np.eye(k.size), k, axis=0, edge_order=2)
+    return bound @ np.abs(g).T
+
+
+def _assert_members_match(ens, samples, plate, k, order):
+    """Every member's omega (and c_g) lies within eigvalsh's rounding of
+    its per-member branch_cp curves, slower branch first."""
+    for row, i in enumerate(ens.sample_ids):
+        theta = ParamVector.from_array(samples[i]).material()
+        omega = np.sort(branch_cp(theta, k * plate.thickness, order),
+                        axis=1).T * k
+        bound = _omega_rounding(theta, plate, k, order)
+        for b, mode in enumerate(("A0", "S0")):
+            assert np.all(np.abs(ens.omega[mode][row] - omega[b]) <= bound[b])
+            if ens.c_g is not None:
+                c_g = np.gradient(omega[b], k, edge_order=2)
+                assert np.all(np.abs(ens.c_g[mode][row] - c_g)
+                              <= _gradient_rounding(bound[b], k))
 
 
 def _gaussian_chain(rng, n=5000):
@@ -81,12 +118,17 @@ class TestEnsemble:
         k = np.geomspace(1.0, 6.0, 12) / plate.thickness
         ens = curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate, k,
                              order=12, with_cg=True)
-        a0, s0 = trace_curves(ElasticConstants(*row[:5]), plate, k, order=12)
+        theta = ElasticConstants(*row[:5])
+        a0, s0 = trace_curves(theta, plate, k, order=12)
         assert np.any(a0.omega > s0.omega)
-        assert np.array_equal(ens.omega["A0"][0], np.minimum(a0.omega, s0.omega))
-        assert np.array_equal(ens.omega["S0"][0], np.maximum(a0.omega, s0.omega))
-        assert np.array_equal(ens.c_g["A0"][0],
-                              np.gradient(ens.omega["A0"][0], k, edge_order=2))
+        # the ensemble's eigensolve differs from trace_curves' by rounding
+        bound = _omega_rounding(theta, plate, k, 12)
+        slow, fast = np.minimum(a0.omega, s0.omega), np.maximum(a0.omega, s0.omega)
+        assert np.all(np.abs(ens.omega["A0"][0] - slow) <= bound[0])
+        assert np.all(np.abs(ens.omega["S0"][0] - fast) <= bound[1])
+        assert np.all(np.abs(ens.c_g["A0"][0]
+                             - np.gradient(slow, k, edge_order=2))
+                      <= _gradient_rounding(bound[0], k))
 
     @pytest.mark.parametrize("with_cg,max_solves", [(True, 500), (False, 15)])
     def test_matches_per_member_traces(self, gfrp, plate, rng, with_cg,
@@ -104,9 +146,11 @@ class TestEnsemble:
         k = np.geomspace(1.0, 6.0, 12) / plate.thickness
 
         # the ensemble as it was built member by member: trace_curves,
-        # slower branch first, then group_velocity
+        # slower branch first, then group_velocity; the ensemble's
+        # eigensolve differs from it by eigvalsh's rounding
         idx = np.arange(0, 40, max(1, math.ceil(40 / max_solves)))
         omega, c_g, kept = {"A0": [], "S0": []}, {"A0": [], "S0": []}, []
+        bound, cg_bound = {"A0": [], "S0": []}, {"A0": [], "S0": []}
         for i in idx:
             try:
                 theta = ParamVector.from_array(samples[i]).material()
@@ -118,10 +162,14 @@ class TestEnsemble:
             if a0.k.size < k.size:
                 continue
             slow_fast = np.sort([a0.c_p, s0.c_p], axis=0)
-            for mode, curve, cp in zip(("A0", "S0"), (a0, s0), slow_fast):
+            rounding = _omega_rounding(theta, plate, k, 12)
+            for mode, curve, cp, b in zip(("A0", "S0"), (a0, s0), slow_fast,
+                                          rounding):
                 curve = group_velocity(replace(curve, c_p=cp, omega=cp * curve.k))
                 omega[mode].append(curve.omega)
                 c_g[mode].append(curve.c_g)
+                bound[mode].append(b)
+                cg_bound[mode].append(_gradient_rounding(b, k))
             kept.append(i)
 
         ens = curve_ensemble(chain, plate, k, with_cg=with_cg, order=12,
@@ -130,9 +178,10 @@ class TestEnsemble:
         assert np.array_equal(ens.sample_ids, kept)
         assert ens.n_skipped == idx.size - len(kept)
         for mode in ("A0", "S0"):
-            assert np.array_equal(ens.omega[mode], omega[mode])
+            assert np.all(np.abs(ens.omega[mode] - omega[mode]) <= bound[mode])
             if with_cg:
-                assert np.array_equal(ens.c_g[mode], c_g[mode])
+                assert np.all(np.abs(ens.c_g[mode] - c_g[mode])
+                              <= cg_bound[mode])
         assert (ens.c_g is None) == (not with_cg)
 
     def test_decreasing_grid_rejected_as_a_grid(self, gfrp, plate):
@@ -148,7 +197,7 @@ class TestEnsemble:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the grid check")
 
-        monkeypatch.setattr(analysis, "branch_cp", no_solve)
+        monkeypatch.setattr(analysis, "_member_cp", no_solve)
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
                         2e3])
         with pytest.raises(ValueError, match="at least 3 points"):
@@ -162,7 +211,7 @@ class TestEnsemble:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the max_solves check")
 
-        monkeypatch.setattr(analysis, "branch_cp", no_solve)
+        monkeypatch.setattr(analysis, "_member_cp", no_solve)
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
                         2e3])
         with pytest.raises(ValueError, match="max_solves must be at least 1"):
@@ -174,12 +223,61 @@ class TestEnsemble:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the order check")
 
-        monkeypatch.setattr(analysis, "branch_cp", no_solve)
+        monkeypatch.setattr(analysis, "_member_cp", no_solve)
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
                         2e3])
         with pytest.raises(ValueError, match="order must be at least 1"):
             curve_ensemble(_chain_from(np.tile(row, (120, 1))), plate,
                            np.array([500.0, 700.0, 900.0]), order=0)
+
+    def test_two_clusters_re_anchor(self, gfrp, plate, rng, monkeypatch):
+        # a pooled run whose two chains found different modes: 100 draws
+        # near GFRP, then 100 near C11 = 125.6 GPa; a member that no
+        # certificate from the anchor covers is solved by eigh and becomes
+        # the anchor, so only the first member and the far members of the
+        # one chunk that straddles the clusters run eigh
+        row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                        2e3])
+        far = row.copy()
+        far[0] = 125.6e9
+        samples = (np.concatenate([np.tile(row, (100, 1)),
+                                   np.tile(far, (100, 1))])
+                   * rng.uniform(0.98, 1.02, (200, 6)))
+        eigh, solved = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: solved.append(a.shape) or eigh(a))
+        k = k_grid_for_fh_band(gfrp, plate, 0.2, 4.098, n_points=60, order=10)
+        ens = curve_ensemble(_chain_from(samples), plate, k, with_cg=True,
+                             order=10, max_solves=200)
+        assert ens.size == 200 and ens.n_skipped == 0
+        assert 2 <= len(solved) <= 5
+        _assert_members_match(ens, samples, plate, k, 10)
+
+    @pytest.mark.parametrize("failure", ["LinAlgError", "not finite"])
+    def test_failed_shifted_solve_falls_back_to_eigh(self, gfrp, plate, rng,
+                                                     monkeypatch, failure):
+        row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
+                        2e3])
+        samples = np.tile(row, (24, 1)) * rng.uniform(0.97, 1.03, (24, 6))
+        samples[5, 4] = -1.0  # skipped before any solve
+        k = k_grid_for_fh_band(gfrp, plate, 0.4, 2.0, n_points=9, order=8)
+        want = curve_ensemble(_chain_from(samples), plate, k, order=8)
+
+        def solve(a, b):
+            if failure == "LinAlgError":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(b.shape, np.nan)
+
+        eigh, solved = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: solved.append(a.shape) or eigh(a))
+        got = curve_ensemble(_chain_from(samples), plate, k, order=8)
+        assert len(solved) == got.size == 23
+        assert np.array_equal(got.sample_ids, want.sample_ids)
+        _assert_members_match(got, samples, plate, k, 8)
+        for mode in ("A0", "S0"):
+            assert np.allclose(got.omega[mode], want.omega[mode], rtol=1e-9)
 
     def test_thinning_caps_members(self, gfrp, plate, rng):
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,

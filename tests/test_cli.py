@@ -410,6 +410,23 @@ def test_identify_missing_observations_exits_io(tmp_path, capsys):
     assert "error:io:" in capsys.readouterr().err
 
 
+def test_summarize_names_the_unreadable_chain_file(tmp_path, capsys):
+    # a two-chain run leaves no chain.csv, which the message used to name
+    cfg = write_cfg(tmp_path, base_cfg())
+    row = [28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 3e3]
+    for i in range(2):
+        bayes.write_chain(tmp_path / f"chain_{i}.csv", bayes.Chain(
+            samples=np.tile(row, (150, 1)), log_posts=np.zeros(150),
+            accepted=np.ones(150, dtype=bool), warmup_len=0, seed=i))
+    text = (tmp_path / "chain_1.csv").read_text()
+    (tmp_path / "chain_1.csv").write_text(text[:len(text) // 2])  # mid-row
+    rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CODES["io"] == 3
+    err = capsys.readouterr().err
+    assert f"error:io: cannot read chain at {tmp_path / 'chain_1.csv'}: " in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_summarize_missing_chain_exits_io(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_cfg())
     rc = cli.main(["summarize", "--config", cfg, "--out", str(tmp_path)])

@@ -224,6 +224,21 @@ class TestReadTable:
         with pytest.raises(ValueError, match="header"):
             textio.read_table(path, "a,b")
 
+    def test_chain_skips_blank_and_whitespace_lines(self, tmp_path):
+        # np.loadtxt on the open file rejects a whitespace-only line, which
+        # a table skips; the chain reads as it does without both lines
+        head, last = CHAIN_TEXT.rsplit("\n0,", 1)
+        path = tmp_path / "chain.csv"
+        path.write_text(head + "\n\n0," + last.replace("\n1,", "\n \t\n1,"))
+        assert path.read_text().count("\n") == CHAIN_TEXT.count("\n") + 2
+        (tmp_path / "plain.csv").write_text(CHAIN_TEXT)
+        back, want = bayes.read_chain(path), bayes.read_chain(tmp_path / "plain.csv")
+        assert _same_bits(back.samples, want.samples)
+        assert _same_bits(back.log_posts, want.log_posts)
+        assert np.array_equal(back.accepted, [False, True])
+        assert (back.warmup_len, back.seed, back.warnings) == (
+            1, 7, ["acceptance 0.05 outside [0.1, 0.5], raise steps"])
+
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "chain.csv"
         path.write_text("iter,c11,c13,c33,c55,rho,sigma,log_post,accepted\n")
