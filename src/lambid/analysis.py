@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .bayes import (_RQI_STEPS, _SCREEN_NORM, PARAM_NAMES, Chain,
-                    ParamVector, _loewner_factors, _rayleigh_step)
+from .bayes import PARAM_NAMES, Chain, ParamVector, _Anchor, _certify
 from .dispersion import (Mode, PlateSpec, TracingError, _check_definite,
                          _check_order, _checked_k_grid, _pair_basis,
                          _top_negative)
@@ -185,16 +184,14 @@ def _member_cp(qs: np.ndarray, kh: np.ndarray, order: int) -> np.ndarray:
     eigvalsh's rounding; NaN where a block has no negative eigenvalue.
 
     The blocks of both parities at every kh are q @ C, with C from
-    dispersion._pair_basis, formed _CHUNK members at a time.  An anchor is
-    solved by eigh.  Every other member's top eigenvalues come from at most
-    two batched Rayleigh-quotient steps started from the anchor's top
-    eigenpairs, each block certified on its own by Kato-Temple against
-    beta lambda_2(anchor) plus the sampler's slack, beta the Loewner factor
-    of the member against the anchor (bayes._loewner_factors,
-    bayes._rayleigh_step): a certified value lies within 1e-13 relative of
-    the block's top eigenvalue.  A member with a block left uncertified is
-    solved by eigh, and becomes the anchor when all its blocks are negative
-    definite.
+    dispersion._pair_basis, formed _CHUNK members at a time.  An anchor
+    (bayes._Anchor) is solved by eigh.  The chunk's other members are
+    certified from it by one call of the sampler's bayes._certify: a
+    Rayleigh-quotient step on every block, a second only on the blocks the
+    first left uncertified, each certified by Kato-Temple to within 1e-13
+    relative of its top eigenvalue.  A member with a block left uncertified
+    or not negative is solved by eigh, and becomes the anchor when all its
+    blocks are negative definite.
     """
     n_k, size = kh.size, order + 1
     c = _pair_basis(np.tile(kh, 2), np.repeat([0, 1], n_k), order)
@@ -208,57 +205,30 @@ def _member_cp(qs: np.ndarray, kh: np.ndarray, order: int) -> np.ndarray:
             tops[start], anchor = _eigh_tops(blocks[0], q[0], c)
             todo = todo[1:]
         if anchor is not None and todo.size:
-            lam = _certified_tops(blocks[todo], q[todo], anchor)
-            certified = ~np.isnan(lam).any(axis=1)
+            _, shift, _, lam2, _ = anchor.bounds(q[todo])
+            _, lam = _certify(blocks[todo].reshape(-1, size, size),
+                              np.tile(anchor.v, (todo.size, 1)),
+                              shift.ravel(), lam2.ravel())
+            lam = lam.reshape(todo.size, -1)
+            certified = (lam < 0).all(axis=1)
             tops[start + todo[certified]] = lam[certified]
             todo = todo[~certified]
         for j in todo:
             tops[start + j], new = _eigh_tops(blocks[j], q[j], c)
-            if new is not None:
-                anchor = new
+            anchor = new or anchor
     return np.sqrt(-tops).reshape(-1, 2, n_k).transpose(0, 2, 1)
 
 
 def _eigh_tops(blocks: np.ndarray, q: np.ndarray, c: np.ndarray):
     """(top negative eigenvalue of every block, NaN where none; the
-    member's anchor data, None unless every block is negative definite) of
-    one member's blocks q @ c, by eigh."""
+    member's _Anchor, None unless every block is negative definite) of one
+    member's blocks q @ c, by eigh."""
     lams, vecs = np.linalg.eigh(blocks)
-    if not np.all(lams[:, -1] < 0):
-        return _top_negative(lams), None
-    v = vecs[..., -1]
-    vcv = ((c @ v[:, :, None])[..., 0] * v).sum(axis=-1)  # v^T C_j v
-    det = q[0] * q[2] - q[1] * q[1]
-    return _top_negative(lams), (q, det, v, vcv, lams[:, -2], -lams[:, 0])
-
-
-def _certified_tops(blocks: np.ndarray, qs: np.ndarray, anchor) -> np.ndarray:
-    """The top eigenvalues [member, block] of the members' blocks, each
-    certified negative by Rayleigh-quotient steps from the anchor's unit
-    top eigenvectors v and their Rayleigh quotients on the member's blocks;
-    NaN where a block is left uncertified."""
-    qx, det_x, v, vcv, lam2, norm = anchor
-    factors = [_loewner_factors(qx, det_x, q) or (np.nan, np.nan) for q in qs]
-    beta, alpha = np.array(factors).T[:, :, None]
-    # lambda_2(y) <= beta lambda_2(x), widened as the sampler's screen does
-    bound = (beta * lam2 + _SCREEN_NORM * alpha * norm).ravel()
-    flat = blocks.reshape(-1, *blocks.shape[-2:])
-    w, shift = np.tile(v, (qs.shape[0], 1)), (qs @ vcv).ravel()
-    lam = np.full(flat.shape[0], np.nan)
-    todo = np.arange(flat.shape[0])
-    for _ in range(_RQI_STEPS):
-        step = _rayleigh_step(flat, w, shift, bound)
-        if step is None:
-            break
-        w, shift, certified = step
-        certified &= shift < 0
-        lam[todo[certified]] = shift[certified]
-        left = ~certified
-        if not left.any():
-            break
-        todo, flat, w, shift, bound = (todo[left], flat[left], w[left],
-                                       shift[left], bound[left])
-    return lam.reshape(qs.shape[0], -1)
+    anchor = None
+    if np.all(lams[:, -1] < 0):
+        anchor = _Anchor(q, c, vecs[..., -1], lams[:, -1], lams[:, -2],
+                         -lams[:, 0])
+    return _top_negative(lams), anchor
 
 
 def mc_standard_error(x: np.ndarray) -> float:

@@ -6,11 +6,12 @@ scale on observed angular frequency.  All probabilities are computed in log
 space; non-physical forward solves map to -inf and are therefore never
 accepted.  With observations, the one posterior call of an mcmc_sample step
 rejects most proposals without an eigensolve, from a proved upper bound on
-their log posterior built from the current state's eigenpairs (_Posterior);
-it rejects only what the exact posterior would.  The others start from the
-same eigenpairs: each pair's top eigenvalue is certified by at most two
-batched shifted solves, with eigvalsh as the fallback and to re-anchor the
-bounds now and then, so an accepted step costs about one batched solve.
+their log posterior built from the current state's eigenpairs, its _Anchor;
+it rejects only what the exact posterior would.  The others are certified
+from the anchor by _certify, the curve ensemble's rule too: a batched
+shifted solve, a second only where the first certified no eigenvalue.
+eigvalsh is the fallback and re-anchors now and then, so an accepted step
+costs about one batched solve.
 Samples and accept flags are byte for byte those of evaluating every
 proposal by eigvalsh.  Log posteriors differ from it by less than eigvalsh's
 own rounding of the model frequencies carried through the misfit, about
@@ -322,22 +323,20 @@ _CERTIFY_REL = 1e-13  # widest Kato-Temple interval of a certified eigenvalue
 _REANCHOR = 0.8
 
 
-# The certificate that the sampler and analysis.curve_ensemble share (the
-# bounds are derived in _Posterior's docstring): the Loewner factors of two
-# materials, and one Rayleigh-quotient step with its Kato-Temple test.
-_RQI_STEPS = 2  # Rayleigh-quotient steps before a block goes to eigensolve
+# The certificate that the sampler and analysis.curve_ensemble share; the
+# bounds are derived in _Posterior's docstring.
 
 
 def _loewner_factors(qx: np.ndarray, det_x: float, qy: np.ndarray):
     """(beta, alpha) with alpha A(x) <= A(y) <= beta A(x) in the Loewner
     order, for the ratios q = (c11, c13, c33, c55) / rho of x and y and
     det_x = qx11 qx33 - qx13^2: the extreme generalized eigenvalues of their
-    2x2 blocks, bounded by the ratio of their q55; None unless both 2x2
-    blocks are positive definite."""
+    2x2 blocks, bounded by the ratio of their q55; NaN unless both 2x2
+    blocks are positive definite, so that no bound from them holds."""
     det = qy[0] * qy[2] - qy[1] * qy[1]
     b = qy[0] * qx[2] + qy[2] * qx[0] - 2 * qy[1] * qx[1]
     if not (det_x > 0 and det > 0 and b > 0):
-        return None
+        return math.nan, math.nan
     # the 2x2 generalized eigenvalues by the stable quadratic roots
     root = b + math.sqrt(max(b * b - 4 * det_x * det, 0.0))
     shear = qy[3] / qx[3]
@@ -361,23 +360,70 @@ def _inverse_iteration(blocks: np.ndarray, shift: np.ndarray,
     return w / np.sqrt((w * w).sum(axis=1))[:, None]
 
 
-def _rayleigh_step(blocks: np.ndarray, v: np.ndarray, shift: np.ndarray,
-                   lam2: np.ndarray):
-    """One batched Rayleigh-quotient iteration step from the unit v and
-    shift of every block: (unit w, Rayleigh quotient of w, certified), where
-    a block is certified when Kato-Temple's interval
-    [rq, rq + |A w - rq w|^2 / (rq - lam2)] for its top eigenvalue, given
-    the upper bound lam2 on its second, is at most 1e-13 |rq| wide; None
-    where the solve is singular or not finite."""
-    w = _inverse_iteration(blocks, shift, v)
-    if w is None:
-        return None
-    aw = (blocks @ w[..., None])[..., 0]
-    rq = (w * aw).sum(axis=1)
-    resid = aw - rq[:, None] * w
-    gap = rq - lam2
-    return w, rq, (gap > 0) & ((resid * resid).sum(axis=1)
-                               <= _CERTIFY_REL * np.abs(rq) * gap)
+class _Anchor:
+    """The top eigenpairs of one material's blocks A(q) = q @ C, and the
+    bounds they give at any other material: the ratios q and det(Q), the
+    unit top eigenvectors v, the top eigenvalues lam1, upper bounds lam2 on
+    the second eigenvalues and norm on |A|, the product prod of the betas
+    since an eigensolve gave them, and m = [C_j v, v^T C_j v], so that
+    q' @ m is A(q') v and the Rayleigh quotients of v at q' (v^T C_j v is
+    d lambda_1 / d q_j)."""
+
+    def __init__(self, q, c, v, lam1, lam2, norm, prod=1.0):
+        self.q = q = q.tolist()  # python floats: the fastest scalar arithmetic
+        self.v, self.lam1, self.lam2, self.norm, self.prod = (v, lam1, lam2,
+                                                              norm, prod)
+        self.det = q[0] * q[2] - q[1] * q[1]
+        w = (c @ v[:, :, None])[..., 0]  # [4, blocks, n]
+        self.m = np.concatenate([w.reshape(4, -1), (w * v).sum(axis=2)], axis=1)
+
+    def bounds(self, q: np.ndarray):
+        """(beta, rq, resid, lam2, norm) at every row of the ratios q
+        [materials, 4]: the Loewner factors beta [materials] and, per
+        material and block, the Rayleigh quotients rq and residuals
+        A(q) v - rq v of v, and the bounds lam2(q) <= beta lam2 and
+        |A(q)| <= alpha |A|, lam2's widened by 1e-12 alpha |A| for
+        rounding; NaN where no Loewner factor exists."""
+        beta, alpha = np.array([_loewner_factors(self.q, self.det, row)
+                                for row in q.tolist()]).T
+        n = self.v.shape[0]
+        prod = q @ self.m
+        rq = prod[:, -n:]
+        resid = prod[:, :-n].reshape(-1, *self.v.shape) - rq[..., None] * self.v
+        norm = alpha[:, None] * self.norm
+        lam2 = beta[:, None] * self.lam2 + _SCREEN_NORM * alpha[:, None] * self.norm
+        return beta, rq, resid, lam2, norm
+
+
+def _certify(blocks: np.ndarray, v: np.ndarray, shift: np.ndarray,
+             lam2: np.ndarray):
+    """(w, lam): at most two batched Rayleigh-quotient steps from the unit
+    v and shift of every block, the second only on the blocks that the
+    first left uncertified.  w holds each block's last unit iterate and lam
+    its Rayleigh quotient where that is certified: Kato-Temple's interval
+    [lam, lam + |A w - lam w|^2 / (lam - lam2)] for the top eigenvalue,
+    given the upper bound lam2 on the second, is at most 1e-13 |lam| wide.
+    lam is NaN where a block is left uncertified, or its solve singular or
+    not finite."""
+    w, lam, todo = v, np.full(shift.shape, np.nan), None
+    for _ in range(2):
+        u = _inverse_iteration(blocks, shift, v)
+        if u is None:
+            break
+        au = (blocks @ u[..., None])[..., 0]
+        shift = (u * au).sum(axis=1)
+        resid = au - shift[:, None] * u
+        gap = shift - lam2
+        ok = (gap > 0) & ((resid * resid).sum(axis=1)
+                          <= _CERTIFY_REL * np.abs(shift) * gap)
+        if todo is None:
+            if ok.all():
+                return u, shift  # no copies where the first step certifies all
+            w, todo = u, np.arange(shift.size)
+        w[todo], lam[todo[ok]] = u, shift[ok]
+        todo, blocks, v, shift, lam2 = (a[~ok] for a in (todo, blocks, u,
+                                                         shift, lam2))
+    return w, lam
 
 
 class _Posterior:
@@ -401,25 +447,25 @@ class _Posterior:
     as lambda_2(y) <= beta lambda_2(x).  The distance of each observed omega
     to [c_lo k, c_hi k] bounds its residual from below.
 
-    A proposal the screen bounded is evaluated by Rayleigh-quotient
-    iteration (_rayleigh_step) from v and rho_y instead of an eigensolve: at
-    most two batched solves (A(y) - rho I) w = v, each pair's lambda_1 the
-    Rayleigh quotient of the unit w, certified when the Kato-Temple width
-    |r|^2 / (lambda_1 - beta lambda_2(x)) is at most 1e-13 |lambda_1|; if
-    any pair is not certified, the evaluation runs eigvalsh.  The state
-    data (lambda_1, the bound on lambda_2, v, the bound on |A| and, with
-    W_j = C_j v, the products v^T W_j) come from the evaluation that
-    accepted x: a certified one hands over its unit w and chains the bounds
-    (lambda_2(y) <= beta lambda_2(x), |A(y)| <= alpha |A(x)|), an eigvalsh
-    one its spectrum and one shifted solve.  An eigvalsh evaluation
-    re-anchors the chained bounds once the product of their betas falls
+    The accepted state's data are its _Anchor, and a proposal the screen
+    bounded is evaluated from it by _certify instead of an eigensolve: a
+    batched solve (A(y) - rho_y I) w = v, a second from the first's w and
+    Rayleigh quotient only on the pairs it left uncertified, each pair's
+    lambda_1 the Rayleigh quotient of the unit w, certified when the
+    Kato-Temple width |r|^2 / (lambda_1 - beta lambda_2(x)) is at most
+    1e-13 |lambda_1|; if any pair is not certified, the evaluation runs
+    eigvalsh.  The evaluation that accepted y makes its anchor: a certified
+    one hands over its unit w and chains the bounds (lambda_2(y) <=
+    beta lambda_2(x), |A(y)| <= alpha |A(x)|), an eigvalsh one its
+    spectrum and one shifted solve.  An eigvalsh evaluation re-anchors the
+    chained bounds once the product of their betas would fall
     below 0.8.
     """
 
     def __init__(self, obs: ObservationSet | None, priors: PriorSpec | None,
                  plate: PlateSpec, order: int):
         self.obs, self.priors = obs, priors
-        self.state = None  # the data of a state whose bounds hold
+        self.anchor = None  # the accepted state's _Anchor
         if obs is None:
             return
         if len(obs) == 0:
@@ -442,36 +488,24 @@ class _Posterior:
                 and c13 ** 2 < c11 * c33):
             return -np.inf, None
         blocks = ((x[:4] / rho) @ self.c.reshape(4, -1)).reshape(self.c.shape[1:])
-        spectra = None if ahead is None else self._certified(blocks, *ahead)
+        spectra = None
+        if ahead is not None:
+            # the screen proved every top eigenvalue negative
+            v, top = _certify(blocks, *ahead[:3])
+            if not np.isnan(top).any():
+                spectra = (blocks, v, top, *ahead[2:])
         if spectra is None:
             lams = np.linalg.eigvalsh(blocks)
             top = _top_negative(lams)
             spectra = (blocks, None, lams[:, -1], lams[:, -2], -lams[:, 0], 1.0)
             if np.isnan(top).any():
                 return -np.inf, spectra
-        else:
-            # the screen proved every top eigenvalue negative
-            top = spectra[2]
         obs = self.obs
         resid = obs.omega - np.sqrt(-top)[obs.pair_index] * obs.k
         return float(
             -len(obs) * math.log(sigma) + self.log_norm
             - 0.5 * float(resid @ resid) / sigma**2
         ), spectra
-
-    @staticmethod
-    def _certified(blocks, v, shift, lam2, norm, prod):
-        """Spectra of Rayleigh-quotient iteration from the unit v and shift,
-        every pair certified against the bound lam2 on its second
-        eigenvalue; None where two steps certify not every pair."""
-        for _ in range(_RQI_STEPS):
-            step = _rayleigh_step(blocks, v, shift, lam2)
-            if step is None:
-                return None
-            v, shift, certified = step
-            if certified.all():
-                return blocks, v, shift, lam2, norm, prod
-        return None
 
     def log_posterior(self, x: np.ndarray, floor: float = -math.inf):
         """(log posterior, spectra of its likelihood) at x; -inf where x is
@@ -498,16 +532,14 @@ class _Posterior:
         return lp + ll, spectra
 
     def refresh(self, x: np.ndarray, spectra) -> None:
-        """Make the accepted state x the one that bounds proposals, from the
-        spectra of the exact evaluation that accepted it; with spectra None
-        (no observations), no state bounds proposals."""
-        self.state = None
+        """Make the accepted state x the anchor that bounds proposals, from
+        the spectra of the exact evaluation that accepted it; with spectra
+        None (no observations), no anchor bounds proposals."""
+        self.anchor = None
         if spectra is None:
             return
         blocks, v, lam1, lam2, norm, prod = spectra
-        q = x[:4] / x[4]
-        det = q[0] * q[2] - q[1] * q[1]
-        if not (det > 0 and np.all(lam1 < 0)):
+        if not np.all(lam1 < 0):
             return
         if v is None:
             # one step of inverse iteration from a shift just above the top
@@ -517,39 +549,28 @@ class _Posterior:
                                    np.ones(lam1.shape + blocks.shape[-1:]))
             if v is None:
                 v = np.linalg.eigh(blocks)[1][..., -1]
-        w = (self.c @ v[:, :, None])[..., 0]  # [4, pairs, n]
-        # q @ m gives A(y) v for every pair, then every rho_y
-        self.m = np.concatenate([w.reshape(4, -1), (w * v).sum(axis=2)], axis=1)
-        self.state = (q, det, v, lam1, lam2, norm, prod)
+        self.anchor = _Anchor(x[:4] / x[4], self.c, v, lam1, lam2, norm, prod)
 
     def eigen_bounds(self, y: np.ndarray):
         """(lo, up, ahead): lo and up bound every observed pair's top
         eigenvalue at y, widened for rounding, and ahead is the data from
         which log_likelihood certifies y, or None; None where y is not
         physical or no negative bound holds."""
-        if self.state is None or not (np.isfinite(y).all() and y.min() > 0):
+        anchor = self.anchor
+        if anchor is None or not (np.isfinite(y).all() and y.min() > 0):
             return None
-        qx, det_x, v, lam1, lam2, norm, prod = self.state
-        q = y[:4] / y[4]
-        factors = _loewner_factors(qx, det_x, q)
-        if factors is None:
-            return None
-        beta, alpha = factors
-        slack = _SCREEN_NORM * alpha * norm
-        prod_y = q @ self.m
-        rq = prod_y[-v.shape[0]:]
-        resid = prod_y[:-v.shape[0]].reshape(v.shape) - rq[:, None] * v
-        lam2 = beta * lam2 + slack  # lambda_2(y) <= beta lambda_2(x)
+        beta, rq, resid, lam2, norm = (
+            b[0] for b in anchor.bounds(y[None, :4] / y[4]))
         gap = rq - lam2
         if not np.all(gap > 0):
             return None
-        up = np.minimum(beta * lam1, rq + (resid * resid).sum(axis=1) / gap)
+        up = np.minimum(beta * anchor.lam1, rq + (resid * resid).sum(axis=1) / gap)
+        slack = _SCREEN_NORM * norm
         up += _SCREEN_REL * np.abs(up) + slack
         if not np.all(up < 0):
             return None
-        ahead = None
-        if beta * prod >= _REANCHOR:
-            ahead = (v, rq, lam2, alpha * norm, beta * prod)
+        prod = beta * anchor.prod
+        ahead = (anchor.v, rq, lam2, norm, prod) if prod >= _REANCHOR else None
         return rq - _SCREEN_REL * np.abs(rq) - slack, up, ahead
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -125,9 +125,11 @@ def cmd_extract(cfg: RunConfig, out: Path) -> None:
 
 
 def _chain_file(name: str, i: int) -> str:
-    """File of chain i in a multi-chain run: chain.csv -> chain_<i>.csv."""
-    stem, dot, ext = name.partition(".")
-    return f"{stem}_{i}{dot}{ext}"
+    """File of chain i in a multi-chain run, the index in the file name:
+    chain.csv -> chain_<i>.csv, runs.v2/chain.csv -> runs.v2/chain_<i>.csv."""
+    path = PurePath(name)
+    stem, dot, ext = path.name.partition(".")
+    return str(path.with_name(f"{stem}_{i}{dot}{ext}"))
 
 
 def _read_chain(path: Path) -> bayes.Chain:
@@ -166,25 +168,24 @@ def cmd_identify(cfg: RunConfig, out: Path, n_chains: int) -> None:
         obs = wavefield.read_observations(obs_path)
     except (OSError, ValueError) as exc:
         raise CliError("io", f"cannot read observations at {obs_path}: {exc}")
+    # a run that fails leaves _read_run_chain none of an earlier run's files
+    # to pool; a chain_<i>.csv past a gap is never read
+    name = cfg.files["chain"]
+    (out / name).unlink(missing_ok=True)
+    i = 0
+    while (out / _chain_file(name, i)).exists():
+        (out / _chain_file(name, i)).unlink()
+        i += 1
     for i in range(n_chains):
         scfg = bayes.SamplerConfig(**cfg.sampler, seed=cfg.seed + i)
         try:
             chain = bayes.mcmc_sample(obs, cfg.priors, plate, scfg)
         except bayes.InitializationError as exc:
             raise CliError("sampler", str(exc))
-        name = cfg.files["chain"]
-        if n_chains > 1:
-            name = _chain_file(name, i)
-        bayes.write_chain(out / name, chain)
+        bayes.write_chain(out / (_chain_file(name, i) if n_chains > 1 else name),
+                          chain)
         for w in chain.warnings:
             print(f"warning: chain {i}: {w}", file=sys.stderr)
-    if n_chains > 1:  # leave _read_run_chain only this run's files to pool
-        name = cfg.files["chain"]
-        (out / name).unlink(missing_ok=True)
-        i = n_chains
-        while (out / _chain_file(name, i)).exists():
-            (out / _chain_file(name, i)).unlink()
-            i += 1
 
 
 def cmd_summarize(cfg: RunConfig, out: Path) -> None:

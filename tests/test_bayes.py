@@ -440,7 +440,7 @@ class TestEarlyRejection:
                 x = truth * np.exp(rng.normal(0.0, 0.05, 6))
             else:
                 x = priors.sample(rng).to_array()
-            if not self.refresh(post, x) or post.state is None:
+            if not self.refresh(post, x) or post.anchor is None:
                 continue
             for rel in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
                 yield rel, x * (1 + rel * rng.standard_normal(6))
@@ -556,12 +556,49 @@ class TestEarlyRejection:
             assert np.all((eig[0] <= lams[:, -1]) & (lams[:, -1] <= eig[1]))
             post.refresh(y, spectra)
             x = y
-            lam2, norm, prod = post.state[4:]
-            assert np.all(lam2 >= lams[:, -2]) and np.all(norm >= -lams[:, 0])
-            assert (prod == 1.0) == (spectra[1] is None)
-            assert prod >= bayes._REANCHOR
+            anchor = post.anchor
+            assert np.all(anchor.lam2 >= lams[:, -2])
+            assert np.all(anchor.norm >= -lams[:, 0])
+            assert (anchor.prod == 1.0) == (spectra[1] is None)
+            assert anchor.prod >= bayes._REANCHOR
             anchors.append(spectra[1] is None)
         assert 2 <= sum(anchors) < 0.1 * len(anchors)
+
+    def test_eigh_and_sampler_anchors_agree(self, synth_obs, plate):
+        # the curve ensemble anchors on eigh's pairs and the sampler on
+        # eigvalsh plus one inverse-iteration step; from either anchor at
+        # the same accepted state the screen brackets the top eigenvalues,
+        # and _certify puts them within 1e-13 relative of the exact ones,
+        # so within that plus eigh's own rounding n eps |A| of eigh's
+        priors = default_priors()
+        post = bayes._Posterior(synth_obs, priors, plate, 10)
+        eps = np.finfo(float).eps
+        brackets = certified = 0
+        for _, y in self.proposals(post, priors):
+            sampler = post.anchor
+            q = np.array(sampler.q)
+            lams, vecs = np.linalg.eigh((q @ post.c.reshape(4, -1))
+                                        .reshape(post.c.shape[1:]))
+            ensemble = bayes._Anchor(q, post.c, vecs[..., -1], lams[:, -1],
+                                     lams[:, -2], -lams[:, 0])
+            blocks = ((y[:4] / y[4]) @ post.c.reshape(4, -1)).reshape(
+                post.c.shape[1:])
+            lams = np.linalg.eigh(blocks)[0]
+            top, n = lams[:, -1], blocks.shape[-1]
+            for anchor in (sampler, ensemble):
+                post.anchor = anchor
+                eig = post.eigen_bounds(y)
+                post.anchor = sampler
+                if eig is not None:
+                    assert np.all((eig[0] <= top) & (top <= eig[1]))
+                    brackets += 1
+                _, rq, _, lam2, _ = anchor.bounds((y[:4] / y[4])[None])
+                _, lam = bayes._certify(blocks, anchor.v, rq[0], lam2[0])
+                ok = ~np.isnan(lam)
+                assert np.all((np.abs(lam - top) <= 1e-13 * np.abs(top)
+                               + n * eps * np.abs(lams).max(axis=1))[ok])
+                certified += ok.sum()
+        assert brackets >= 300 and certified >= 6500
 
     def test_singular_shift_falls_back_to_eigh(self, synth_obs, plate,
                                                monkeypatch):
@@ -672,6 +709,24 @@ class TestEarlyRejection:
         # screened evaluations are certified solves, not eigvalsh
         assert np.all(np.abs(got.log_posts - want.log_posts)
                       <= 1e-10 * np.abs(want.log_posts))
+
+
+def test_anchor_rayleigh_quotients_are_its_eigenvalues(gfrp, plate):
+    # lambda_1 = q . (v^T C_j v) at an eigh anchor on the curve ensemble's
+    # GFRP grid: the anchor's v^T C_j v are d lambda_1 / d q_j.  Both sides
+    # carry eigh's rounding n eps |A|, up to 1e7 |lambda_1| eps at the
+    # smallest kh, so the identity holds to 1e-12 relative plus that
+    k = k_grid_for_fh_band(gfrp, plate, 0.2, 4.098, n_points=60, order=10)
+    kh = np.tile(k * plate.thickness, 2)
+    c = dispersion._pair_basis(kh, np.repeat([0, 1], k.size), 10)
+    q = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55]) / gfrp.rho
+    lams, vecs = np.linalg.eigh((q @ c.reshape(4, -1)).reshape(c.shape[1:]))
+    anchor = bayes._Anchor(q, c, vecs[..., -1], lams[:, -1], lams[:, -2],
+                           -lams[:, 0])
+    _, rq, _, _, _ = anchor.bounds(q[None])
+    top, n = lams[:, -1], c.shape[-1]
+    assert np.all(np.abs(rq[0] - top) <= 1e-12 * np.abs(top) + n
+                  * np.finfo(float).eps * np.abs(lams).max(axis=1))
 
 
 class TestChain:

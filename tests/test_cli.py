@@ -558,6 +558,64 @@ def test_multi_chain_run_removes_stale_chain_files(tmp_path):
     assert pooled.seed == 99
 
 
+def _stub_chain(seed):
+    row = [28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 3e3]
+    return bayes.Chain(samples=np.tile(row, (150, 1)), log_posts=np.zeros(150),
+                       accepted=np.ones(150, dtype=bool), warmup_len=0,
+                       seed=seed)
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+def test_failed_identify_leaves_no_stale_chain_files(tmp_path, monkeypatch,
+                                                     chains):
+    # an earlier three-chain run, then a rerun whose last chain finds no
+    # start: summarize must not pool the earlier run's chains with its own
+    _write_curve_observations(tmp_path)
+    cfg = write_cfg(tmp_path, base_cfg())
+    for i in range(3):
+        bayes.write_chain(tmp_path / f"chain_{i}.csv", _stub_chain(4 + i))
+    bayes.write_chain(tmp_path / "chain.csv", _stub_chain(3))
+
+    def sample(obs, priors, plate, scfg):
+        if scfg.seed == 99 + chains - 1:
+            raise bayes.InitializationError("no start")
+        return _stub_chain(scfg.seed)
+
+    monkeypatch.setattr(bayes, "mcmc_sample", sample)
+    rc = cli.main(["identify", "--config", cfg, "--out", str(tmp_path),
+                   "--chains", str(chains), "--seed", "99"])
+    assert rc == cli.EXIT_CODES["sampler"]
+    # only the chains of the failed run itself remain
+    want = [f"chain_{i}.csv" for i in range(chains - 1)]
+    assert sorted(p.name for p in tmp_path.glob("chain*.csv")) == want
+    assert [bayes.read_chain(tmp_path / name).seed for name in want] == [
+        99 + i for i in range(chains - 1)]
+
+
+@pytest.mark.parametrize("name,want", [
+    ("chain.csv", "chain_2.csv"),
+    ("chain.v2.csv", "chain_2.v2.csv"),
+    ("runs.v2/chain.csv", "runs.v2/chain_2.csv"),
+])
+def test_chain_file_indexes_the_last_path_component(name, want):
+    assert cli._chain_file(name, 2) == want
+
+
+def test_multi_chain_run_in_a_dotted_directory(tmp_path, monkeypatch):
+    # the index used to go before the first dot of the whole path, into a
+    # directory runs_0.v2 that does not exist
+    _write_curve_observations(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    cfg = write_cfg(tmp_path, base_cfg(files={"chain": "runs.v2/chain.csv"}))
+    monkeypatch.setattr(bayes, "mcmc_sample",
+                        lambda obs, priors, plate, scfg: _stub_chain(scfg.seed))
+    assert cli.main(["identify", "--config", cfg, "--out", str(tmp_path),
+                     "--chains", "2"]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs.v2").iterdir()) == [
+        "chain_0.csv", "chain_1.csv"]
+    assert cli._read_run_chain(tmp_path, "runs.v2/chain.csv").seed == 3
+
+
 def test_seed_override_changes_synth(tmp_path):
     payload = base_cfg()
     payload["synth"] = {
