@@ -11,14 +11,14 @@ it and A depends on the material through the ratios q alone.  The plate is
 symmetric about its mid-plane and Legendre polynomials have parity (-1)^m,
 so A and B split exactly into an antisymmetric block (u1 odd, u3 even),
 which holds A0, and a symmetric block (u1 even, u3 odd), which holds S0,
-each (M+1) x (M+1).  mode_cp assembles one block per requested (kh, mode)
-pair in one broadcast and solves them in one batched symmetric eigensolve,
-for both blocks at every kh of a curve grid (branch_cp).  The likelihood
-contracts q with each observed pair's C_j = sum_p s^p B[j, p] (_pair_basis).
+each (M+1) x (M+1).  branch_cp assembles both blocks at every kh of a curve
+grid as one stack and solves it in one batched symmetric eigensolve.  The
+likelihood and the curve ensemble contract q with each (kh, branch) pair's
+C_j = sum_p s^p B[j, p] (_pair_basis).
 Each mode is the smallest-magnitude negative eigenvalue of its own block,
 so the labels are exact where A0 and S0 cross.
 Deflated inverse power iteration, the paper's solver, is inverse_power_eigs:
-one vectorised iteration over a whole stack of blocks.  mode_cp runs it with
+one vectorised iteration over a whole stack of blocks.  branch_cp runs it with
 method="power" and gives the same eigenvalues at about 1.5 times the dense
 cost.  smallest_physical_cp solves one full realified system densely; it is
 the unlabelled per-k reference of the benchmark's checks.  The curves fix kh
@@ -48,7 +48,6 @@ __all__ = [
     "TracingError",
     "engineering_to_constants",
     "assemble_system",
-    "mode_cp",
     "branch_cp",
     "realify",
     "inverse_power_eigs",
@@ -62,7 +61,8 @@ __all__ = [
 
 class Mode(str, Enum):
     """A fundamental Lamb mode.  The declaration order is the branch index
-    of mode_cp and branch_cp: A0 = 0 (the antisymmetric block), S0 = 1."""
+    of branch_cp's columns and _pair_basis: A0 = 0 (the antisymmetric block),
+    S0 = 1."""
 
     A0 = "A0"
     S0 = "S0"
@@ -183,6 +183,11 @@ def _basis(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     At kh the NT tables are NT1[n] = s^n T1[n] and NT2[n] = s^(n+1) T2[n],
     with T the reference tables at kh = 2 and T1[0] = I (orthonormal basis).
+    The split takes, with u1 at indices 0..M and u3 at M+1..2M+1, the
+    antisymmetric set (u1 odd, u3 even) and then the symmetric one: the
+    coupling terms of D1 (T1[1], T2[0]) join orders of opposite parity and
+    those of D2 (T1[2], T2[1]) orders of equal parity, so no entry joins
+    the two sets.
     """
     _check_order(order)
     t1, t2 = reference_tables(order)
@@ -228,36 +233,15 @@ def _quadratic(d: np.ndarray, kh) -> np.ndarray:
     return d[0] + s * d[1] + (s * s) * d[2]
 
 
-def _parity_blocks(theta: ElasticConstants, kh, branch, order: int) -> np.ndarray:
-    """Parity block `branch` of the realified system at `kh`, for every
-    element of the broadcast kh and integer branch: [*broadcast, M+1, M+1].
-    Branch 0 is the antisymmetric (A0) block and 1 the symmetric (S0) one.
-
-    With u1 at indices 0..M and u3 at M+1..2M+1, the antisymmetric set is
-    u1 odd + u3 even and the symmetric set u1 even + u3 odd.  Q_m has parity
-    (-1)^m about the mid-plane; the coupling terms of D1 (T1[1], T2[0]) join
-    orders of opposite parity and those of D2 (T1[2], T2[1]) orders of equal
-    parity, so no entry joins the two sets.
-    """
-    branch = _checked_branch(branch)
-    d = _coefficients(theta, _basis(order)[1])  # [3, 2, M+1, M+1]
-    return _quadratic(d[:, branch], kh)
-
-
-def _checked_branch(branch) -> np.ndarray:
-    """branch as an integer array of 0 (A0) and 1 (S0); ValueError otherwise."""
-    branch = np.asarray(branch)
-    if branch.dtype.kind not in "iu" or np.any((branch != 0) & (branch != 1)):
-        raise ValueError("branch must be the integer 0 (A0) or 1 (S0)")
-    return branch
-
-
 def _pair_basis(kh, branch, order: int) -> np.ndarray:
     """The material-free C[j, i] = sum_p s^p B[j, p, branch_i], s = 2/kh_i,
     of every pair i of the 1-D kh and branch: [4, pairs, M+1, M+1].  Pair
     i's parity block is sum_j q_j C[j, i].  Built one branch at a time, so
-    no [4, 3, pairs, M+1, M+1] array is made."""
-    kh, branch = np.asarray(kh, dtype=float), _checked_branch(branch)
+    no [4, 3, pairs, M+1, M+1] array is made.  A branch other than the
+    integer 0 (A0) or 1 (S0) is a ValueError: it would leave its rows unset."""
+    kh, branch = np.asarray(kh, dtype=float), np.asarray(branch)
+    if branch.dtype.kind not in "iu" or np.any((branch != 0) & (branch != 1)):
+        raise ValueError("branch must be the integer 0 (A0) or 1 (S0)")
     split = np.moveaxis(_basis(order)[1], 1, 0)  # [3, 4, 2, M+1, M+1]
     c = np.empty((4, kh.size, order + 1, order + 1))
     for b in (0, 1):
@@ -387,13 +371,14 @@ def smallest_physical_cp(a_hat: np.ndarray, n_modes: int = 2,
     return np.sqrt(-neg[:n_modes])
 
 
-def mode_cp(theta: ElasticConstants, kh, branch, order: int,
-            method: str = "dense") -> np.ndarray:
-    """Phase velocity of mode `branch` (int 0 = A0, 1 = S0) at `kh`, for every
-    element of the broadcast kh and branch, from one batched eigensolve.
+def branch_cp(theta: ElasticConstants, kh, order: int,
+              method: str = "dense") -> np.ndarray:
+    """Phase velocities [A0, S0] at every kh, one row per kh, from one
+    batched eigensolve of both parity blocks at every kh: [K, 2, M+1, M+1].
 
-    Each value is the smallest-magnitude negative eigenvalue of that pair's
-    parity block, NaN where the block has none.  method="power" runs
+    Each value is the smallest-magnitude negative eigenvalue of its parity
+    block, so each column keeps its mode where the two cross.  Rows where
+    either block has no negative eigenvalue are NaN.  method="power" runs
     inverse_power_eigs once over all blocks; a block it cannot deliver on,
     or whose smallest-magnitude eigenvalue is not negative, gets the dense
     answer from one eigvalsh over just those blocks.  Raises TracingError
@@ -402,7 +387,8 @@ def mode_cp(theta: ElasticConstants, kh, branch, order: int,
     although the solver would still return a value.
     """
     _check_definite(theta)
-    blocks = _parity_blocks(theta, kh, branch, order)
+    blocks = _quadratic(_coefficients(theta, _basis(order)[1]),
+                        np.ravel(kh)[:, None])
     if method == "dense":
         lams = _top_negative(np.linalg.eigvalsh(blocks))
     elif method == "power":
@@ -414,17 +400,7 @@ def mode_cp(theta: ElasticConstants, kh, branch, order: int,
         lams = lams.reshape(blocks.shape[:-2])
     else:
         raise ValueError(f"unknown eigensolver method: {method!r}")
-    return np.sqrt(-lams)
-
-
-def branch_cp(theta: ElasticConstants, kh, order: int,
-              method: str = "dense") -> np.ndarray:
-    """Phase velocities [A0, S0] at every kh, one row per kh (see mode_cp).
-
-    Each column keeps its mode where the two cross.  Rows where either
-    block has no negative eigenvalue are NaN.
-    """
-    cps = mode_cp(theta, np.ravel(kh), [[0], [1]], order, method).T  # [K, 2]
+    cps = np.sqrt(-lams)
     cps[np.isnan(cps).any(axis=1)] = np.nan
     return cps
 
@@ -459,11 +435,15 @@ def trace_curves(
     points where either block has no physical eigenvalue are excluded with
     a warning; excluding more than _MAX_EXCLUDED_FRACTION of the grid is a
     hard error, as is a stiffness that is not positive definite.  With
-    auto_converge, the order is raised in steps of 2 until the curves move
-    by less than 1e-6 relative both from the order below and to the order
-    above, and the curves of that middle order are returned: below
-    kh ~ 0.03 eigenvalue rounding alone moves A0 by 5e-7 to 6e-6 per step,
-    so one small step can be chance.  Raising the order past
+    auto_converge, the order is raised in steps of 2 until two steps in a
+    row are small, and the curves of the middle order are returned.  A step
+    is small where every c_p moves by less than 1e-6 relative, or by less
+    than the two orders' eigvalsh rounding bound where that is larger:
+    n eps |A| / (2 c_p^2) each, n = order + 1, with |A(kh)| bounded by
+    |D0| + s |D1| + s^2 |D2|.  The bound is a worst case: it stays below
+    3e-7 on the default band, but A0's reaches 1.5e-3 at kh 0.028, where
+    rounding alone moves A0 by 5e-7 to 6e-6 per step, so that a verdict on
+    1e-6 alone was left to rounding.  Raising the order past
     _MAX_CONVERGE_ORDER is a TracingError.  Both curves record the order
     they were traced at in `order`; c_g is left None (see group_velocity).
     """
@@ -486,17 +466,23 @@ def trace_curves(
             )
         return k_grid[kept], cps[kept]
 
+    def rounding(m_order: int, k: np.ndarray, cps: np.ndarray) -> np.ndarray:
+        norms = np.linalg.norm(_coefficients(theta, _basis(m_order)[1]), 2,
+                               axis=(-2, -1))  # [3, 2]: |D_p| of each block
+        s = 2.0 / (k * plate.thickness)[:, None]
+        return ((m_order + 1) * np.finfo(float).eps
+                * (norms[0] + s * norms[1] + s * s * norms[2]) / (2 * cps * cps))
+
     m_order = order
     kk, cps = trace_at(m_order)
-    settled = False  # the step up to m_order moved the curves by < 1e-6
+    settled = False  # the step up to m_order was small
     while auto_converge:
         if m_order + 2 > _MAX_CONVERGE_ORDER:
-            raise TracingError(
-                f"curves did not converge to 1e-6 by order {m_order}"
-            )
+            raise TracingError(f"curves did not converge by order {m_order}")
         kk2, cps2 = trace_at(m_order + 2)
-        small = (np.array_equal(kk2, kk)
-                 and np.max(np.abs(cps2 - cps) / cps) < 1e-6)
+        small = np.array_equal(kk2, kk) and np.all(
+            np.abs(cps2 - cps) / cps < np.maximum(
+                1e-6, rounding(m_order, kk, cps) + rounding(m_order + 2, kk, cps2)))
         if small and settled:
             break
         settled = small

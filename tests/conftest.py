@@ -62,13 +62,13 @@ _EIGVALSH = np.linalg.eigvalsh
 def one_negative_at(rows):
     """np.linalg.eigvalsh, except that at each kh whose index is in
     rows(number of kh) no stacked matrix keeps a negative eigenvalue (still
-    ascending).  The kh index is the second-to-last axis of the result, so
-    this fits both the [K, n] and the parity blocks' [2, K, n] stacks."""
+    ascending).  The kh index is the first axis of the result, so this fits
+    both the likelihood's [pairs, n] and branch_cp's [K, 2, n] stacks."""
 
     def fake(a):
         lams = _EIGVALSH(a)
-        for i in rows(lams.shape[-2]):
-            lams[..., i, :] = np.sort(np.abs(lams[..., i, :]), axis=-1)
+        for i in rows(lams.shape[0]):
+            lams[i] = np.sort(np.abs(lams[i]), axis=-1)
         return lams
 
     return fake

@@ -194,7 +194,7 @@ def per_block_power_cp(blocks: np.ndarray) -> np.ndarray:
     block at a time: deflate past positive eigenvalues until the first
     negative one, and take the dense eigvalsh answer if the iteration
     fails first; NaN where a block has no negative eigenvalue.  This is
-    the per-block loop that mode_cp(method="power") replaced."""
+    the per-block loop that the batched power path of branch_cp replaced."""
     flat = blocks.reshape(-1, *blocks.shape[-2:])
     out = np.full(flat.shape[0], np.nan)
     for i, a_hat in enumerate(flat):
@@ -206,6 +206,40 @@ def per_block_power_cp(blocks: np.ndarray) -> np.ndarray:
             neg = lams[lams < 0].max() if np.any(lams < 0) else np.nan
         out[i] = np.sqrt(-neg)
     return out.reshape(blocks.shape[:-2])
+
+
+def parity_blocks(theta, kh, branch, order: int) -> np.ndarray:
+    """Parity block `branch` (0 = A0, 1 = S0) of the realified system at
+    `kh`, for every element of the broadcast kh and integer branch:
+    [*broadcast, M+1, M+1], as D0 + s D1 + s^2 D2 from the package's
+    coefficient matrices D_p = sum_j q_j B[j, p].  This is the pair-level
+    assembly that dispersion.branch_cp and dispersion._pair_basis replaced,
+    with the same arithmetic, so both can be held to it bit for bit."""
+    from lambid.dispersion import _basis, _coefficients, _quadratic
+
+    d = _coefficients(theta, _basis(order)[1])  # [3, 2, M+1, M+1]
+    return _quadratic(d[:, np.asarray(branch)], kh)
+
+
+def mode_cp(theta, kh, branch, order: int, method: str = "dense") -> np.ndarray:
+    """Phase velocity of mode `branch` at `kh`, for every element of the
+    broadcast kh and branch, from one batched solve of parity_blocks: the
+    smallest-magnitude negative eigenvalue of each block, NaN where it has
+    none.  method="power" runs dispersion.inverse_power_eigs and gives the
+    blocks it cannot deliver on, or whose eigenvalue is not negative, the
+    dense answer.  This is the pair-level solve that branch_cp replaced."""
+    from lambid.dispersion import _check_definite, _top_negative, inverse_power_eigs
+
+    _check_definite(theta)
+    blocks = parity_blocks(theta, kh, branch, order)
+    if method == "dense":
+        return np.sqrt(-_top_negative(np.linalg.eigvalsh(blocks)))
+    flat = blocks.reshape(-1, *blocks.shape[-2:])
+    lams = inverse_power_eigs(flat, 1)[:, 0]
+    redo = ~(lams < 0)
+    if redo.any():
+        lams[redo] = _top_negative(np.linalg.eigvalsh(flat[redo]))
+    return np.sqrt(-lams.reshape(blocks.shape[:-2]))
 
 
 def _rl_sym(cp, w, cl, ct, h):
@@ -319,7 +353,7 @@ def k_grid_brentq(theta, plate, fh_min: float, fh_max: float,
     kh 1e-9 .. 1e6) and then found by scipy's brentq at xtol 1e-9, S0 at
     fh_min and A0 at fh_max.  This is the grid the package built before the
     edges came from a quadratic eigenproblem, bit for bit."""
-    from lambid.dispersion import Mode, TracingError, mode_cp
+    from lambid.dispersion import Mode, TracingError
 
     if not 0 < fh_min < fh_max:
         raise ValueError("need 0 < fh_min < fh_max")
@@ -351,17 +385,15 @@ def k_grid_brentq(theta, plate, fh_min: float, fh_max: float,
 def parity_block_log_likelihood(obs, theta, plate, order: int) -> float:
     """lambid.bayes.log_likelihood as it was before the chain held each
     observed pair's operators C_j: every call assembles the blocks as
-    D0 + s D1 + s^2 D2 through dispersion._parity_blocks, from the material's
-    coefficient matrices D_p = sum_j q_j B[j, p]."""
-    from lambid.dispersion import _parity_blocks
-
+    D0 + s D1 + s^2 D2 (parity_blocks), from the material's coefficient
+    matrices D_p = sum_j q_j B[j, p]."""
     if theta.sigma <= 0 or min(theta.c11, theta.c13, theta.c33, theta.c55,
                                theta.rho) <= 0:
         return -np.inf
     if theta.c13 ** 2 >= theta.c11 * theta.c33:
         return -np.inf
-    blocks = _parity_blocks(theta.material(), obs.pair_k * plate.thickness,
-                            obs.pair_branch, order)
+    blocks = parity_blocks(theta.material(), obs.pair_k * plate.thickness,
+                           obs.pair_branch, order)
     lams = np.linalg.eigvalsh(blocks)
     top = np.where(lams < 0, lams, -np.inf).max(axis=-1)
     if np.isinf(top).any():

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from lambid import analysis
 from lambid.analysis import (curve_ensemble, mc_standard_error, summarize,
                              write_ensemble, write_summary)
 from lambid.bayes import PARAM_NAMES, Chain, ParamVector
-from lambid.dispersion import (ElasticConstants, TracingError, _parity_blocks,
+from lambid.dispersion import (ElasticConstants, TracingError,
                                branch_cp, group_velocity, k_grid_for_fh_band,
                                trace_curves)
 
@@ -25,7 +26,7 @@ def _omega_rounding(theta, plate, k, order):
     omega n eps |A| / (2 |lambda|) for lambda the top eigenvalue of a
     parity block A of order + 1 rows (README "Inference")."""
     lams = np.linalg.eigvalsh(
-        _parity_blocks(theta, k * plate.thickness, [[0], [1]], order))
+        oracles.parity_blocks(theta, k * plate.thickness, [[0], [1]], order))
     top = lams[..., -1]
     omega = np.sqrt(-top) * k
     bound = (omega * (order + 1) * np.finfo(float).eps
@@ -104,12 +105,15 @@ class TestEnsemble:
     def test_indefinite_member_skipped(self, gfrp, plate):
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
                         2e3])
-        samples = np.tile(row, (4, 1))
+        samples = np.tile(row, (8, 1))
         samples[1, 1] = 2.0 * np.sqrt(gfrp.c11 * gfrp.c33)  # c13^2 > c11 c33
+        samples[3, :3] = gfrp.c33  # c13^2 = c11 c33 exactly
+        samples[4, 4] = 0.0  # rho = 0
+        samples[6, 3] = 0.0  # c55 = 0
         k = k_grid_for_fh_band(gfrp, plate, 0.4, 2.0, n_points=5, order=8)
         ens = curve_ensemble(_chain_from(samples), plate, k, order=8)
-        assert ens.n_skipped == 1
-        assert list(ens.sample_ids) == [0, 2, 3]
+        assert ens.n_skipped == 4
+        assert list(ens.sample_ids) == [0, 2, 5, 7]
 
     def test_members_list_slower_branch_as_a0(self, plate):
         # A0 and S0 of this material cross between kh 3 and 4; trace_curves

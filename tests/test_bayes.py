@@ -14,7 +14,7 @@ import lambid.bayes as bayes
 import lambid.dispersion as dispersion
 import oracles
 from conftest import one_negative_at, random_constants
-from lambid.dispersion import (PlateSpec, _parity_blocks, k_grid_for_fh_band,
+from lambid.dispersion import (PlateSpec, k_grid_for_fh_band,
                                smallest_physical_cp, trace_curves)
 from lambid.wavefield import ObservationSet
 
@@ -177,7 +177,7 @@ class TestLikelihood:
             m = random_constants(rng)
             x = np.array([m.c11, m.c13, m.c33, m.c55, m.rho, 2e3])
             blocks = post.log_likelihood(x)[1][0]
-            want = _parity_blocks(m, kh, synth_obs.pair_branch, 10)
+            want = oracles.parity_blocks(m, kh, synth_obs.pair_branch, 10)
             norm = np.abs(want).max(axis=(1, 2))
             assert np.all(np.abs(blocks - want).max(axis=(1, 2)) <= 1e-15 * norm)
 
@@ -288,7 +288,8 @@ class TestSampler:
     def test_one_pair_basis_per_chain(self, synth_obs, plate, monkeypatch,
                                       with_obs):
         # the chain builds the observed pairs' C_j once, its start's prior
-        # draws included, and never assembles blocks as the grid callers do
+        # draws included, and never contracts a material with the basis as
+        # the grid callers (branch_cp, k_grid_for_fh_band) do
         calls = []
         pair_basis = bayes._pair_basis
 
@@ -296,11 +297,11 @@ class TestSampler:
             calls.append(1)
             return pair_basis(*args)
 
-        def parity_blocks(*args):
-            raise AssertionError("_parity_blocks called")
+        def coefficients(*args):
+            raise AssertionError("_coefficients called")
 
         monkeypatch.setattr(bayes, "_pair_basis", counted)
-        monkeypatch.setattr(dispersion, "_parity_blocks", parity_blocks)
+        monkeypatch.setattr(dispersion, "_coefficients", coefficients)
         cfg = SamplerConfig(n_samples=300, warmup=100, seed=3)
         mcmc_sample(synth_obs if with_obs else None, default_priors(), plate,
                     cfg)
@@ -470,7 +471,7 @@ class TestEarlyRejection:
             if eig is None:
                 continue
             theta = ParamVector.from_array(y).material()
-            top = np.linalg.eigvalsh(_parity_blocks(
+            top = np.linalg.eigvalsh(oracles.parity_blocks(
                 theta, kh, synth_obs.pair_branch, 10))[:, -1]
             assert np.all((eig[0] <= top) & (top <= eig[1]))
             checked += 1

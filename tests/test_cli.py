@@ -178,12 +178,9 @@ def test_solve_prints_auto_converged_order(tmp_path, capsys):
 
 
 def test_solve_auto_converge_bounded_exits_solver(tmp_path, capsys):
-    # down to kh ~ 0.003, where rounding moves A0's c_p by 1e-3 or more
-    # between orders, far above the 1e-6 stopping rule
+    # from order 40 no higher order is left to confirm convergence with
     payload = base_cfg()
-    payload["band"] = {"fh_min_mhz_mm": 0.002, "fh_max_mhz_mm": 4.098,
-                       "n_points": 15}
-    payload["solver"] = {"order": 14, "auto_converge": True}
+    payload["solver"] = {"order": 40, "auto_converge": True}
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["solver"] == 6

@@ -4,12 +4,11 @@ import pytest
 import oracles
 from conftest import one_negative_at, random_constants
 from lambid.dispersion import (ElasticConstants, Mode, PlateSpec,
-                               TracingError, _parity_blocks, assemble_system,
-                               branch_cp, complex_block, engineering_to_constants,
+                               TracingError, assemble_system, branch_cp,
+                               complex_block, engineering_to_constants,
                                group_velocity, inverse_power_eigs,
-                               k_grid_for_fh_band, mode_cp, realify,
-                               sensitivity_sweep, smallest_physical_cp,
-                               trace_curves, write_curves)
+                               k_grid_for_fh_band, realify, sensitivity_sweep,
+                               smallest_physical_cp, trace_curves, write_curves)
 from lambid import textio
 
 
@@ -101,7 +100,7 @@ class TestRealification:
             order = int(rng.integers(2, 16))
             kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
             stack = [realify(assemble_system(theta, x, order)) for x in kh]
-            blocks = _parity_blocks(theta, kh, [[0], [1]], order)
+            blocks = oracles.parity_blocks(theta, kh, [[0], [1]], order)
             lams = np.linalg.eigvalsh(blocks)
             cps = branch_cp(theta, kh, order)
             anti, sym = oracles.parity_sets(order)
@@ -133,11 +132,13 @@ class TestRealification:
                               <= 1e-13 * scale)
 
     @pytest.mark.parametrize("method", ["dense", "power"])
-    def test_pair_solve_matches_branch_columns(self, rng, method):
-        # the draws of test_batched_operator_matches_per_k_loop; each pair's
-        # block is the same arithmetic and the same LAPACK call, so the
-        # pair primitive gives branch_cp's entries bit for bit, in any order
-        # and with repeats
+    def test_pair_solve_matches_branch_columns(self, rng, method, gfrp):
+        # the pair-level solve that branch_cp replaced (oracles.mode_cp)
+        # does the same arithmetic and the same LAPACK call on each block,
+        # so branch_cp gives its entries bit for bit, asked in any order
+        # and with repeats: 300 draws of test_batched_operator_matches_per_k_loop,
+        # then 10 materials within 30 % of GFRP at orders 6, 10 and 14 on
+        # 200 kh from 0.02, where A0's eigenvalue nears rounding size
         for _ in range(300):
             theta = random_constants(rng)
             order = int(rng.integers(2, 16))
@@ -146,17 +147,28 @@ class TestRealification:
             ki = np.r_[np.repeat(np.arange(kh.size), 2), rng.integers(0, kh.size, 5)]
             br = np.r_[np.tile([0, 1], kh.size), rng.integers(0, 2, 5)]
             perm = rng.permutation(ki.size)
-            got = mode_cp(theta, kh[ki[perm]], br[perm], order, method)
+            got = oracles.mode_cp(theta, kh[ki[perm]], br[perm], order, method)
             assert np.array_equal(got, cps[ki[perm], br[perm]], equal_nan=True)
+        kh = np.geomspace(0.02, 20.0, 200)
+        for _ in range(10):
+            theta = ElasticConstants(*(np.array([gfrp.c11, gfrp.c13, gfrp.c33,
+                                                 gfrp.c55, gfrp.rho])
+                                       * rng.uniform(0.7, 1.3, 5)))
+            for order in (6, 10, 14):
+                want = oracles.mode_cp(theta, kh[:, None], [0, 1], order, method)
+                want[np.isnan(want).any(axis=1)] = np.nan
+                assert np.array_equal(branch_cp(theta, kh, order, method), want,
+                                      equal_nan=True)
 
     def test_power_matches_per_block_loop(self, rng, gfrp, plate):
         # draws like those of test_pair_solve_matches_branch_columns, then
         # the default band at the CLI order: the batched kernel gives the
-        # per-block loop's c_p to rounding, with the same NaN pattern
+        # per-block loop's c_p to rounding, with the same NaN rows
         def check(theta, kh, order):
-            got = mode_cp(theta, kh, [[0], [1]], order, "power")
+            got = branch_cp(theta, kh, order, "power")
             ref = oracles.per_block_power_cp(
-                _parity_blocks(theta, kh, [[0], [1]], order))
+                oracles.parity_blocks(theta, kh[:, None], [0, 1], order))
+            ref[np.isnan(ref).any(axis=1)] = np.nan
             assert np.array_equal(np.isnan(got), np.isnan(ref))
             ok = ~np.isnan(ref)
             assert np.all(np.abs(got - ref)[ok] <= 1e-12 * ref[ok])
@@ -174,10 +186,11 @@ class TestRealification:
         # iteration delivers to its tolerance; a positive smallest
         # eigenvalue; and a gap ratio of 0.999, which stalls in
         # _POWER_MAXIT steps.  The last two get the dense answer, and
-        # every block gets its value when solved alone, bit for bit
+        # every block gets its value when solved alone (as both blocks of
+        # a one-kh stack), bit for bit
         import lambid.dispersion as dp
 
-        stack = np.array([_parity_blocks(gfrp, 1.0, 0, 3),
+        stack = np.array([oracles.parity_blocks(gfrp, 1.0, 0, 3),
                           np.diag([-1.0, -1.0 - 1e-9, -5.0, -9.0]),
                           np.diag([0.5, -2.0, -7.0, 31.0]),
                           np.diag([-1.0, -1.001, -5.0, -9.0])])
@@ -186,16 +199,16 @@ class TestRealification:
         kernel = inverse_power_eigs(stack, 1)[:, 0]
         assert np.all(kernel[:2] < 0) and kernel[2] > 0 and np.isnan(kernel[3])
 
-        def solve(blocks):
-            monkeypatch.setattr(dp, "_parity_blocks", lambda *args: blocks)
-            return mode_cp(gfrp, 1.0, 0, 3, method="power")
+        def solve(blocks):  # [K, 2, n, n] in branch_cp's stack
+            monkeypatch.setattr(dp, "_quadratic", lambda *args: blocks)
+            return branch_cp(gfrp, 1.0, 3, method="power").ravel()
 
-        got = solve(stack)
+        got = solve(stack.reshape(2, 2, 4, 4))
         assert np.array_equal(got[:2], np.sqrt(-kernel[:2]))
         assert np.all(np.abs(got[:2] - dense[:2]) <= 1e-9 * dense[:2])
         assert np.array_equal(got[2:], dense[2:])
         for i, block in enumerate(stack):
-            assert solve(block) == got[i]
+            assert np.all(solve(np.array([[block, block]])) == got[i])
         # a block that is not finite is NaN on its own, and a stack that
         # cannot be inverted is NaN throughout
         with_nan = inverse_power_eigs(np.r_[stack, np.full((1, 4, 4), np.nan)], 2)
@@ -221,29 +234,36 @@ class TestRealification:
                                      rng.uniform(800.0, 3000.0))
             order = int(rng.integers(2, 21))
             kh = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=10))
-            lams = np.linalg.eigvalsh(_parity_blocks(theta, kh, [[0], [1]], order))
+            lams = np.linalg.eigvalsh(oracles.parity_blocks(theta, kh, [[0], [1]],
+                                                            order))
             top = lams[..., -1] / np.abs(lams).max(axis=-1)  # [2, 10]
             assert np.all(top < 1e-15)
             assert np.all(top[:, kh >= 0.2] < 0)
 
-    def test_pair_solve_gives_nan_for_its_own_block_only(self, gfrp, monkeypatch):
+    def test_branch_cp_gives_nan_for_its_own_row_only(self, gfrp, monkeypatch):
+        # the A0 block at the middle kh has no negative eigenvalue: that
+        # row is NaN in both columns, and the other rows keep their values
         kh = np.array([0.5, 1.0, 2.0])
-        want = mode_cp(gfrp, kh, [0, 1, 0], 10)
-        monkeypatch.setattr(np.linalg, "eigvalsh", one_negative_at(lambda n: [1]))
-        got = mode_cp(gfrp, kh, [0, 1, 0], 10)
-        assert np.isnan(got[1])
+        want = branch_cp(gfrp, kh, 10)
+        eigvalsh = np.linalg.eigvalsh
+
+        def no_a0_at_middle(a):
+            lams = eigvalsh(a)
+            lams[1, 0] = np.sort(np.abs(lams[1, 0]))
+            return lams
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_a0_at_middle)
+        got = branch_cp(gfrp, kh, 10)
+        assert np.isnan(got[1]).all()
         assert np.array_equal(got[[0, 2]], want[[0, 2]])
 
-    def test_pair_solve_rejects_bad_input(self, gfrp):
-        with pytest.raises(ValueError, match="branch"):
-            mode_cp(gfrp, [1.0, 2.0], [0, 2], 10)
-        # a boolean branch would index as a mask, and a float one not at all
-        for kh, branch in ((1.0, True), (1.0, False), ([1.0, 2.0], [True, False]),
-                           (1.0, 1.0), ([1.0, 2.0], [0.0, 1.0])):
-            with pytest.raises(ValueError, match="branch"):
-                mode_cp(gfrp, kh, branch, 10)
+    def test_branch_cp_rejects_bad_input(self, gfrp):
+        with pytest.raises(ValueError, match="method"):
+            branch_cp(gfrp, [1.0, 2.0], 10, method="qr")
+        with pytest.raises(ValueError, match="kh"):
+            branch_cp(gfrp, [0.0, 1.0], 10)
         with pytest.raises(TracingError, match="positive definite"):
-            mode_cp(ElasticConstants(1e9, 5e9, 1e9, 1e9, 1000.0), 1.0, 0, 10)
+            branch_cp(ElasticConstants(1e9, 5e9, 1e9, 1e9, 1000.0), 1.0, 10)
 
     def test_crossing_keeps_labels(self, plate):
         # this material's A0 and S0 cross between kh 3 and 4: at kh 4.547 the
@@ -284,13 +304,13 @@ class TestBasis:
         for _ in range(100):
             theta = random_constants(rng)
             order, kh = self._draw(rng)
-            ref = _parity_blocks(theta, kh, [[0], [1]], order)
+            ref = oracles.parity_blocks(theta, kh, [[0], [1]], order)
             top = np.abs(ref).max(axis=(-2, -1), keepdims=True)
             for t in (0.5, 1.7, 3.3):
                 scaled = ElasticConstants(t * theta.c11, t * theta.c13,
                                           t * theta.c33, t * theta.c55,
                                           t * theta.rho)
-                got = _parity_blocks(scaled, kh, [[0], [1]], order)
+                got = oracles.parity_blocks(scaled, kh, [[0], [1]], order)
                 assert np.all(np.abs(got - ref) <= 1e-15 * top)
 
     def test_blocks_are_linear_in_stiffness(self, rng):
@@ -301,7 +321,7 @@ class TestBasis:
                                     one.c33 + two.c33, one.c55 + two.c55,
                                     one.rho)
             order, kh = self._draw(rng)
-            blocks = [_parity_blocks(theta, kh, [[0], [1]], order)
+            blocks = [oracles.parity_blocks(theta, kh, [[0], [1]], order)
                       for theta in (one, two, both)]
             top = np.abs(blocks[2]).max(axis=(-2, -1), keepdims=True)
             assert np.all(np.abs(blocks[0] + blocks[1] - blocks[2])
@@ -348,7 +368,8 @@ class TestBasis:
 
         c = dp._pair_basis([0.5, 1.0, 2.0], [0, 1, 0], 4)
         assert c.shape == (4, 3, 5, 5)
-        for branch in ([0, 2], [0.0, 1.0]):
+        # a boolean branch would index as a mask, and a float one not at all
+        for branch in ([0, 2], [0.0, 1.0], [True, False]):
             with pytest.raises(ValueError, match="branch"):
                 dp._pair_basis([0.5, 1.0], branch, 4)
         with pytest.raises(ValueError, match="kh"):
@@ -449,8 +470,9 @@ class TestTracing:
     @staticmethod
     def _power_gives_up_at(monkeypatch, blocks):
         """The power kernel gives up on the flat block indices `blocks` of
-        each call (branch_cp stacks A0 at every kh, then S0), and the dense
-        fallback finds no negative eigenvalue in any block sent to it."""
+        each call (branch_cp stacks A0 then S0 at each kh in turn, so index
+        2i + b is branch b at kh i), and the dense fallback finds no
+        negative eigenvalue in any block sent to it."""
         import lambid.dispersion as dp
 
         real_kernel = dp.inverse_power_eigs
@@ -498,29 +520,53 @@ class TestTracing:
         for g, w in zip(got, want):
             assert np.array_equal(g.omega, w.omega)
 
-    def test_auto_converge_is_bounded(self, gfrp, plate):
-        # at kh ~ 0.03 eigenvalue rounding alone moves A0's c_p by 1e-6 to
-        # 4e-4 from one order to the next, so whether the 1e-6 stopping rule
-        # is met is left to rounding; on this grid it never is, and without
-        # the bound the order would climb forever.  A 2e-11 relative shift
-        # of the grid changes that verdict, so the grid is the root-search
-        # one these readings were taken on, bit for bit
-        k = oracles.k_grid_brentq(gfrp, plate, 0.02, 4.098, n_points=30,
-                                  order=14)
+    @staticmethod
+    def _steps(monkeypatch, moves):
+        """branch_cp, with the c_p of each order scaled so that the step to
+        order m moves every point by moves.get(m, 0) relative, on top of
+        the true change."""
+        import lambid.dispersion as dp
+
+        real = dp.branch_cp
+        factor = {14: 1.0}
+        for m in range(16, 42, 2):
+            factor[m] = factor[m - 2] * (1.0 + moves.get(m, 0.0))
+        monkeypatch.setattr(dp, "branch_cp", lambda theta, kh, order, method:
+                            real(theta, kh, order, method) * factor[order])
+
+    def test_auto_converge_is_bounded(self, gfrp, plate, monkeypatch):
+        # steps of 2e-5 never meet the stopping rule (the rounding bound on
+        # this band stays below 3e-7), and without the bound the order
+        # would climb forever
+        self._steps(monkeypatch, {m: 2e-5 for m in range(16, 42, 2)})
+        k = k_grid_for_fh_band(gfrp, plate, 0.2, 4.098, n_points=30, order=14)
         with pytest.raises(TracingError, match="by order 40"):
             trace_curves(gfrp, plate, k, order=14, auto_converge=True)
 
     @pytest.mark.parametrize("grid_order", [10, 14])
-    def test_auto_converge_needs_two_small_steps(self, gfrp, plate, grid_order):
-        # per-order steps at kh ~ 0.03 on these grids wander between 5e-7
-        # and 6e-6 before climbing to 5e-4 by order 40 (on the order-10
-        # grid: 8.4e-7, 1.05e-6, 2.0e-6, 2.1e-6, 5.9e-7, ...), so one step
-        # under 1e-6 is rounding, not convergence; the grids are the
-        # root-search ones these readings were taken on, bit for bit
-        k = oracles.k_grid_brentq(gfrp, plate, 0.02, 4.098, n_points=15,
-                                  order=grid_order)
-        with pytest.raises(TracingError, match="did not converge.*by order 40"):
-            trace_curves(gfrp, plate, k, order=14, auto_converge=True)
+    def test_auto_converge_needs_two_small_steps(self, gfrp, plate,
+                                                 monkeypatch, grid_order):
+        # a small step to 16, a large one to 18, then small ones to 20 and
+        # 22: one small step is not taken for convergence, and the middle
+        # order of the first two small steps in a row is returned
+        self._steps(monkeypatch, {18: 2e-5})
+        k = k_grid_for_fh_band(gfrp, plate, 0.2, 4.098, n_points=30,
+                               order=grid_order)
+        a0, s0 = trace_curves(gfrp, plate, k, order=14, auto_converge=True)
+        assert a0.order == s0.order == 20
+
+    def test_auto_converge_verdict_survives_grid_rounding(self, gfrp, plate):
+        # the band edges by a quadratic eigenproblem and by a root search
+        # differ by ~1e-11 relative.  At kh 0.028 eigenvalue rounding alone
+        # moves A0's c_p by 5e-7 to 6e-6 per step, so a rule of 1e-6 alone
+        # stopped the one grid at order 20 and ran the other past order 40;
+        # counting the rounding bound as small gives both one verdict
+        for k in (k_grid_for_fh_band(gfrp, plate, 0.02, 4.098, n_points=30,
+                                     order=14),
+                  oracles.k_grid_brentq(gfrp, plate, 0.02, 4.098, n_points=30,
+                                        order=14)):
+            a0, s0 = trace_curves(gfrp, plate, k, order=14, auto_converge=True)
+            assert a0.order == s0.order == 16
 
     def test_bad_grid_rejected(self, gfrp, plate):
         with pytest.raises(ValueError):

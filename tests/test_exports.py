@@ -64,14 +64,15 @@ def test_package_source_imports_no_scipy():
 
 def test_bayes_assembles_no_blocks_of_its_own():
     """The likelihood's blocks come from dispersion._pair_basis only: bayes
-    neither imports nor looks up the grid callers' block assembly."""
+    neither imports nor looks up the grid callers' block assembly, nor the
+    grid solve branch_cp that owns it."""
     path = Path(lambid.__file__).parent / "bayes.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     names |= {node.attr for node in ast.walk(tree)
               if isinstance(node, ast.Attribute)}
-    assert names & {"_basis", "_coefficients", "_quadratic", "_parity_blocks"} == set()
+    assert names & {"_basis", "_coefficients", "_quadratic", "branch_cp"} == set()
     assert "_pair_basis" in names
 
 

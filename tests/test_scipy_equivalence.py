@@ -90,7 +90,8 @@ def test_band_edges_reach_their_fh(gfrp, baseline, plate, rng):
     for m, p, band, order in _band_cases(gfrp, baseline, plate, rng):
         k = dispersion.k_grid_for_fh_band(m, p, *band, n_points=2, order=order)
         kh = k * p.thickness
-        cp = dispersion.mode_cp(m, kh, [Mode.S0.branch, Mode.A0.branch], order)
+        cp = dispersion.branch_cp(m, kh, order)[[0, 1], [Mode.S0.branch,
+                                                         Mode.A0.branch]]
         np.testing.assert_allclose(cp * kh / (2 * np.pi) * 1e-3, band,
                                    rtol=1e-10, atol=0)
 
