@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .bayes import PARAM_NAMES, Chain, _Anchor, _certify
+from .bayes import PARAM_NAMES, Chain, _certify, _solve
 from .dispersion import (Mode, PlateSpec, TracingError, _check_order,
-                         _checked_k_grid, _pair_basis, _top_negative)
+                         _checked_k_grid, _pair_basis)
 
 __all__ = [
     "ParamSummary",
@@ -124,14 +124,15 @@ def curve_ensemble(
     ensemble at max_solves members.  Samples that are no material (one of
     c11..rho not positive, or c13^2 >= c11 c33), or whose solve is NaN
     anywhere on the grid, are skipped and counted; more than half skipped
-    raises (the posterior is inconsistent with the model).  The members are solved together by _member_cp, which gives
-    branch_cp's phase velocities up to eigvalsh's own rounding.  Each
-    member's "A0" is its slower branch at every k and "S0" the faster: the
-    order ensemble files have always had, and the one the benchmark's
-    ensemble check (bench/checks.py) expects.  It differs from trace_curves'
-    parity labels only past an A0/S0 crossing.  c_g is d omega / d k by
-    group_velocity's differences.  A max_solves below 1 is a ValueError,
-    raised before any solve too.
+    raises (the posterior is inconsistent with the model).  The members
+    are solved together by _member_cp, by the sampler's exact solve and
+    certificate, so they are branch_cp's phase velocities up to eigvalsh's
+    own rounding.  Each member's "A0" is its slower branch at every k and
+    "S0" the faster: the order ensemble files have always had, and the one
+    the benchmark's ensemble check (bench/checks.py) expects.  It differs
+    from trace_curves' parity labels only past an A0/S0 crossing.  c_g is
+    d omega / d k by group_velocity's differences.  A max_solves below 1 is
+    a ValueError, raised before any solve too.
     """
     k_grid = _checked_k_grid(k_grid)
     if with_cg and k_grid.size < 3:
@@ -177,14 +178,15 @@ def _member_cp(qs: np.ndarray, kh: np.ndarray, order: int) -> np.ndarray:
     eigvalsh's rounding; NaN where a block has no negative eigenvalue.
 
     The blocks of both parities at every kh are q @ C, with C from
-    dispersion._pair_basis, formed _CHUNK members at a time.  An anchor
-    (bayes._Anchor) is solved by eigh.  The chunk's other members are
-    certified from it by one call of the sampler's bayes._certify: a
+    dispersion._pair_basis, formed _CHUNK members at a time.  The first
+    member is solved by the sampler's exact solve, bayes._solve: eigvalsh,
+    and one shifted solve for its _Anchor.  Every later member is certified
+    from the anchor, a chunk at a time, by one call of bayes._certify: a
     Rayleigh-quotient step on every block, a second only on the blocks the
     first left uncertified, each certified by Kato-Temple to within 1e-13
     relative of its top eigenvalue.  A member with a block left uncertified
-    or not negative is solved by eigh, and becomes the anchor when all its
-    blocks are negative definite.
+    or not negative is solved by _solve too, and becomes the anchor when
+    all its blocks are negative definite.
     """
     n_k, size = kh.size, order + 1
     c = _pair_basis(np.tile(kh, 2), np.repeat([0, 1], n_k), order)
@@ -195,7 +197,7 @@ def _member_cp(qs: np.ndarray, kh: np.ndarray, order: int) -> np.ndarray:
         blocks = (q @ c.reshape(4, -1)).reshape(-1, *c.shape[1:])
         todo = np.arange(q.shape[0])
         if anchor is None:
-            tops[start], anchor = _eigh_tops(blocks[0], q[0], c)
+            tops[start], anchor = _solve(q[0], c, blocks[0])
             todo = todo[1:]
         if anchor is not None and todo.size:
             _, shift, _, lam2, _ = anchor.bounds(q[todo])
@@ -207,21 +209,9 @@ def _member_cp(qs: np.ndarray, kh: np.ndarray, order: int) -> np.ndarray:
             tops[start + todo[certified]] = lam[certified]
             todo = todo[~certified]
         for j in todo:
-            tops[start + j], new = _eigh_tops(blocks[j], q[j], c)
+            tops[start + j], new = _solve(q[j], c, blocks[j])
             anchor = new or anchor
     return np.sqrt(-tops).reshape(-1, 2, n_k).transpose(0, 2, 1)
-
-
-def _eigh_tops(blocks: np.ndarray, q: np.ndarray, c: np.ndarray):
-    """(top negative eigenvalue of every block, NaN where none; the
-    member's _Anchor, None unless every block is negative definite) of one
-    member's blocks q @ c, by eigh."""
-    lams, vecs = np.linalg.eigh(blocks)
-    anchor = None
-    if np.all(lams[:, -1] < 0):
-        anchor = _Anchor(q, c, vecs[..., -1], lams[:, -1], lams[:, -2],
-                         -lams[:, 0])
-    return _top_negative(lams), anchor
 
 
 def mc_standard_error(x: np.ndarray) -> float:

@@ -8,10 +8,11 @@ accepted.  With observations, the one posterior call of an mcmc_sample step
 rejects most proposals without an eigensolve, from a proved upper bound on
 their log posterior built from the current state's eigenpairs, its _Anchor;
 it rejects only what the exact posterior would.  The others are certified
-from the anchor by _certify, the curve ensemble's rule too: a batched
-shifted solve, a second only where the first certified no eigenvalue.
-eigvalsh is the fallback and re-anchors now and then, so an accepted step
-costs about one batched solve.
+from the anchor by _certify: a batched shifted solve, a second only where
+the first certified no eigenvalue.  _solve, an eigvalsh and one shifted
+solve, is the fallback and re-anchors now and then, so an accepted step
+costs about one batched solve.  Every exact evaluation returns its own
+_Anchor, and the curve ensemble shares _certify and _solve.
 Samples and accept flags are byte for byte those of evaluating every
 proposal by eigvalsh.  Log posteriors differ from it by less than eigvalsh's
 own rounding of the model frequencies carried through the misfit, about
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -195,7 +197,7 @@ class SamplerConfig:
     defaults and rules (lambid.config reads both from here): ValueError
     unless n_samples and forward_order are positive integers, warmup is a
     non-negative integer (bools are neither), proposal_scale is positive and
-    finite and seed is non-negative.
+    finite and seed is a non-negative integer.
     """
 
     n_samples: int = 20_000
@@ -219,8 +221,8 @@ class SamplerConfig:
             raise ValueError("proposal_scale must be positive and finite")
         if not (is_count(self.forward_order) and self.forward_order > 0):
             raise ValueError("forward_order must be a positive integer")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not (is_count(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be non-negative and an integer")
 
 
 @dataclass
@@ -323,8 +325,9 @@ _CERTIFY_REL = 1e-13  # widest Kato-Temple interval of a certified eigenvalue
 _REANCHOR = 0.8
 
 
-# The certificate that the sampler and analysis.curve_ensemble share; the
-# bounds are derived in _Posterior's docstring.
+# The certificate and the exact solve that the sampler and
+# analysis.curve_ensemble share; the bounds are derived in _Posterior's
+# docstring.
 
 
 def _loewner_factors(qx: np.ndarray, det_x: float, qy: np.ndarray):
@@ -371,11 +374,17 @@ class _Anchor:
 
     def __init__(self, q, c, v, lam1, lam2, norm, prod=1.0):
         self.q = q = q.tolist()  # python floats: the fastest scalar arithmetic
-        self.v, self.lam1, self.lam2, self.norm, self.prod = (v, lam1, lam2,
-                                                              norm, prod)
+        self.c, self.v, self.lam1, self.lam2, self.norm, self.prod = (
+            c, v, lam1, lam2, norm, prod)
         self.det = q[0] * q[2] - q[1] * q[1]
-        w = (c @ v[:, :, None])[..., 0]  # [4, blocks, n]
-        self.m = np.concatenate([w.reshape(4, -1), (w * v).sum(axis=2)], axis=1)
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """Formed on the first bounds call, as the anchor of a rejected
+        evaluation bounds nothing."""
+        w = (self.c @ self.v[:, :, None])[..., 0]  # [4, blocks, n]
+        return np.concatenate([w.reshape(4, -1), (w * self.v).sum(axis=2)],
+                              axis=1)
 
     def bounds(self, q: np.ndarray):
         """(beta, rq, resid, lam2, norm) at every row of the ratios q
@@ -426,6 +435,25 @@ def _certify(blocks: np.ndarray, v: np.ndarray, shift: np.ndarray,
     return w, lam
 
 
+def _solve(q: np.ndarray, c: np.ndarray, blocks: np.ndarray):
+    """(top, anchor) of the blocks q @ c of the ratios q, by eigvalsh: top
+    the top negative eigenvalue of every block, NaN where it has none, and
+    anchor their _Anchor, None unless every block is negative definite.
+    The anchor's v is one step of inverse iteration from a shift just above
+    each top eigenvalue, eigh's eigenvectors only where that solve is
+    singular; the bounds hold for any unit v, only their width depends on
+    how close v is to the eigenvector."""
+    lams = np.linalg.eigvalsh(blocks)
+    lam1, anchor = lams[:, -1], None
+    if np.all(lam1 < 0):
+        v = _inverse_iteration(blocks, lam1 * (1 - 1e-10),
+                               np.ones(lam1.shape + blocks.shape[-1:]))
+        if v is None:
+            v = np.linalg.eigh(blocks)[1][..., -1]
+        anchor = _Anchor(q, c, v, lam1, lams[:, -2], -lams[:, 0])
+    return _top_negative(lams), anchor
+
+
 class _Posterior:
     """The log posterior of one observation set (the prior alone for None)
     at a parameter array; below a given floor, a rigorous upper bound from
@@ -454,12 +482,12 @@ class _Posterior:
     lambda_1 the Rayleigh quotient of the unit w, certified when the
     Kato-Temple width |r|^2 / (lambda_1 - beta lambda_2(x)) is at most
     1e-13 |lambda_1|; if any pair is not certified, the evaluation runs
-    eigvalsh.  The evaluation that accepted y makes its anchor: a certified
-    one hands over its unit w and chains the bounds (lambda_2(y) <=
-    beta lambda_2(x), |A(y)| <= alpha |A(x)|), an eigvalsh one its
-    spectrum and one shifted solve.  An eigvalsh evaluation re-anchors the
-    chained bounds once the product of their betas would fall
-    below 0.8.
+    _solve.  Every exact evaluation returns its y's anchor, which becomes
+    the accepted state's if y is accepted: a certified one hands over its
+    unit w and chains the bounds (lambda_2(y) <= beta lambda_2(x),
+    |A(y)| <= alpha |A(x)|), a _solve one takes eigvalsh's spectrum and one
+    shifted solve.  A _solve evaluation re-anchors the chained bounds once
+    the product of their betas would fall below 0.8.
     """
 
     def __init__(self, obs: ObservationSet | None, priors: PriorSpec | None,
@@ -475,40 +503,37 @@ class _Posterior:
         self.log_norm = -0.5 * len(obs) * math.log(2 * math.pi)
 
     def log_likelihood(self, x: np.ndarray, ahead=None):
-        """(log likelihood, spectra) at a finite x, certified from the
+        """(log likelihood, anchor) at a finite x, certified from the
         screen's data ahead (see eigen_bounds) where they are given and
-        certify every pair.  Spectra are the parity block of every observed
-        pair, its unit top eigenvector (None after eigvalsh), its top eigenvalue,
-        its second eigenvalue and norm or upper bounds on them, and the
-        product of the betas since eigvalsh, as
-        (blocks, v, lam1, lam2, norm, prod); None where no eigensolve ran."""
+        certify every pair, else by _solve.  anchor is x's _Anchor, None
+        where no eigensolve ran or a block is not negative definite."""
         c11, c13, c33, c55, rho, sigma = x
         # c13^2 >= c11 c33: the 1-3 stiffness block is not positive definite
         if not (sigma > 0 and min(c11, c13, c33, c55, rho) > 0
                 and c13 ** 2 < c11 * c33):
             return -np.inf, None
-        blocks = ((x[:4] / rho) @ self.c.reshape(4, -1)).reshape(self.c.shape[1:])
-        spectra = None
+        q = x[:4] / rho
+        blocks = (q @ self.c.reshape(4, -1)).reshape(self.c.shape[1:])
+        anchor = None
         if ahead is not None:
-            # the screen proved every top eigenvalue negative
             v, top = _certify(blocks, *ahead[:3])
             if not np.isnan(top).any():
-                spectra = (blocks, v, top, *ahead[2:])
-        if spectra is None:
-            lams = np.linalg.eigvalsh(blocks)
-            top = _top_negative(lams)
-            spectra = (blocks, None, lams[:, -1], lams[:, -2], -lams[:, 0], 1.0)
+                # no sign test: the screen proved every upper bound negative,
+                # and a Rayleigh quotient lies below the top eigenvalue
+                anchor = _Anchor(q, self.c, v, top, *ahead[2:])
+        if anchor is None:
+            top, anchor = _solve(q, self.c, blocks)
             if np.isnan(top).any():
-                return -np.inf, spectra
+                return -np.inf, None
         obs = self.obs
         resid = obs.omega - np.sqrt(-top)[obs.pair_index] * obs.k
         return float(
             -len(obs) * math.log(sigma) + self.log_norm
             - 0.5 * float(resid @ resid) / sigma**2
-        ), spectra
+        ), anchor
 
     def log_posterior(self, x: np.ndarray, floor: float = -math.inf):
-        """(log posterior, spectra of its likelihood) at x; -inf where x is
+        """(log posterior, anchor of its likelihood) at x; -inf where x is
         not a ParamVector, and (-inf, None) with no eigensolve where the
         screen proves it below floor."""
         try:
@@ -528,28 +553,8 @@ class _Posterior:
             if (lp - len(obs) * math.log(sigma) + self.log_norm
                     - 0.5 * float(dist @ dist) / sigma**2) < floor:
                 return -np.inf, None
-        ll, spectra = self.log_likelihood(x, None if eig is None else eig[2])
-        return lp + ll, spectra
-
-    def refresh(self, x: np.ndarray, spectra) -> None:
-        """Make the accepted state x the anchor that bounds proposals, from
-        the spectra of the exact evaluation that accepted it; with spectra
-        None (no observations), no anchor bounds proposals."""
-        self.anchor = None
-        if spectra is None:
-            return
-        blocks, v, lam1, lam2, norm, prod = spectra
-        if not np.all(lam1 < 0):
-            return
-        if v is None:
-            # one step of inverse iteration from a shift just above the top
-            # eigenvalue; the bounds hold for any unit v, only their width
-            # depends on how close v is to the eigenvector
-            v = _inverse_iteration(blocks, lam1 * (1 - 1e-10),
-                                   np.ones(lam1.shape + blocks.shape[-1:]))
-            if v is None:
-                v = np.linalg.eigh(blocks)[1][..., -1]
-        self.anchor = _Anchor(x[:4] / x[4], self.c, v, lam1, lam2, norm, prod)
+        ll, anchor = self.log_likelihood(x, None if eig is None else eig[2])
+        return lp + ll, anchor
 
     def eigen_bounds(self, y: np.ndarray):
         """(lo, up, ahead): lo and up bound every observed pair's top
@@ -608,14 +613,14 @@ def mcmc_sample(
 
     if cfg.init is not None:
         x = cfg.init.to_array()
-        lp, spectra = post.log_posterior(x)
+        lp, anchor = post.log_posterior(x)
         if lp == -np.inf:
             raise InitializationError("supplied init has -inf posterior")
     else:
         lp = -np.inf
         for _ in range(100):
             x = priors.sample(rng).to_array()
-            lp, spectra = post.log_posterior(x)
+            lp, anchor = post.log_posterior(x)
             if lp > -np.inf:
                 break
         else:
@@ -623,7 +628,7 @@ def mcmc_sample(
                 "no finite-posterior start found in 100 prior draws"
             )
 
-    post.refresh(x, spectra)
+    post.anchor = anchor
     base_sd = np.array([math.sqrt(priors.internal_var(n)) for n in PARAM_NAMES])
     log_step = 0.0
     total = cfg.warmup + cfg.n_samples
@@ -642,12 +647,11 @@ def mcmc_sample(
         u = rng.uniform()  # post draws nothing, so drawing u first is free
         log_u = math.log(u) if u > 0.0 else -math.inf
         # a proposal proved below the acceptance threshold comes back -inf
-        lp_prop, spectra = post.log_posterior(prop, lp + log_u - _SCREEN_MARGIN)
+        lp_prop, anchor = post.log_posterior(prop, lp + log_u - _SCREEN_MARGIN)
         # log u < 0, and -inf (or NaN) proposals are always rejected
         accept = log_u < lp_prop - lp
         if accept:
-            x, lp = prop, lp_prop
-            post.refresh(x, spectra)
+            x, lp, post.anchor = prop, lp_prop, anchor
         samples[t] = x
         log_posts[t] = lp
         accepted[t] = accept

@@ -259,9 +259,8 @@ def main(argv=None) -> int:
             return EXIT_CODES["args"]
         cfg.seed = args.seed
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     try:
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             cmd_solve(cfg, out)
         elif args.command == "sensitivity":

@@ -237,9 +237,10 @@ class TestEnsemble:
     def test_two_clusters_re_anchor(self, gfrp, plate, rng, monkeypatch):
         # a pooled run whose two chains found different modes: 100 draws
         # near GFRP, then 100 near C11 = 125.6 GPa; a member that no
-        # certificate from the anchor covers is solved by eigh and becomes
-        # the anchor, so only the first member and the far members of the
-        # one chunk that straddles the clusters run eigh
+        # certificate from the anchor covers is solved by eigvalsh and
+        # becomes the anchor, so only the first member and the far members
+        # of the one chunk that straddles the clusters run eigvalsh, and no
+        # member needs eigh's eigenvectors
         row = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55, gfrp.rho,
                         2e3])
         far = row.copy()
@@ -247,12 +248,18 @@ class TestEnsemble:
         samples = (np.concatenate([np.tile(row, (100, 1)),
                                    np.tile(far, (100, 1))])
                    * rng.uniform(0.98, 1.02, (200, 6)))
-        eigh, solved = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a: solved.append(a.shape) or eigh(a))
         k = k_grid_for_fh_band(gfrp, plate, 0.2, 4.098, n_points=60, order=10)
-        ens = curve_ensemble(_chain_from(samples), plate, k, with_cg=True,
-                             order=10, max_solves=200)
+        eigvalsh, solved = np.linalg.eigvalsh, []
+
+        def eigh(a):
+            raise AssertionError("eigh ran")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh",
+                      lambda a: solved.append(a.shape) or eigvalsh(a))
+            m.setattr(np.linalg, "eigh", eigh)
+            ens = curve_ensemble(_chain_from(samples), plate, k, with_cg=True,
+                                 order=10, max_solves=200)
         assert ens.size == 200 and ens.n_skipped == 0
         assert 2 <= len(solved) <= 5
         _assert_members_match(ens, samples, plate, k, 10)

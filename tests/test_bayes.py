@@ -170,13 +170,18 @@ class TestLikelihood:
             got = log_likelihood(synth_obs, theta, plate, order=10)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_chain_blocks_match_parity_blocks(self, synth_obs, plate, rng):
+    def test_chain_blocks_match_parity_blocks(self, synth_obs, plate, rng,
+                                              monkeypatch):
         post = bayes._Posterior(synth_obs, default_priors(), plate, 10)
         kh = synth_obs.pair_k * plate.thickness
+        solved, solve = [], bayes._solve
+        monkeypatch.setattr(bayes, "_solve", lambda q, c, blocks: (
+            solved.append(blocks) or solve(q, c, blocks)))
         for _ in range(20):
             m = random_constants(rng)
             x = np.array([m.c11, m.c13, m.c33, m.c55, m.rho, 2e3])
-            blocks = post.log_likelihood(x)[1][0]
+            post.log_likelihood(x)
+            blocks = solved[-1]
             want = oracles.parity_blocks(m, kh, synth_obs.pair_branch, 10)
             norm = np.abs(want).max(axis=(1, 2))
             assert np.all(np.abs(blocks - want).max(axis=(1, 2)) <= 1e-15 * norm)
@@ -245,9 +250,13 @@ class TestSampler:
             SamplerConfig(proposal_scale=float("inf"))
 
     def test_negative_seed_rejected(self):
-        # numpy's generators refuse it only when the chain starts
-        with pytest.raises(ValueError, match="seed must be non-negative"):
-            SamplerConfig(seed=-1)
+        # numpy's generators refuse these only when the chain starts, and a
+        # NaN or bool seed would start a chain from a seed nobody set
+        for seed in (-1, 2.5, np.float64(3.0), math.nan, True):
+            with pytest.raises(ValueError,
+                               match="seed must be non-negative and an integer"):
+                SamplerConfig(seed=seed)
+        assert SamplerConfig(seed=np.int64(3)).seed == 3
 
     @pytest.mark.parametrize("warmup", [-3, 2.5, "5", True])
     def test_bad_warmup_rejected_before_any_solve(self, warmup):
@@ -393,9 +402,10 @@ class TestSampler:
         post = bayes._Posterior(synth_obs, priors, plate, cfg.forward_order)
         eps = np.finfo(float).eps
         for x, diff in zip(got.samples, got.log_posts - want.log_posts):
-            blocks, _, top, _, norm, _ = post.log_likelihood(x)[1]
+            anchor = post.log_likelihood(x)[1]
+            top = anchor.lam1
             omega = np.sqrt(-top)[synth_obs.pair_index] * synth_obs.k
-            d_omega = omega * (blocks.shape[-1] * eps * norm
+            d_omega = omega * (post.c.shape[-1] * eps * anchor.norm
                                / (2 * -top))[synth_obs.pair_index]
             resid = np.abs(synth_obs.omega - omega)
             assert abs(diff) <= np.sum(resid * d_omega) / x[5] ** 2
@@ -420,18 +430,28 @@ class TestEarlyRejection:
     INIT = ParamVector(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3)
 
     @staticmethod
-    def refresh(post, x):
-        """Refresh post at x from the spectra of x's eigvalsh likelihood, as
-        mcmc_sample does on acceptance; False where that evaluation ran no
-        eigensolve."""
-        _, spectra = post.log_likelihood(x)
-        if spectra is None:
-            return False
-        post.refresh(x, spectra)
-        return True
+    def anchor_at(post, x):
+        """Make the anchor of x's exact likelihood post's anchor, as
+        mcmc_sample does on acceptance; False where it gave none."""
+        post.anchor = post.log_likelihood(x)[1]
+        return post.anchor is not None
+
+    @staticmethod
+    def solves(monkeypatch):
+        """A list that gains an entry at every bayes._solve call."""
+        calls, solve = [], bayes._solve
+        monkeypatch.setattr(bayes, "_solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        return calls
+
+    @staticmethod
+    def blocks(post, y):
+        """Every observed pair's block at y."""
+        return ((y[:4] / y[4]) @ post.c.reshape(4, -1)).reshape(
+            post.c.shape[1:])
 
     def proposals(self, post, priors):
-        """(rel, y): post refreshed at 40 states near INIT, every fourth a
+        """(rel, y): post anchored at 40 states near INIT, every fourth a
         prior draw, and from each a proposal y of each relative step size
         rel from 1e-4 to 0.3."""
         rng = np.random.default_rng(17)
@@ -441,7 +461,7 @@ class TestEarlyRejection:
                 x = truth * np.exp(rng.normal(0.0, 0.05, 6))
             else:
                 x = priors.sample(rng).to_array()
-            if not self.refresh(post, x) or post.anchor is None:
+            if not self.anchor_at(post, x):
                 continue
             for rel in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
                 yield rel, x * (1 + rel * rng.standard_normal(6))
@@ -477,7 +497,8 @@ class TestEarlyRejection:
             checked += 1
         assert checked >= 120
 
-    def test_certified_evaluations_match_eigh(self, synth_obs, plate):
+    def test_certified_evaluations_match_eigh(self, synth_obs, plate,
+                                              monkeypatch):
         # at kh ~0.4 A0's eigenvalue is ~5e-7 of its block's norm, where any
         # two roundings of the block move it by ~1e-9 relative, so lambda_1
         # is held to 1e-10 relative plus 1e-14 of the norm (eigvalsh errs by
@@ -486,16 +507,18 @@ class TestEarlyRejection:
         # |r|^2 <= 1e-13 |lambda_1| (lambda_1 - lambda_2)
         priors = default_priors()
         post = bayes._Posterior(synth_obs, priors, plate, 10)
+        solves = self.solves(monkeypatch)
         certified = 0
         for _, y in self.proposals(post, priors):
             eig = post.eigen_bounds(y)
             if eig is None or eig[2] is None:
                 continue
-            ll, spectra = post.log_likelihood(y, eig[2])
-            if spectra[1] is None:
-                continue  # fell back to eigvalsh
-            blocks, v, lam1 = spectra[:3]
-            lams, vecs = np.linalg.eigh(blocks)
+            before = len(solves)
+            ll, anchor = post.log_likelihood(y, eig[2])
+            if len(solves) > before:
+                continue  # fell back to _solve
+            v, lam1 = anchor.v, anchor.lam1
+            lams, vecs = np.linalg.eigh(self.blocks(post, y))
             norm = np.abs(lams).max(axis=1)
             assert np.all(np.abs(lam1 - lams[:, -1])
                           <= 1e-10 * np.abs(lams[:, -1]) + 1e-14 * norm)
@@ -514,12 +537,14 @@ class TestEarlyRejection:
         # does not certify, sends the whole evaluation to eigvalsh
         post = bayes._Posterior(synth_obs, default_priors(), plate, 10)
         x = self.INIT.to_array()
-        assert self.refresh(post, x)
+        assert self.anchor_at(post, x)
         y = x * (1 + 1e-3 * np.random.default_rng(5).standard_normal(6))
-        want, spectra = post.log_likelihood(y)
-        assert spectra[1] is None
+        solves = self.solves(monkeypatch)
+        want, _ = post.log_likelihood(y)
+        assert len(solves) == 1
         ahead = post.eigen_bounds(y)[2]
-        assert post.log_likelihood(y, ahead)[1][1] is not None
+        assert post.log_likelihood(y, ahead)[1] is not None
+        assert len(solves) == 1  # certified
         v, shift, lam2, norm, prod = ahead
         # a bound on lambda_2 above every top eigenvalue certifies no pair
         uncertified = (v, shift, np.zeros_like(lam2), norm, prod)
@@ -533,87 +558,53 @@ class TestEarlyRejection:
         for solve in (None, singular, not_finite):
             if solve is not None:
                 monkeypatch.setattr(np.linalg, "solve", solve)
-            got, spectra = post.log_likelihood(
+            before = len(solves)
+            got, anchor = post.log_likelihood(
                 y, uncertified if solve is None else ahead)
-            assert spectra[1] is None
+            assert len(solves) == before + 1 and anchor.prod == 1.0
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    def test_chained_bounds_hold(self, synth_obs, plate):
-        # a refresh from a certified evaluation bounds lambda_2 and |A| by
-        # the last state's bounds times beta and alpha; along a walk of
+    def test_chained_bounds_hold(self, synth_obs, plate, monkeypatch):
+        # a certified evaluation's anchor bounds lambda_2 and |A| by the
+        # last anchor's bounds times beta and alpha; along a walk of
         # accepted steps they stay above the true values, the screen's
-        # bounds hold, and an eigvalsh evaluation re-anchors them once the
+        # bounds hold, and a _solve evaluation re-anchors them once the
         # product of the betas would fall below 0.8
         post = bayes._Posterior(synth_obs, default_priors(), plate, 10)
         rng = np.random.default_rng(23)
         x = self.INIT.to_array()
-        assert self.refresh(post, x)
+        assert self.anchor_at(post, x)
+        solves = self.solves(monkeypatch)
         anchors = []
         for _ in range(300):
             y = x * (1 + 3e-3 * rng.standard_normal(6))
             eig = post.eigen_bounds(y)
-            _, spectra = post.log_likelihood(y, eig[2])
-            lams = np.linalg.eigvalsh(spectra[0])
+            before = len(solves)
+            _, anchor = post.log_likelihood(y, eig[2])
+            solved = len(solves) > before
+            lams = np.linalg.eigvalsh(self.blocks(post, y))
             assert np.all((eig[0] <= lams[:, -1]) & (lams[:, -1] <= eig[1]))
-            post.refresh(y, spectra)
-            x = y
-            anchor = post.anchor
+            post.anchor, x = anchor, y
             assert np.all(anchor.lam2 >= lams[:, -2])
             assert np.all(anchor.norm >= -lams[:, 0])
-            assert (anchor.prod == 1.0) == (spectra[1] is None)
+            assert (anchor.prod == 1.0) == solved
             assert anchor.prod >= bayes._REANCHOR
-            anchors.append(spectra[1] is None)
+            anchors.append(solved)
         assert 2 <= sum(anchors) < 0.1 * len(anchors)
-
-    def test_eigh_and_sampler_anchors_agree(self, synth_obs, plate):
-        # the curve ensemble anchors on eigh's pairs and the sampler on
-        # eigvalsh plus one inverse-iteration step; from either anchor at
-        # the same accepted state the screen brackets the top eigenvalues,
-        # and _certify puts them within 1e-13 relative of the exact ones,
-        # so within that plus eigh's own rounding n eps |A| of eigh's
-        priors = default_priors()
-        post = bayes._Posterior(synth_obs, priors, plate, 10)
-        eps = np.finfo(float).eps
-        brackets = certified = 0
-        for _, y in self.proposals(post, priors):
-            sampler = post.anchor
-            q = np.array(sampler.q)
-            lams, vecs = np.linalg.eigh((q @ post.c.reshape(4, -1))
-                                        .reshape(post.c.shape[1:]))
-            ensemble = bayes._Anchor(q, post.c, vecs[..., -1], lams[:, -1],
-                                     lams[:, -2], -lams[:, 0])
-            blocks = ((y[:4] / y[4]) @ post.c.reshape(4, -1)).reshape(
-                post.c.shape[1:])
-            lams = np.linalg.eigh(blocks)[0]
-            top, n = lams[:, -1], blocks.shape[-1]
-            for anchor in (sampler, ensemble):
-                post.anchor = anchor
-                eig = post.eigen_bounds(y)
-                post.anchor = sampler
-                if eig is not None:
-                    assert np.all((eig[0] <= top) & (top <= eig[1]))
-                    brackets += 1
-                _, rq, _, lam2, _ = anchor.bounds((y[:4] / y[4])[None])
-                _, lam = bayes._certify(blocks, anchor.v, rq[0], lam2[0])
-                ok = ~np.isnan(lam)
-                assert np.all((np.abs(lam - top) <= 1e-13 * np.abs(top)
-                               + n * eps * np.abs(lams).max(axis=1))[ok])
-                certified += ok.sum()
-        assert brackets >= 300 and certified >= 6500
 
     def test_singular_shift_falls_back_to_eigh(self, synth_obs, plate,
                                                monkeypatch):
         x = self.INIT.to_array()
         y = x * (1 + 1e-3 * np.random.default_rng(5).standard_normal(6))
         want = bayes._Posterior(synth_obs, default_priors(), plate, 10)
-        assert self.refresh(want, x)
+        assert self.anchor_at(want, x)
 
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         got = bayes._Posterior(synth_obs, default_priors(), plate, 10)
-        assert self.refresh(got, x)
+        assert self.anchor_at(got, x)
         assert np.allclose(got.eigen_bounds(y)[:2], want.eigen_bounds(y)[:2],
                            rtol=1e-8, atol=0.0)
 
@@ -666,9 +657,9 @@ class TestEarlyRejection:
         # eigvalsh runs at the start, where certification fails and to
         # re-anchor the chained bounds; a certification that always fell
         # back would still pass every equivalence test, so count the calls
-        eigvalsh_calls, refreshes = [], []
+        eigvalsh_calls = []
         per_eval = []  # eigvalsh calls inside each exact evaluation
-        exact, refresh = bayes._Posterior.log_likelihood, bayes._Posterior.refresh
+        exact = bayes._Posterior.log_likelihood
 
         def eigvalsh(a):
             eigvalsh_calls.append(1)
@@ -680,21 +671,47 @@ class TestEarlyRejection:
             per_eval.append(len(eigvalsh_calls) - before)
             return result
 
-        def refreshed(*args, **kwargs):
-            refreshes.append(1)
-            return refresh(*args, **kwargs)
-
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         monkeypatch.setattr(bayes._Posterior, "log_likelihood", counted)
-        monkeypatch.setattr(bayes._Posterior, "refresh", refreshed)
         cfg = SamplerConfig(n_samples=1500, warmup=300, seed=3,
                             init=self.INIT)
-        chain = mcmc_sample(synth_obs, default_priors(), plate, cfg)
+        mcmc_sample(synth_obs, default_priors(), plate, cfg)
         assert per_eval[0] == 1  # the start
         assert max(per_eval) <= 1
         assert sum(per_eval) == len(eigvalsh_calls)  # none outside one
         assert len(eigvalsh_calls) < 0.1 * len(per_eval)
-        assert len(refreshes) == chain.accepted.sum() + 1
+
+    def test_anchor_moments_formed_only_to_bound(self, synth_obs, plate,
+                                                 monkeypatch):
+        # every exact evaluation returns an anchor, but only the start's
+        # and an accepted step's bound proposals, so m = [C_j v, v^T C_j v]
+        # is formed for those alone and never for a rejected evaluation
+        made, kept = [], []
+        init = bayes._Anchor.__init__
+
+        def recorded(anchor, *args):
+            made.append(anchor)
+            init(anchor, *args)
+
+        class Posterior(bayes._Posterior):
+            @property
+            def anchor(self):
+                return self._anchor
+
+            @anchor.setter
+            def anchor(self, value):
+                kept.append(value)
+                self._anchor = value
+
+        monkeypatch.setattr(bayes._Anchor, "__init__", recorded)
+        monkeypatch.setattr(bayes, "_Posterior", Posterior)
+        cfg = SamplerConfig(n_samples=800, warmup=200, seed=3, init=self.INIT)
+        chain = mcmc_sample(synth_obs, default_priors(), plate, cfg)
+        formed = [a for a in made if "m" in vars(a)]
+        kept = {id(a) for a in kept}
+        assert all(id(a) in kept for a in formed)
+        assert len(formed) <= chain.accepted.sum() + 1
+        assert len(made) > len(formed)  # rejected evaluations made some
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     @pytest.mark.parametrize("start", ["init", "prior draws"])
@@ -713,18 +730,18 @@ class TestEarlyRejection:
 
 
 def test_anchor_rayleigh_quotients_are_its_eigenvalues(gfrp, plate):
-    # lambda_1 = q . (v^T C_j v) at an eigh anchor on the curve ensemble's
+    # lambda_1 = q . (v^T C_j v) at a _solve anchor on the curve ensemble's
     # GFRP grid: the anchor's v^T C_j v are d lambda_1 / d q_j.  Both sides
-    # carry eigh's rounding n eps |A|, up to 1e7 |lambda_1| eps at the
+    # carry eigvalsh's rounding n eps |A|, up to 1e7 |lambda_1| eps at the
     # smallest kh, so the identity holds to 1e-12 relative plus that
     k = k_grid_for_fh_band(gfrp, plate, 0.2, 4.098, n_points=60, order=10)
     kh = np.tile(k * plate.thickness, 2)
     c = dispersion._pair_basis(kh, np.repeat([0, 1], k.size), 10)
     q = np.array([gfrp.c11, gfrp.c13, gfrp.c33, gfrp.c55]) / gfrp.rho
-    lams, vecs = np.linalg.eigh((q @ c.reshape(4, -1)).reshape(c.shape[1:]))
-    anchor = bayes._Anchor(q, c, vecs[..., -1], lams[:, -1], lams[:, -2],
-                           -lams[:, 0])
+    blocks = (q @ c.reshape(4, -1)).reshape(c.shape[1:])
+    _, anchor = bayes._solve(q, c, blocks)
     _, rq, _, _, _ = anchor.bounds(q[None])
+    lams = np.linalg.eigvalsh(blocks)
     top, n = lams[:, -1], c.shape[-1]
     assert np.all(np.abs(rq[0] - top) <= 1e-12 * np.abs(top) + n
                   * np.finfo(float).eps * np.abs(lams).max(axis=1))

@@ -307,6 +307,18 @@ def test_malformed_config_exits_config(tmp_path, capsys, key, value):
     assert "error:config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_unusable_out_exits_io(tmp_path, capsys, out):
+    # an --out that is a file, or lies under one, used to end in a
+    # FileExistsError or NotADirectoryError traceback and exit 1
+    (tmp_path / "taken").write_text("not a directory\n")
+    cfg = write_cfg(tmp_path, base_cfg())
+    rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / out)])
+    assert rc == cli.EXIT_CODES["io"] == 3
+    assert "error:io:" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "not a directory\n"
+
+
 def test_negative_seed_exits_before_synth(tmp_path, capsys):
     # the noisy field used to be traced first and then refused by numpy
     # with a message that named no key
