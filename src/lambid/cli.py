@@ -75,13 +75,14 @@ def cmd_sensitivity(cfg: RunConfig, out: Path, perturbation: float,
         bad = [p for p in params if p not in known]
         if bad:
             raise CliError("args", f"unknown parameter name(s): {bad}")
+    names = [name for name in known if not params or name in params]
     grid = _band_grid(cfg)
     sweep = dispersion.sensitivity_sweep(
         material, plate, grid, perturbation, order=cfg.solver["order"],
+        names=names,
     )
     rows = [(name, mode.value, sweep[name].max_shift[mode.value])
-            for name in known if not params or name in params
-            for mode in dispersion.Mode]
+            for name in names for mode in dispersion.Mode]
     textio.write_table(out / cfg.files["sensitivity"],
                        "parameter,mode,max_rel_omega_shift", list(zip(*rows)))
 

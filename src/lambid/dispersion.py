@@ -534,14 +534,22 @@ def sensitivity_sweep(
     perturbation: float,
     order: int = 14,
     method: str = "dense",
+    names: list[str] | None = None,
 ) -> dict[str, SensitivityResult]:
-    """Re-trace both modes at +/- perturbation of each material parameter,
-    keyed by ElasticConstants field name in declaration order."""
+    """Re-trace both modes at +/- perturbation of each named material
+    parameter (default: every ElasticConstants field, in declaration
+    order), keyed by name in the order given.  An unknown name raises
+    ValueError before any trace."""
     if not 0 <= perturbation < 1:
         raise ValueError("perturbation must lie in [0, 1)")
+    known = [f.name for f in fields(ElasticConstants)]
+    names = known if names is None else names
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown parameter name(s): {unknown}")
     baseline = trace_curves(theta, plate, k_grid, order=order, method=method)
     out = {}
-    for name in (f.name for f in fields(ElasticConstants)):
+    for name in names:
         minus = trace_curves(
             replace(theta, **{name: getattr(theta, name) * (1 - perturbation)}),
             plate, k_grid, order=order, method=method,

@@ -22,17 +22,26 @@ def _row_format(cells) -> str:
     )
 
 
+_CHUNK_ROWS = 4096  # rows converted to Python scalars at a time
+
+
 def write_table(path, header: str, columns, comments=()) -> None:
     """Write equal-length columns row by row under the header.
 
     Each comment is a sequence of cells, written comma-joined after ``# ``.
+    Array columns are formatted from Python scalars, a chunk of rows at a
+    time; their text is the same as from numpy scalars, only faster.
     """
     row_format = _row_format(columns) + "\n"
+    n_rows = min(map(len, columns), default=0)
     with open(path, "w") as fh:
         for comment in comments:
             fh.write("# " + _row_format(comment) % tuple(comment) + "\n")
         fh.write(header + "\n")
-        fh.writelines(row_format % row for row in zip(*columns))
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            chunk = [column[lo:lo + _CHUNK_ROWS] for column in columns]
+            fh.writelines(row_format % row for row in zip(*(
+                c.tolist() if isinstance(c, np.ndarray) else c for c in chunk)))
 
 
 def _read_header(fh, path, header: str) -> list[tuple[str, str]]:

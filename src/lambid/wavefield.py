@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 
+_BLOCK_BYTES = 1 << 20  # two_dft's row and column blocks, about 1 MB each
+
+
 class RidgeError(RuntimeError):
     """No ridge could be tracked over enough of the requested band."""
 
@@ -162,7 +165,11 @@ def synth_wavefield(
     signal recovered per trace.  The phase table is factored: with
     b = ceil(sqrt(n_x)) and x_n = (b a + r) dx, each entry is the product
     of exp(i k b a dx) and exp(i k r dx), so a mode costs 2 sqrt(n_x)
-    exponentials per bin and one complex product per entry.
+    exponentials per bin and one complex product per entry.  The field is
+    built one block of b rows at a time, each block's spectrum irffted
+    straight into the samples, and the noise is drawn row by row in the
+    order of one whole-field draw: besides the samples, synthesis holds the
+    per-mode tables and one block.
     geometry: {n_x, dx, n_t, dt}; excitation: chirp {f_lo, f_hi, duration}.
     noise_rms is the absolute sd of the added Gaussian noise, not a fraction
     of the signal's RMS.  Deterministic for fixed seed.
@@ -198,7 +205,7 @@ def synth_wavefield(
     n_a = -(-n_x // b)
     coarse_x = (np.arange(n_a) * b * dx)[:, None]
     fine_x = (np.arange(b) * dx)[:, None]
-    fieldspec = np.zeros((n_x, freqs.size), dtype=complex)
+    tables = []  # per mode: coarse [n_a, n_f] and fine [b, n_f] phases
     if amplitude != 0.0:
         # trace curves over a band generously covering the excitation
         fh_max = f_hi * plate.thickness * 1e-3 * 1.05
@@ -217,17 +224,24 @@ def synth_wavefield(
                     f"spatial Nyquist {k_nyq:.4g} rad/m (space axis)"
                 )
             k = np.where(usable, k_of_w, 0.0)
-            fine = np.where(usable, np.exp(-1j * k * fine_x), 0.0)
-            phase = np.exp(-1j * k * coarse_x)[:, None, :] * fine
-            fieldspec += phase.reshape(n_a * b, -1)[:n_x]
-        # irfft synthesizes with e^{+i w t}; the conjugate below yields the
-        # forward-travelling real wave Re[S e^{i(k x - w t)}]
-        fieldspec *= np.conj(spec)
+            tables.append((np.exp(-1j * k * coarse_x),
+                           np.where(usable, np.exp(-1j * k * fine_x), 0.0)))
+    # irfft synthesizes with e^{+i w t}; the conjugate below yields the
+    # forward-travelling real wave Re[S e^{i(k x - w t)}]
+    weight = np.conj(spec)
 
-    samples = np.fft.irfft(fieldspec, n=n_t, axis=1)
+    samples = np.empty((n_x, n_t))
+    for a in range(n_a):
+        rows = samples[a * b:(a + 1) * b]
+        block = np.zeros((b, freqs.size), dtype=complex)
+        for coarse, fine in tables:
+            block += coarse[a] * fine
+        block *= weight
+        rows[:] = np.fft.irfft(block[:len(rows)], n=n_t, axis=1)
     if noise_rms > 0:
         rng = np.random.default_rng(seed)
-        samples += rng.normal(0.0, noise_rms, samples.shape)
+        for row in samples:  # row by row, the stream of one whole-field draw
+            row += rng.normal(0.0, noise_rms, n_t)
     return TXField(samples=samples, dt=dt, dx=dx)
 
 
@@ -243,20 +257,34 @@ def two_dft(field: TXField, window: bool = False) -> DispersionImage:
     per-trace scaling factors g_x, Parseval holds as
     sum |T|^2 = (n_x / n_t) * sum |g_x * samples|^2 over the full transform;
     it is asserted on the half spectrum, where each bin other than DC and
-    (for even n_t) Nyquist also stands for its -f twin.
+    (for even n_t) Nyquist also stands for its -f twin.  Besides the input
+    field, the transform holds one complex half spectrum and blocks of
+    about _BLOCK_BYTES: rows are normalized and rffted a block at a time,
+    then columns inverse-transformed over x in place, a block at a time.
     """
-    peaks = np.abs(field.samples).max(axis=1)
+    x = field.samples
+    n_x, n_t = x.shape
+    peaks = np.maximum(x.max(axis=1), -x.min(axis=1))  # max |x|, with no |x| copy
     # an all-zero trace is divided by 1, so it stays as it is
-    samples = field.samples / np.where(peaks > 0, peaks, 1.0)[:, None]
-    if window:
-        samples = samples * np.hanning(samples.shape[1])[None, :]
+    scale = np.where(peaks > 0, peaks, 1.0)[:, None]
+    taper = np.hanning(n_t) if window else None
 
-    n_x, n_t = samples.shape
-    # norm="forward": the rfft carries ifft_t's 1/n_t, the x sum is unscaled
-    half = np.fft.ifft(np.fft.rfft(samples, axis=1, norm="forward"), axis=0,
-                       norm="forward")
+    half = np.empty((n_x, n_t // 2 + 1), dtype=complex)
+    energy_in = 0.0
+    step = max(1, _BLOCK_BYTES // x[0].nbytes)
+    for lo in range(0, n_x, step):
+        samples = x[lo:lo + step] / scale[lo:lo + step]
+        if window:
+            samples *= taper
+        energy_in += np.dot(samples.ravel(), samples.ravel())
+        # norm="forward": the rfft carries ifft_t's 1/n_t, the x sum is unscaled
+        half[lo:lo + step] = np.fft.rfft(samples, axis=1, norm="forward")
+    step = max(1, _BLOCK_BYTES // half[:, 0].nbytes)
+    for lo in range(0, half.shape[1], step):
+        half[:, lo:lo + step] = np.fft.ifft(half[:, lo:lo + step], axis=0,
+                                            norm="forward")
     unpaired = [0, n_t // 2] if n_t % 2 == 0 else [0]  # bins without a twin
-    energy_in = np.sum(samples**2) * (n_x / n_t)
+    energy_in *= n_x / n_t
     energy_out = (2 * np.vdot(half, half).real
                   - np.sum(np.abs(half[:, unpaired]) ** 2))
     if not np.isclose(energy_in, energy_out, rtol=1e-9, atol=1e-30):

@@ -346,6 +346,72 @@ def full_two_dft_magnitude(samples: np.ndarray) -> np.ndarray:
     return np.abs(full[:n_x // 2 + 1, :n_t // 2 + 1]).T
 
 
+def whole_field_synth_wavefield(theta, plate, geometry: dict, excitation: dict,
+                                noise_rms: float = 0.0, seed: int = 0,
+                                order: int = 12,
+                                amplitude: float = 1.0) -> np.ndarray:
+    """Samples of lambid.wavefield.synth_wavefield for valid inputs, built
+    with the same arithmetic on whole-field arrays: the factored phase table
+    of every mode over all [n_x, n_f] entries, one irfft of the field
+    spectrum and one whole-field noise draw.  The blocked synthesis must
+    equal it bit for bit."""
+    from lambid.dispersion import k_grid_for_fh_band, trace_curves
+    from lambid.wavefield import _linear_chirp, _mode_k_of_omega
+
+    n_x, dx = int(geometry["n_x"]), float(geometry["dx"])
+    n_t, dt = int(geometry["n_t"]), float(geometry["dt"])
+    f_lo, f_hi = float(excitation["f_lo"]), float(excitation["f_hi"])
+    duration = float(excitation["duration"])
+    t = np.arange(n_t) * dt
+    if f_lo == f_hi:
+        sig = amplitude * np.sin(2 * np.pi * f_lo * t) * (t <= duration)
+    else:
+        sig = amplitude * _linear_chirp(t, f_lo, duration, f_hi) * (t <= duration)
+    spec = np.fft.rfft(sig)
+    freqs = np.fft.rfftfreq(n_t, dt)
+    omega = 2 * np.pi * freqs
+
+    b = math.isqrt(n_x - 1) + 1
+    n_a = -(-n_x // b)
+    coarse_x = (np.arange(n_a) * b * dx)[:, None]
+    fine_x = (np.arange(b) * dx)[:, None]
+    fieldspec = np.zeros((n_x, freqs.size), dtype=complex)
+    fh_max = f_hi * plate.thickness * 1e-3 * 1.05
+    fh_min = max(f_lo, 0.02 * f_hi) * plate.thickness * 1e-3 * 0.5
+    grid = k_grid_for_fh_band(theta, plate, fh_min, fh_max, n_points=300,
+                              order=order)
+    active = (np.abs(spec) > 1e-12 * np.abs(spec).max()) & (freqs > 0)
+    for curve in trace_curves(theta, plate, grid, order=order):
+        k_of_w = _mode_k_of_omega(curve)(omega)
+        usable = active & np.isfinite(k_of_w)
+        k = np.where(usable, k_of_w, 0.0)
+        fine = np.where(usable, np.exp(-1j * k * fine_x), 0.0)
+        phase = np.exp(-1j * k * coarse_x)[:, None, :] * fine
+        fieldspec += phase.reshape(n_a * b, -1)[:n_x]
+    fieldspec *= np.conj(spec)
+
+    samples = np.fft.irfft(fieldspec, n=n_t, axis=1)
+    if noise_rms > 0:
+        rng = np.random.default_rng(seed)
+        samples += rng.normal(0.0, noise_rms, samples.shape)
+    return samples
+
+
+def whole_field_two_dft_magnitude(samples: np.ndarray,
+                                  window: bool = False) -> np.ndarray:
+    """|2DFT| [n_f, n_k] of lambid.wavefield.two_dft with the same
+    arithmetic on whole-field arrays: an |x| copy for the peaks, one rfft
+    over t and one ifft over x of the whole half spectrum.  The blocked
+    transform must equal it bit for bit."""
+    peaks = np.abs(samples).max(axis=1)
+    scaled = samples / np.where(peaks > 0, peaks, 1.0)[:, None]
+    if window:
+        scaled = scaled * np.hanning(scaled.shape[1])[None, :]
+    half = np.fft.ifft(np.fft.rfft(scaled, axis=1, norm="forward"), axis=0,
+                       norm="forward")
+    return np.abs(half[:samples.shape[0] // 2 + 1]).T
+
+
 def k_grid_brentq(theta, plate, fh_min: float, fh_max: float,
                   n_points: int = 200, order: int = 10) -> np.ndarray:
     """lambid.dispersion.k_grid_for_fh_band by a root search on fh(k): each

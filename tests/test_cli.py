@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lambid import bayes, cli, wavefield
+from lambid import bayes, cli, dispersion, wavefield
 from lambid.dispersion import (ElasticConstants, PlateSpec, k_grid_for_fh_band,
                                trace_curves)
 from lambid.wavefield import TXField
@@ -44,17 +44,26 @@ def test_solve_writes_curves(tmp_path, capsys):
     assert "expansion order used: 8" in capsys.readouterr().out
 
 
-def test_sensitivity_subset(tmp_path):
+def test_sensitivity_subset(tmp_path, monkeypatch):
+    """Only the named parameters are traced: the baseline and two traces
+    each, written once each in declaration order."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return trace_curves(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "trace_curves", spy)
     cfg = write_cfg(tmp_path, base_cfg())
     rc = cli.main([
         "sensitivity", "--config", cfg, "--out", str(tmp_path),
-        "--perturbation", "0.2", "--params", "c55", "rho",
+        "--perturbation", "0.2", "--params", "rho", "c55", "c55",
     ])
     assert rc == 0
+    assert len(calls) == 1 + 2 * 2
     lines = (tmp_path / "sensitivity.csv").read_text().strip().splitlines()
     assert lines[0] == "parameter,mode,max_rel_omega_shift"
-    names = {ln.split(",")[0] for ln in lines[1:]}
-    assert names == {"c55", "rho"}
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["c55"] * 2 + ["rho"] * 2
 
 
 def test_sensitivity_unknown_param_exits_args(tmp_path, capsys):

@@ -612,6 +612,17 @@ class TestSensitivity:
         assert prof.shape == k.shape
         assert np.all(prof >= 0)
 
+    def test_named_parameters_only(self, gfrp, plate):
+        k = k_grid_for_fh_band(gfrp, plate, 0.4, 2.0, n_points=6, order=8)
+        out = sensitivity_sweep(gfrp, plate, k, 0.1, order=8,
+                                names=["rho", "c11"])
+        assert list(out) == ["rho", "c11"]
+        full = sensitivity_sweep(gfrp, plate, k, 0.1, order=8)
+        assert list(full) == ["c11", "c13", "c33", "c55", "rho"]
+        assert out["c11"].max_shift == full["c11"].max_shift
+        with pytest.raises(ValueError, match=r"\['c99'\]"):
+            sensitivity_sweep(gfrp, plate, k, 0.1, order=8, names=["c11", "c99"])
+
     def test_zero_perturbation_is_null(self, gfrp, plate):
         k = k_grid_for_fh_band(gfrp, plate, 0.4, 2.0, n_points=6, order=8)
         out = sensitivity_sweep(gfrp, plate, k, 0.0, order=8)
