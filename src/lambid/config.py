@@ -147,8 +147,11 @@ class RunConfig:
         return out
 
     def dump_resolved(self, path) -> None:
+        """Write resolved() as YAML, by libyaml's emitter where PyYAML has
+        it; the pure-Python one writes the same bytes."""
         with open(path, "w") as fh:
-            yaml.safe_dump(self.resolved(), fh, sort_keys=True)
+            yaml.dump(self.resolved(), fh, sort_keys=True,
+                      Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
 
 
 _MATERIAL_KEYS = {
@@ -209,9 +212,12 @@ def _parse_priors(raw: dict) -> PriorSpec:
 
 
 def load_config(path) -> RunConfig:
+    """The RunConfig of a YAML file, parsed safely by libyaml where PyYAML
+    has it and by the pure-Python parser otherwise."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                               yaml.SafeLoader)) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except yaml.YAMLError as exc:

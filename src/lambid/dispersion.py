@@ -538,28 +538,35 @@ def sensitivity_sweep(
 ) -> dict[str, SensitivityResult]:
     """Re-trace both modes at +/- perturbation of each named material
     parameter (default: every ElasticConstants field, in declaration
-    order), keyed by name in the order given.  An unknown name raises
-    ValueError before any trace."""
+    order), keyed by name in the order first given; a repeated name is
+    swept once.  An unknown name raises ValueError before any trace.
+
+    rho needs no trace: A(kh) is linear in q = c/rho, so rho * f scales
+    every eigenvalue by 1/f and c_p by f^(-1/2) exactly, and its curves are
+    the baseline's c_p / sqrt(f) at the baseline's k (the same excluded
+    points, so no warning is repeated).  They match a re-trace to within
+    the eigensolver's rounding.
+    """
     if not 0 <= perturbation < 1:
         raise ValueError("perturbation must lie in [0, 1)")
     known = [f.name for f in fields(ElasticConstants)]
-    names = known if names is None else names
+    names = known if names is None else list(dict.fromkeys(names))
     unknown = [name for name in names if name not in known]
     if unknown:
         raise ValueError(f"unknown parameter name(s): {unknown}")
     baseline = trace_curves(theta, plate, k_grid, order=order, method=method)
-    out = {}
-    for name in names:
-        minus = trace_curves(
-            replace(theta, **{name: getattr(theta, name) * (1 - perturbation)}),
-            plate, k_grid, order=order, method=method,
-        )
-        plus = trace_curves(
-            replace(theta, **{name: getattr(theta, name) * (1 + perturbation)}),
-            plate, k_grid, order=order, method=method,
-        )
-        out[name] = SensitivityResult(name, minus, baseline, plus)
-    return out
+
+    def perturbed(name: str, factor: float) -> tuple[DispersionCurve, ...]:
+        if name == "rho":
+            cps = [c.c_p / np.sqrt(factor) for c in baseline]
+            return tuple(replace(c, omega=cp * c.k, c_p=cp)
+                         for c, cp in zip(baseline, cps))
+        return trace_curves(replace(theta, **{name: getattr(theta, name) * factor}),
+                            plate, k_grid, order=order, method=method)
+
+    return {name: SensitivityResult(name, perturbed(name, 1 - perturbation),
+                                    baseline, perturbed(name, 1 + perturbation))
+            for name in names}
 
 
 def k_grid_for_fh_band(

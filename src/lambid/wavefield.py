@@ -311,7 +311,7 @@ def normalize_energy(image: DispersionImage) -> DispersionImage:
     )
 
 
-def _local_maxima(rows: np.ndarray, height: np.ndarray) -> np.ndarray:
+def _run_maxima(rows: np.ndarray, height: np.ndarray) -> np.ndarray:
     """Boolean mask [n_rows, n] of the local maxima of each row at or above
     its height, by the rule of scipy.signal.find_peaks: a run of equal
     samples whose left and right neighbours are both strictly lower is one
@@ -335,6 +335,21 @@ def _local_maxima(rows: np.ndarray, height: np.ndarray) -> np.ndarray:
     return mask.reshape(n_rows, n)
 
 
+def _local_maxima(rows: np.ndarray, height: np.ndarray) -> np.ndarray:
+    """_run_maxima's mask, deciding most rows without the run scan.  A row
+    with no two equal neighbours has runs of one sample only, so its peaks
+    are the interior samples strictly above both neighbours and at or above
+    its height; only the rows that hold a plateau go through the run rule."""
+    mask = np.zeros(rows.shape, dtype=bool)
+    mid = rows[:, 1:-1]
+    mask[:, 1:-1] = ((mid > rows[:, :-2]) & (mid > rows[:, 2:])
+                     & (mid >= height[:, None]))
+    plateau = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    if plateau.any():
+        mask[plateau] = _run_maxima(rows[plateau], height[plateau])
+    return mask
+
+
 def ridge_pick(
     image: DispersionImage,
     band: tuple[float, float],
@@ -344,7 +359,7 @@ def ridge_pick(
 ) -> ObservationSet:
     """Track the two energy ridges (A0, S0) through the banded image rows.
 
-    Per frequency row inside the band, local maxima exceeding
+    Per frequency row inside the band, local maxima at or above
     min_prominence times the row max are candidates.  Going up in
     frequency, each row extends every ridge to its nearest unclaimed
     candidate within max_jump_bins, then starts ridges from the strongest
@@ -374,44 +389,47 @@ def ridge_pick(
     peak_row, peak_col = np.nonzero(peak_mask)
     bounds = np.searchsorted(peak_row, np.arange(rows.size + 1)).tolist()
     cols = peak_col.tolist()
-    row_peaks = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    ridges: list[list[tuple[int, int]]] = []  # (row index, k index) pairs
-    for i, peaks in enumerate(row_peaks):
-        taken: set[int] = set()
-        for ridge in ridges:
-            last_k = ridge[-1][1]
-            cands = [p for p in peaks if p not in taken
-                     and abs(p - last_k) <= max_jump_bins]
-            if cands:
-                best = min(cands, key=lambda p: abs(p - last_k))
-                ridge.append((rows[i], best))
-                taken.add(best)
+    ridges: list[tuple[list[int], list[int]]] = []  # row and k indices of each
+    for i, (row, lo, hi) in enumerate(zip(rows.tolist(), bounds, bounds[1:])):
+        peaks = cols[lo:hi]
+        taken: list[int] = []
+        for ridge_rows, ridge_ks in ridges:
+            # the nearest unclaimed peak in reach; on a tie, the first column
+            last_k, best, gap = ridge_ks[-1], None, None
+            for p in peaks:
+                d = abs(p - last_k)
+                if d <= max_jump_bins and (gap is None or d < gap) and p not in taken:
+                    best, gap = p, d
+            if best is not None:
+                ridge_rows.append(row)
+                ridge_ks.append(best)
+                taken.append(best)
         if len(ridges) < n_modes:
             free = np.array([p for p in peaks if p not in taken], dtype=int)
             strongest = free[np.argsort(band_rows[i][free])[::-1]]
-            for p in strongest[:n_modes - len(ridges)]:
-                ridges.append([(rows[i], p)])
+            for p in strongest[:n_modes - len(ridges)].tolist():
+                ridges.append(([row], [p]))
     if not ridges:
         raise RidgeError("no row in the band has a prominent maximum")
 
-    ridges.sort(key=len, reverse=True)
+    ridges.sort(key=lambda ridge: len(ridge[0]), reverse=True)
     need = 0.3 * rows.size
-    for i, ridge in enumerate(ridges):
-        if len(ridge) < need:
+    for i, (ridge_rows, _) in enumerate(ridges):
+        if len(ridge_rows) < need:
             raise RidgeError(
-                f"ridge {i} only trackable over {len(ridge)}/{rows.size} "
+                f"ridge {i} only trackable over {len(ridge_rows)}/{rows.size} "
                 "band rows"
             )
     if len(ridges) < n_modes:
         raise RidgeError(f"only {len(ridges)} of {n_modes} ridges found")
 
     # label: at shared frequencies A0 has the larger k (lower c_p)
-    mean_k = [np.mean([kx for _, kx in ridge]) for ridge in ridges]
+    mean_k = [np.mean(k_idx) for _, k_idx in ridges]
     ordering = np.argsort(mean_k)[::-1]  # descending k
     points = []
     for label, ridge_idx in zip(_BRANCHES, ordering):
-        row_idx, k_idx = np.array(ridges[ridge_idx]).T
+        row_idx, k_idx = map(np.array, ridges[ridge_idx])
         # rows run up in frequency, so each k bin's first row is its lowest
         k_bins, first = np.unique(k_idx, return_index=True)
         omega = 2 * np.pi * image.f_axis[row_idx[first]]

@@ -1,11 +1,14 @@
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from lambid import cli, config
 from lambid.dispersion import ElasticConstants, PlateSpec
 
 # one line per acceptance criterion, filled in by test_acceptance.py and
@@ -18,6 +21,50 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_REPORT:
             terminalreporter.write_line(line)
+
+
+@contextmanager
+def pure_python_yaml():
+    """PyYAML as it is without libyaml: CSafeLoader and CSafeDumper gone."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("CSafeLoader", "CSafeDumper"):
+            mp.delattr(yaml, name, raising=False)
+        yield
+
+
+@pytest.fixture
+def yaml_codecs_agree(request, monkeypatch, tmp_path_factory):
+    """Every load_config and dump_resolved of the test runs again on the
+    pure-Python codec (pure_python_yaml): a load must give an equal
+    RunConfig, or a ConfigError of the same message (a YAML syntax error's
+    message is libyaml's or PyYAML's own, so there only the type), and a
+    dump the same bytes."""
+    load, dump = config.load_config, config.RunConfig.dump_resolved
+    spare = tmp_path_factory.mktemp("pure_python_yaml") / "resolved.yaml"
+
+    def checked_load(path):
+        try:
+            cfg = load(path)
+        except config.ConfigError as exc:
+            with pure_python_yaml(), pytest.raises(config.ConfigError) as again:
+                load(path)
+            if not str(exc).startswith("config is not valid YAML"):
+                assert str(again.value) == str(exc)
+            raise
+        with pure_python_yaml():
+            assert load(path) == cfg
+        return cfg
+
+    def checked_dump(self, path):
+        dump(self, path)
+        with pure_python_yaml():
+            dump(self, spare)
+        assert spare.read_bytes() == Path(path).read_bytes()
+
+    for module in (config, cli, request.module):
+        if hasattr(module, "load_config"):
+            monkeypatch.setattr(module, "load_config", checked_load)
+    monkeypatch.setattr(config.RunConfig, "dump_resolved", checked_dump)
 
 
 @pytest.fixture

@@ -542,3 +542,101 @@ def plain_mcmc_sample(obs, priors, plate, cfg):
                     pass
     return bayes.Chain(samples=samples, log_posts=log_posts, accepted=accepted,
                        warmup_len=cfg.warmup, seed=cfg.seed)
+
+
+def run_scan_local_maxima(rows: np.ndarray, height: np.ndarray) -> np.ndarray:
+    """lambid.wavefield._local_maxima as it was before rows without a
+    plateau skipped the run scan: every row by the run rule of
+    scipy.signal.find_peaks.  The package's mask must equal it exactly."""
+    n_rows, n = rows.shape
+    starts = np.ones(rows.shape, dtype=bool)  # each row starts a run
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    first = np.flatnonzero(starts)  # flat index of each run's first sample
+    last = np.append(first[1:] - 1, rows.size - 1)
+    value = rows.flat[first]
+    rises = np.zeros(first.size, dtype=bool)
+    rises[1:] = value[1:] > value[:-1]
+    falls = np.zeros(first.size, dtype=bool)
+    falls[:-1] = value[:-1] > value[1:]
+    # a run touching either end of its row has a neighbour in another row
+    interior = (first % n > 0) & (last % n < n - 1)
+    peak = interior & rises & falls & (value >= height[first // n])
+    mask = np.zeros(rows.size, dtype=bool)
+    mask[(first[peak] + last[peak]) // 2] = True
+    return mask.reshape(n_rows, n)
+
+
+def list_scan_ridge_pick(image, band: tuple[float, float], plate,
+                         min_prominence: float = 0.3, max_jump_bins: int = 3):
+    """lambid.wavefield.ridge_pick as it was before the tracking loop
+    scanned each row's peaks in place: per ridge and row it builds a list of
+    the unclaimed candidates in reach and takes min(key=...) of it.  The
+    package's points and RidgeError messages must equal this one's.  ROADMAP
+    item 16 changes the point rule (one row per k bin); it updates this
+    oracle on purpose."""
+    from lambid.wavefield import _BRANCHES, ObservationSet, RidgeError
+
+    n_modes = len(_BRANCHES)
+    if not 0 <= min_prominence <= 1:
+        raise ValueError(f"min_prominence {min_prominence} is not in [0, 1]")
+    if not max_jump_bins >= 0:
+        raise ValueError(f"max_jump_bins {max_jump_bins} is negative")
+    if not image.normalized:
+        raise ValueError("ridge_pick requires a normalized image")
+    fh = image.f_axis * plate.thickness * 1e-3  # MHz*mm
+    rows = np.nonzero((fh >= band[0]) & (fh <= band[1]))[0]
+    if rows.size == 0:
+        raise ValueError("band does not intersect the image frequency axis")
+
+    band_rows = image.magnitude[rows]
+    row_max = band_rows.max(axis=1)
+    peak_mask = run_scan_local_maxima(band_rows, min_prominence * row_max)
+    peak_mask[row_max <= 0] = False  # no candidates without a positive sample
+    # every row's peak columns from one nonzero call, split by row
+    peak_row, peak_col = np.nonzero(peak_mask)
+    bounds = np.searchsorted(peak_row, np.arange(rows.size + 1)).tolist()
+    cols = peak_col.tolist()
+    row_peaks = [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    ridges: list[list[tuple[int, int]]] = []  # (row index, k index) pairs
+    for i, peaks in enumerate(row_peaks):
+        taken: set[int] = set()
+        for ridge in ridges:
+            last_k = ridge[-1][1]
+            cands = [p for p in peaks if p not in taken
+                     and abs(p - last_k) <= max_jump_bins]
+            if cands:
+                best = min(cands, key=lambda p: abs(p - last_k))
+                ridge.append((rows[i], best))
+                taken.add(best)
+        if len(ridges) < n_modes:
+            free = np.array([p for p in peaks if p not in taken], dtype=int)
+            strongest = free[np.argsort(band_rows[i][free])[::-1]]
+            for p in strongest[:n_modes - len(ridges)]:
+                ridges.append([(rows[i], p)])
+    if not ridges:
+        raise RidgeError("no row in the band has a prominent maximum")
+
+    ridges.sort(key=len, reverse=True)
+    need = 0.3 * rows.size
+    for i, ridge in enumerate(ridges):
+        if len(ridge) < need:
+            raise RidgeError(
+                f"ridge {i} only trackable over {len(ridge)}/{rows.size} "
+                "band rows"
+            )
+    if len(ridges) < n_modes:
+        raise RidgeError(f"only {len(ridges)} of {n_modes} ridges found")
+
+    # label: at shared frequencies A0 has the larger k (lower c_p)
+    mean_k = [np.mean([kx for _, kx in ridge]) for ridge in ridges]
+    ordering = np.argsort(mean_k)[::-1]  # descending k
+    points = []
+    for label, ridge_idx in zip(_BRANCHES, ordering):
+        row_idx, k_idx = np.array(ridges[ridge_idx]).T
+        # rows run up in frequency, so each k bin's first row is its lowest
+        k_bins, first = np.unique(k_idx, return_index=True)
+        omega = 2 * np.pi * image.f_axis[row_idx[first]]
+        points += [(label, float(om_hat), float(k_hat))
+                   for om_hat, k_hat in zip(omega, image.k_axis[k_bins])]
+    return ObservationSet(points=points, band=tuple(band))

@@ -11,6 +11,10 @@ from lambid.dispersion import (ElasticConstants, PlateSpec, k_grid_for_fh_band,
                                trace_curves)
 from lambid.wavefield import TXField
 
+# every config these tests load, and every resolved config they write, is
+# checked against PyYAML's pure-Python codec
+pytestmark = pytest.mark.usefixtures("yaml_codecs_agree")
+
 
 def write_cfg(tmp_path, payload, name="run.yaml"):
     path = tmp_path / name
@@ -45,8 +49,9 @@ def test_solve_writes_curves(tmp_path, capsys):
 
 
 def test_sensitivity_subset(tmp_path, monkeypatch):
-    """Only the named parameters are traced: the baseline and two traces
-    each, written once each in declaration order."""
+    """Only the named parameters are swept, each once, and written in
+    declaration order: the baseline and c55's two traces are the only
+    traces, since rho's curves are the baseline's, scaled."""
     calls = []
 
     def spy(*args, **kwargs):
@@ -60,7 +65,7 @@ def test_sensitivity_subset(tmp_path, monkeypatch):
         "--perturbation", "0.2", "--params", "rho", "c55", "c55",
     ])
     assert rc == 0
-    assert len(calls) == 1 + 2 * 2
+    assert len(calls) == 1 + 2
     lines = (tmp_path / "sensitivity.csv").read_text().strip().splitlines()
     assert lines[0] == "parameter,mode,max_rel_omega_shift"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["c55"] * 2 + ["rho"] * 2

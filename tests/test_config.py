@@ -11,6 +11,10 @@ from lambid.bayes import GammaPrior, NormalPrior, SamplerConfig
 from lambid.config import ConfigError, load_config
 from lambid.wavefield import synth_wavefield
 
+# every config these tests load, and every resolved config they write, is
+# checked against PyYAML's pure-Python codec
+pytestmark = pytest.mark.usefixtures("yaml_codecs_agree")
+
 GFRP_ELASTIC = {
     "c11_gpa": 28.1, "c13_gpa": 7.8, "c33_gpa": 16.7, "c55_gpa": 8.2,
     "rho_kg_m3": 1200.0,
@@ -308,3 +312,18 @@ def test_readme_config_reference_loads(tmp_path):
     for section_name in ("band", "solver", "synth", "extract", "sampler",
                          "ensemble"):
         assert set(documented[section_name]) == set(getattr(cfg, section_name))
+    cfg.dump_resolved(tmp_path / "resolved.yaml")  # checked by both codecs
+
+
+def test_pure_python_yaml_codec_gives_the_same_config(tmp_path, monkeypatch):
+    """Without libyaml, load_config gives an equal RunConfig and
+    dump_resolved the same bytes."""
+    path = write_cfg(tmp_path, full_cfg())
+    cfg = load_config(path)
+    cfg.dump_resolved(tmp_path / "libyaml.yaml")
+    for name in ("CSafeLoader", "CSafeDumper"):
+        monkeypatch.delattr(yaml, name, raising=False)
+    assert load_config(path) == cfg
+    cfg.dump_resolved(tmp_path / "python.yaml")
+    assert ((tmp_path / "python.yaml").read_bytes()
+            == (tmp_path / "libyaml.yaml").read_bytes())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from lambid.dispersion import (ElasticConstants, Mode, PlateSpec,
                                group_velocity, inverse_power_eigs,
                                k_grid_for_fh_band, realify, sensitivity_sweep,
                                smallest_physical_cp, trace_curves, write_curves)
-from lambid import textio
+from lambid import dispersion, textio
 
 
 class TestEngineeringConversion:
@@ -622,6 +624,45 @@ class TestSensitivity:
         assert out["c11"].max_shift == full["c11"].max_shift
         with pytest.raises(ValueError, match=r"\['c99'\]"):
             sensitivity_sweep(gfrp, plate, k, 0.1, order=8, names=["c11", "c99"])
+
+    @pytest.mark.parametrize("method, bound", [("dense", 1e-9), ("power", 1e-12)])
+    def test_rho_curves_match_a_retrace(self, gfrp, baseline, plate, method,
+                                        bound):
+        """rho * f scales A by 1/f, so the closed-form curves c_p / sqrt(f)
+        equal a re-trace to within the eigensolver's rounding: at most
+        8.0e-10 relative by eigvalsh at small kh, 1.6e-14 by power."""
+        for theta in (gfrp, baseline):
+            for order in (8, 14):
+                k = k_grid_for_fh_band(theta, plate, 0.2, 4.098, n_points=200,
+                                       order=order)
+                for p in (0.1, 0.3, 0.9):
+                    res = sensitivity_sweep(theta, plate, k, p, order=order,
+                                            method=method, names=["rho"])["rho"]
+                    for curves, f in ((res.minus, 1 - p), (res.plus, 1 + p)):
+                        ref = trace_curves(replace(theta, rho=theta.rho * f),
+                                           plate, k, order=order, method=method)
+                        for got, want in zip(curves, ref):
+                            assert got.mode_label == want.mode_label
+                            assert np.array_equal(got.k, want.k)
+                            assert got.order == want.order and got.c_g is None
+                            assert np.max(np.abs(got.c_p / want.c_p - 1)) <= bound
+                            assert np.max(np.abs(got.omega / want.omega - 1)) <= bound
+
+    def test_repeated_name_is_traced_once(self, gfrp, plate, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return trace_curves(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "trace_curves", spy)
+        k = k_grid_for_fh_band(gfrp, plate, 0.4, 2.0, n_points=6, order=8)
+        out = sensitivity_sweep(gfrp, plate, k, 0.1, order=8,
+                                names=["c55", "rho", "c55", "rho"])
+        assert list(out) == ["c55", "rho"]
+        # the baseline, then c55 -/+; rho's curves are scaled, not traced
+        assert [theta.c55 / gfrp.c55 for theta in calls] == pytest.approx(
+            [1.0, 0.9, 1.1], rel=1e-15)
 
     def test_zero_perturbation_is_null(self, gfrp, plate):
         k = k_grid_for_fh_band(gfrp, plate, 0.4, 2.0, n_points=6, order=8)

@@ -45,9 +45,15 @@ def _plateau_row(rng, n=64):
 
 
 def test_peak_finder_matches_scipy_on_plateaus(rng):
+    """Plateau rows take the run rule and rows without two equal neighbours
+    the strict-neighbour rule; the stack mixes both, so one call runs both."""
     rows = np.array([_plateau_row(rng) for _ in range(300)]
                     + [np.full(64, 2.0), np.r_[3.0, 3.0, np.zeros(60), 3.0, 3.0],
-                       np.r_[0.0, 1.0, 1.0, np.zeros(61)]])
+                       np.r_[0.0, 1.0, 1.0, np.zeros(61)]]
+                    + [rng.normal(size=64) for _ in range(100)])
+    rows = rows[rng.permutation(len(rows))]
+    plateau = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    assert plateau.any() and not plateau.all()
     for fraction in (0.0, 0.3, 0.9, 1.0):
         height = fraction * rows.max(axis=1)
         np.testing.assert_array_equal(wavefield._local_maxima(rows, height),

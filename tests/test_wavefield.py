@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from lambid import wavefield
-from lambid.dispersion import k_grid_for_fh_band, trace_curves
+from lambid import cli, config, wavefield
+from lambid.dispersion import (ElasticConstants, PlateSpec,
+                               k_grid_for_fh_band, trace_curves)
 from lambid.wavefield import (DispersionImage, ObservationSet, RidgeError,
                               TXField, normalize_energy, read_observations,
                               read_txfield, ridge_pick, synth_wavefield,
@@ -180,6 +185,120 @@ class TestRidgePick:
         for mode, (oms, ks) in modes.items():
             assert np.all(np.diff(np.sort(ks)) >= 0)
             assert oms.size > 20
+
+
+JUMPS = (0, 1, 2.5, 3, 8)  # max_jump_bins, a float bound among them
+PROMINENCES = (0.0, 0.3, 1.0)
+
+
+def _same_as_list_scan(image, plate, band=BAND, **kwargs):
+    """ridge_pick against oracles.list_scan_ridge_pick on one image: the
+    same points, or a RidgeError with the same message.  Returns the
+    points, or None after a RidgeError."""
+    try:
+        want = oracles.list_scan_ridge_pick(image, band, plate, **kwargs)
+    except RidgeError as exc:
+        with pytest.raises(RidgeError) as got:
+            ridge_pick(image, band, plate, **kwargs)
+        assert str(got.value) == str(exc)
+        return None
+    got = ridge_pick(image, band, plate, **kwargs)
+    assert got.points == want.points and got.band == want.band
+    return got.points
+
+
+def _same_masks(rows):
+    """_local_maxima against the run scan of every row, at each prominence."""
+    for fraction in PROMINENCES:
+        height = fraction * rows.max(axis=1)
+        np.testing.assert_array_equal(
+            wavefield._local_maxima(rows, height),
+            oracles.run_scan_local_maxima(rows, height))
+
+
+def _ridge_field(rng, n_ridges, n_rows=40, n_cols=64):
+    """A normalized RIDGE_F x RIDGE_K image: n_ridges random-walk ridges of
+    random strength over a noise floor.  Every third row is quantized, so
+    that plateaus (exactly equal neighbours) mix with rows that have none."""
+    mag = rng.uniform(0.0, 0.3, (n_rows, n_cols))
+    for _ in range(n_ridges):
+        col = int(rng.integers(4, n_cols - 4))
+        amp = rng.uniform(0.5, 1.5)
+        for row in range(n_rows):
+            col = int(np.clip(col + rng.integers(-3, 4), 1, n_cols - 2))
+            mag[row, col] += amp
+            mag[row, col - 1] += 0.3 * amp
+    mag[::3] = np.round(mag[::3] * 4) / 4
+    return normalize_energy(DispersionImage(magnitude=mag, f_axis=RIDGE_F,
+                                            k_axis=RIDGE_K))
+
+
+class TestRidgePickMatchesListScan:
+    """The peak finder's strict-neighbour rule and the in-place tracking
+    loop give the points of the run scan and the per-row candidate lists
+    they replaced (oracles.list_scan_ridge_pick), bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def images(self, tmp_path_factory):
+        """Normalized images of every SYNTH_CASES field and of the bench's
+        first clean and first noisy signal fields, made by `lambid synth`
+        from bench/gen.py's configs (seed 1)."""
+        gfrp = ElasticConstants(28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0)
+        plate = PlateSpec(2e-3)
+        out = {}
+        for name, (geometry, excitation, noise, order) in SYNTH_CASES.items():
+            field = synth_wavefield(gfrp, plate, geometry, excitation,
+                                    noise_rms=noise, seed=7, order=order)
+            out[name] = (normalize_energy(two_dft(field)), plate)
+        root = Path(__file__).resolve().parents[1]
+        gen = tmp_path_factory.mktemp("bench_signal")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        subprocess.run([sys.executable, str(root / "bench" / "gen.py"),
+                        "--workload", "signal", "--seed", "1", "--out", str(gen)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        for name in ("field_000", "field_001"):  # clean, then noisy
+            cfg = config.load_config(gen / f"{name}.yaml")
+            assert cli.main(["synth", "--config", str(gen / f"{name}.yaml"),
+                             "--out", str(gen / name)]) == 0
+            field = read_txfield(gen / name / cfg.files["wavefield"])
+            out[name] = (normalize_energy(two_dft(field, cfg.extract["window"])),
+                         cfg.require_plate())
+        return out
+
+    @pytest.mark.parametrize("name", [*sorted(SYNTH_CASES), "field_000",
+                                      "field_001"])
+    def test_synthesized_images(self, images, name):
+        image, plate = images[name]
+        _same_masks(image.magnitude)
+        picked = {(jump, prominence): _same_as_list_scan(
+            image, plate, max_jump_bins=jump, min_prominence=prominence)
+            for jump in JUMPS for prominence in PROMINENCES}
+        assert picked[3, 0.3]  # the defaults pick
+
+    def test_random_images_with_two_to_five_ridges(self, rng, plate):
+        outcomes = []
+        for trial in range(40):
+            image = _ridge_field(rng, n_ridges=2 + trial % 4)
+            rows = image.magnitude
+            flat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+            assert flat.any() and not flat.all()  # both branches of the finder
+            _same_masks(rows)
+            outcomes += [_same_as_list_scan(image, plate, band=(0.2, 2.0),
+                                            max_jump_bins=jump,
+                                            min_prominence=prominence)
+                         for jump in JUMPS for prominence in PROMINENCES]
+        # both outcomes occur: picks, and RidgeErrors whose messages matched
+        assert any(outcomes) and None in outcomes
+
+    @pytest.mark.parametrize("case", ["zero", "flat", "single", "short"])
+    def test_images_without_two_ridges(self, plate, case):
+        mag = np.ones((40, 64)) if case == "flat" else np.zeros((40, 64))
+        if case in ("single", "short"):
+            mag[:, 40] = 1.0
+        if case == "short":
+            mag[:5, 10] = 0.5
+        image = normalize_energy(DispersionImage(mag, RIDGE_F, RIDGE_K))
+        assert _same_as_list_scan(image, plate, band=(0.2, 2.0)) is None
 
 
 class TestSynth:
