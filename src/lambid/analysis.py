@@ -14,7 +14,6 @@ from .dispersion import (Mode, PlateSpec, TracingError, _check_order,
 
 __all__ = [
     "ParamSummary",
-    "PosteriorSummary",
     "CurveEnsemble",
     "summarize",
     "curve_ensemble",
@@ -34,14 +33,6 @@ class ParamSummary:
     kde_mode: float
     ci_lo: float
     ci_hi: float
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    params: dict  # name -> ParamSummary
-
-    def __getitem__(self, name: str) -> ParamSummary:
-        return self.params[name]
 
 
 _KDE_POINTS = 512
@@ -72,9 +63,10 @@ def _kde_mode(x: np.ndarray) -> float:
     return float(grid[np.argmax(density)])
 
 
-def summarize(chain: Chain) -> PosteriorSummary:
-    """Mean, unbiased variance, mode of the binned Gaussian KDE (_kde_mode),
-    and 95% equal-tailed interval."""
+def summarize(chain: Chain) -> dict:
+    """{name: ParamSummary} in PARAM_NAMES order: mean, unbiased variance,
+    mode of the binned Gaussian KDE (_kde_mode), and 95% equal-tailed
+    interval."""
     draws = chain.post_warmup
     if draws.shape[0] < MIN_SUMMARY_SAMPLES:
         raise ValueError(
@@ -91,7 +83,7 @@ def summarize(chain: Chain) -> PosteriorSummary:
             ci_lo=float(lo),
             ci_hi=float(hi),
         )
-    return PosteriorSummary(params=params)
+    return params
 
 
 @dataclass
@@ -229,7 +221,7 @@ def mc_standard_error(x: np.ndarray) -> float:
 _SUMMARY_HEADER = "parameter,mean,mode,variance,ci_lo,ci_hi"
 
 
-def write_summary(path, summary: PosteriorSummary) -> None:
+def write_summary(path, summary: dict) -> None:
     fields = ("mean", "kde_mode", "variance", "ci_lo", "ci_hi")
     textio.write_table(
         path, _SUMMARY_HEADER,

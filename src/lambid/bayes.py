@@ -2,17 +2,19 @@
 
 The sampled vector is {C11, C13, C33, C55, rho, sigma}: the four stiffness
 entries and density governing the dispersion model, plus the Gaussian noise
-scale on observed angular frequency.  All probabilities are computed in log
-space; non-physical forward solves map to -inf and are therefore never
-accepted.  With observations, the one posterior call of an mcmc_sample step
-rejects most proposals without an eigensolve, from a proved upper bound on
-their log posterior built from the current state's eigenpairs, its _Anchor;
-it rejects only what the exact posterior would.  The others are certified
-from the anchor by _certify: a batched shifted solve, a second only where
-the first certified no eigenvalue.  _solve, an eigvalsh and one shifted
-solve, is the fallback and re-anchors now and then, so an accepted step
-costs about one batched solve.  Every exact evaluation returns its own
-_Anchor, and the curve ensemble shares _certify and _solve.
+scale on observed angular frequency.  PriorSpec evaluates the prior once
+per proposal, on its array in PARAM_NAMES order, through fixed GPa->Pa
+scales.  All probabilities are computed in log space; non-physical forward
+solves map to -inf and are therefore never accepted.  With observations,
+the one posterior call of an mcmc_sample step rejects most proposals
+without an eigensolve, from a proved upper bound on their log posterior
+built from the current state's eigenpairs, its _Anchor; it rejects only
+what the exact posterior would.  The others are certified from the anchor
+by _certify: a batched shifted solve, a second only where the first
+certified no eigenvalue.  _solve, an eigvalsh and one shifted solve, is the
+fallback and re-anchors now and then, so an accepted step costs about one
+batched solve.  Every exact evaluation returns its own _Anchor, and the
+curve ensemble shares _certify and _solve.
 Samples and accept flags are byte for byte those of evaluating every
 proposal by eigvalsh.  Log posteriors differ from it by less than eigvalsh's
 own rounding of the model frequencies carried through the misfit, about
@@ -45,7 +47,6 @@ __all__ = [
     "InitializationError",
     "default_priors",
     "log_likelihood",
-    "log_prior",
     "log_posterior",
     "mcmc_sample",
     "write_chain",
@@ -79,10 +80,6 @@ class ParamVector:
 
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in PARAM_NAMES])
-
-    @classmethod
-    def from_array(cls, arr) -> "ParamVector":
-        return cls(**dict(zip(PARAM_NAMES, map(float, arr))))
 
     def material(self) -> ElasticConstants:
         return ElasticConstants(
@@ -151,31 +148,51 @@ _PRIOR_SCALES = {"c11": 1e-9, "c13": 1e-9, "c33": 1e-9, "c55": 1e-9,
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Independent per-parameter priors.
+    """Independent priors over the parameter array in PARAM_NAMES order.
 
-    Stiffness priors are stated in GPa while the sampler works in Pa;
-    _PRIOR_SCALES converts before density evaluation, with the log-Jacobian
-    included so densities stay proper over the internal units.
+    priors maps every name of PARAM_NAMES, and no other, to its prior
+    (ValueError otherwise).  Stiffness priors are stated in GPa while the
+    array holds Pa; _PRIOR_SCALES converts before density evaluation, with
+    the log-Jacobian included so densities stay proper over the array's
+    units.
     """
 
     priors: dict  # name -> GammaPrior | NormalPrior
 
-    def logpdf(self, name: str, internal_value: float) -> float:
-        s = _PRIOR_SCALES[name]
-        return self.priors[name].logpdf(internal_value * s) + math.log(s)
+    def __post_init__(self):
+        missing = [n for n in PARAM_NAMES if n not in self.priors]
+        unknown = [n for n in self.priors if n not in PARAM_NAMES]
+        if missing or unknown:
+            raise ValueError(f"priors must name every parameter once: "
+                             f"missing {missing}, unknown {unknown}")
 
-    def sample(self, rng: np.random.Generator) -> ParamVector:
-        vals = {
-            name: self.priors[name].sample(rng) / _PRIOR_SCALES[name]
-            for name in PARAM_NAMES
-        }
-        return ParamVector(**vals)
+    def logpdf(self, x: np.ndarray) -> float:
+        """Sum of the log densities at x, left to right; -inf at the first
+        entry that is not finite or lies outside its prior's support."""
+        total = 0.0
+        for name, value in zip(PARAM_NAMES, x.tolist()):
+            s = _PRIOR_SCALES[name]
+            lp = (self.priors[name].logpdf(value * s) + math.log(s)
+                  if math.isfinite(value) else -math.inf)
+            if lp == -math.inf:
+                return -math.inf
+            total += lp
+        return total
 
-    def internal_mean(self, name: str) -> float:
-        return self.priors[name].mean / _PRIOR_SCALES[name]
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """One draw of x, its entries drawn in PARAM_NAMES order."""
+        return np.array([self.priors[n].sample(rng) / _PRIOR_SCALES[n]
+                         for n in PARAM_NAMES])
 
-    def internal_var(self, name: str) -> float:
-        return self.priors[name].var / _PRIOR_SCALES[name] ** 2
+    @property
+    def mean(self) -> np.ndarray:
+        return np.array([self.priors[n].mean / _PRIOR_SCALES[n]
+                         for n in PARAM_NAMES])
+
+    @property
+    def var(self) -> np.ndarray:
+        return np.array([self.priors[n].var / _PRIOR_SCALES[n] ** 2
+                         for n in PARAM_NAMES])
 
 
 def default_priors() -> PriorSpec:
@@ -197,7 +214,7 @@ class SamplerConfig:
     defaults and rules (lambid.config reads both from here): ValueError
     unless n_samples and forward_order are positive integers, warmup is a
     non-negative integer (bools are neither), proposal_scale is positive and
-    finite and seed is a non-negative integer.
+    finite, seed is a non-negative integer and init is None or a ParamVector.
     """
 
     n_samples: int = 20_000
@@ -223,6 +240,8 @@ class SamplerConfig:
             raise ValueError("forward_order must be a positive integer")
         if not (is_count(self.seed) and self.seed >= 0):
             raise ValueError("seed must be non-negative and an integer")
+        if not (self.init is None or isinstance(self.init, ParamVector)):
+            raise ValueError("init must be a ParamVector or None")
 
 
 @dataclass
@@ -261,11 +280,6 @@ class Chain:
         acc = self.accepted[self.warmup_len:]
         return float(np.mean(acc)) if acc.size else float("nan")
 
-    def param(self, name: str, post_warmup: bool = True) -> np.ndarray:
-        col = PARAM_NAMES.index(name)
-        src = self.post_warmup if post_warmup else self.samples
-        return src[:, col]
-
 
 def log_likelihood(
     obs: ObservationSet,
@@ -289,17 +303,6 @@ def log_likelihood(
     and either block may lose its sign.
     """
     return _Posterior(obs, None, plate, order).log_likelihood(theta.to_array())[0]
-
-
-def log_prior(theta: ParamVector, priors: PriorSpec) -> float:
-    """Sum of independent log prior densities; -inf outside support."""
-    total = 0.0
-    for name in PARAM_NAMES:
-        lp = priors.logpdf(name, getattr(theta, name))
-        if lp == -np.inf:
-            return -np.inf
-        total += lp
-    return total
 
 
 def log_posterior(
@@ -533,13 +536,10 @@ class _Posterior:
         ), anchor
 
     def log_posterior(self, x: np.ndarray, floor: float = -math.inf):
-        """(log posterior, anchor of its likelihood) at x; -inf where x is
-        not a ParamVector, and (-inf, None) with no eigensolve where the
-        screen proves it below floor."""
-        try:
-            lp = log_prior(ParamVector.from_array(x), self.priors)
-        except ValueError:
-            return -np.inf, None
+        """(log posterior, anchor of its likelihood) at x; -inf where an
+        entry of x is not finite, and (-inf, None) with no eigensolve where
+        the screen proves it below floor."""
+        lp = self.priors.logpdf(x)
         if lp == -np.inf or self.obs is None:
             return lp, None
         eig = self.eigen_bounds(x)
@@ -559,10 +559,11 @@ class _Posterior:
     def eigen_bounds(self, y: np.ndarray):
         """(lo, up, ahead): lo and up bound every observed pair's top
         eigenvalue at y, widened for rounding, and ahead is the data from
-        which log_likelihood certifies y, or None; None where y is not
-        physical or no negative bound holds."""
+        which log_likelihood certifies y, or None; None where an entry of
+        y is not positive or no negative bound holds.  y is finite, as
+        log_posterior calls this only where the prior is finite."""
         anchor = self.anchor
-        if anchor is None or not (np.isfinite(y).all() and y.min() > 0):
+        if anchor is None or not y.min() > 0:
             return None
         beta, rq, resid, lam2, norm = (
             b[0] for b in anchor.bounds(y[None, :4] / y[4]))
@@ -619,7 +620,7 @@ def mcmc_sample(
     else:
         lp = -np.inf
         for _ in range(100):
-            x = priors.sample(rng).to_array()
+            x = priors.sample(rng)
             lp, anchor = post.log_posterior(x)
             if lp > -np.inf:
                 break
@@ -629,7 +630,7 @@ def mcmc_sample(
             )
 
     post.anchor = anchor
-    base_sd = np.array([math.sqrt(priors.internal_var(n)) for n in PARAM_NAMES])
+    base_sd = np.sqrt(priors.var)
     log_step = 0.0
     total = cfg.warmup + cfg.n_samples
     samples = np.empty((total, d))

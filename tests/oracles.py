@@ -470,6 +470,52 @@ def parity_block_log_likelihood(obs, theta, plate, order: int) -> float:
             - 0.5 * float(resid @ resid) / theta.sigma ** 2)
 
 
+# PARAM_NAMES and the GPa->Pa prior scales, as the name-keyed prior had them
+_PRIOR_NAMES = ("c11", "c13", "c33", "c55", "rho", "sigma")
+_NAMED_SCALES = {"c11": 1e-9, "c13": 1e-9, "c33": 1e-9, "c55": 1e-9,
+                 "rho": 1.0, "sigma": 1.0}
+
+
+def named_logpdf(priors, name: str, internal_value: float) -> float:
+    """PriorSpec.logpdf(name, value) as it was before PriorSpec took the
+    parameter array: one scaled density and its log-Jacobian."""
+    s = _NAMED_SCALES[name]
+    return priors.priors[name].logpdf(internal_value * s) + math.log(s)
+
+
+def named_log_prior(x, priors) -> float:
+    """lambid.bayes.log_prior(ParamVector.from_array(x), priors) as the
+    sampler evaluated it before PriorSpec took the parameter array: -inf
+    unless every entry is finite (from_array's ValueError), else the sum
+    of named_logpdf over the names, -inf at the first outside its support.
+    PriorSpec.logpdf(x) must equal it exactly."""
+    values = dict(zip(_PRIOR_NAMES, map(float, x)))
+    if not all(math.isfinite(v) for v in values.values()):
+        return -np.inf
+    total = 0.0
+    for name in _PRIOR_NAMES:
+        lp = named_logpdf(priors, name, values[name])
+        if lp == -np.inf:
+            return -np.inf
+        total += lp
+    return total
+
+
+def named_sample(priors, rng) -> np.ndarray:
+    """PriorSpec.sample(rng).to_array() as it was: one draw per name in
+    PARAM_NAMES order, divided by its scale."""
+    return np.array([priors.priors[name].sample(rng) / _NAMED_SCALES[name]
+                     for name in _PRIOR_NAMES])
+
+
+def named_internal_mean(priors, name: str) -> float:
+    return priors.priors[name].mean / _NAMED_SCALES[name]
+
+
+def named_internal_var(priors, name: str) -> float:
+    return priors.priors[name].var / _NAMED_SCALES[name] ** 2
+
+
 def plain_mcmc_sample(obs, priors, plate, cfg):
     """lambid.bayes.mcmc_sample as it was before early rejection: every
     proposal's exact log posterior is evaluated by eigvalsh, and u is drawn
@@ -478,7 +524,8 @@ def plain_mcmc_sample(obs, priors, plate, cfg):
     rounding carried through the misfit: 1e-10 relative unless sigma lies
     far below the residuals.  One bayes._Posterior serves the chain (the
     public log_posterior is its log_posterior on a fresh instance), so the
-    pairs' C_j are built once."""
+    pairs' C_j are built once; the start draws and base_sd come from the
+    name-keyed prior above."""
     import lambid.bayes as bayes
 
     d = len(bayes.PARAM_NAMES)
@@ -496,7 +543,7 @@ def plain_mcmc_sample(obs, priors, plate, cfg):
     else:
         lp = -np.inf
         for _ in range(100):
-            x = priors.sample(rng).to_array()
+            x = named_sample(priors, rng)
             lp = target(x)
             if lp > -np.inf:
                 break
@@ -504,8 +551,8 @@ def plain_mcmc_sample(obs, priors, plate, cfg):
             raise bayes.InitializationError(
                 "no finite-posterior start found in 100 prior draws")
 
-    base_sd = np.array([math.sqrt(priors.internal_var(n))
-                        for n in bayes.PARAM_NAMES])
+    base_sd = np.array([math.sqrt(named_internal_var(priors, n))
+                        for n in _PRIOR_NAMES])
     log_step = 0.0
     total = cfg.warmup + cfg.n_samples
     samples = np.empty((total, d))

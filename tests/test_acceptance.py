@@ -209,9 +209,8 @@ def test_criterion_09_prior_only_sampling(plate):
     chain = mcmc_sample(None, priors, plate, cfg)
     worst = 0.0
     details = []
-    for name in PARAM_NAMES:
-        x = chain.param(name)
-        mu, var = priors.internal_mean(name), priors.internal_var(name)
+    for name, x, mu, var in zip(PARAM_NAMES, chain.post_warmup.T, priors.mean,
+                                priors.var):
         z_mean = abs(x.mean() - mu) / analysis.mc_standard_error(x)
         sq = (x - mu) ** 2
         z_var = abs(sq.mean() - var) / analysis.mc_standard_error(sq)
@@ -282,7 +281,7 @@ def test_criterion_11_rejection_rule(recovery_run):
     unique = np.unique(accepted, axis=0)
     bad = 0
     for row in unique:
-        theta = ParamVector.from_array(row).material()
+        theta = ParamVector(*row).material()
         for k in check_grid:
             sysm = assemble_system(theta, k * plate.thickness, 10)
             cps = smallest_physical_cp(realify(sysm), 2, method="dense")

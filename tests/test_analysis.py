@@ -45,7 +45,7 @@ def _assert_members_match(ens, samples, plate, k, order):
     """Every member's omega (and c_g) lies within eigvalsh's rounding of
     its per-member branch_cp curves, slower branch first."""
     for row, i in enumerate(ens.sample_ids):
-        theta = ParamVector.from_array(samples[i]).material()
+        theta = ParamVector(*samples[i]).material()
         omega = np.sort(branch_cp(theta, k * plate.thickness, order),
                         axis=1).T * k
         bound = _omega_rounding(theta, plate, k, order)
@@ -157,7 +157,7 @@ class TestEnsemble:
         bound, cg_bound = {"A0": [], "S0": []}, {"A0": [], "S0": []}
         for i in idx:
             try:
-                theta = ParamVector.from_array(samples[i]).material()
+                theta = ParamVector(*samples[i]).material()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     a0, s0 = trace_curves(theta, plate, k, order=12)

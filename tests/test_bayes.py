@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lambid.bayes import (Chain, GammaPrior, InitializationError, NormalPrior,
-                          ParamVector, PriorSpec, SamplerConfig,
-                          default_priors, log_likelihood, log_prior,
-                          mcmc_sample, read_chain, write_chain)
+from lambid.bayes import (PARAM_NAMES, Chain, GammaPrior, InitializationError,
+                          NormalPrior, ParamVector, PriorSpec, SamplerConfig,
+                          default_priors, log_likelihood, mcmc_sample,
+                          read_chain, write_chain)
 import lambid.bayes as bayes
 import lambid.dispersion as dispersion
 import oracles
@@ -57,10 +57,6 @@ def synth_obs(gfrp, plate):
 
 
 class TestParamVector:
-    def test_array_round_trip(self):
-        v = ParamVector(1e9, 2e9, 3e9, 4e9, 1500.0, 2e3)
-        assert ParamVector.from_array(v.to_array()) == v
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ParamVector(np.nan, 2e9, 3e9, 4e9, 1500.0, 2e3)
@@ -104,7 +100,7 @@ class TestPriors:
         # must be scaled by dGPa/dPa = 1e-9
         priors = default_priors()
         theta = ParamVector(100e9, 30e9, 30e9, 60e9, 1600.0, 5e4)
-        lp = log_prior(theta, priors)
+        lp = priors.logpdf(theta.to_array())
         manual = (
             stats.gamma.logpdf(100.0, a=2.0, scale=50.0) + math.log(1e-9)
             + stats.gamma.logpdf(30.0, a=1.5, scale=20.0) + math.log(1e-9)
@@ -114,6 +110,82 @@ class TestPriors:
             + stats.gamma.logpdf(5e4, a=2.0, scale=5e4)
         )
         assert lp == pytest.approx(manual, rel=1e-10)
+
+
+def all_normal_priors():
+    return PriorSpec(priors={
+        "c11": NormalPrior(5.0, 1.0), "c13": NormalPrior(4.0, 1.0),
+        "c33": NormalPrior(3.0, 1.0), "c55": NormalPrior(2.0, 1.0),
+        "rho": NormalPrior(10.0, 2.0), "sigma": NormalPrior(7.0, 0.5),
+    })
+
+
+class TestPriorArray:
+    """PriorSpec on the parameter array against the name-keyed prior it
+    replaced (oracles.named_*), which the sampler evaluated through
+    ParamVector.from_array and log_prior."""
+
+    SPECS = {"default": default_priors, "normal": all_normal_priors}
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_logpdf_equals_name_keyed_sum(self, spec):
+        priors = self.SPECS[spec]()
+        rng = np.random.default_rng(23)
+        for _ in range(1000):
+            # prior draws, stretched and now and then negated, so that some
+            # entries leave a Gamma prior's support
+            x = oracles.named_sample(priors, rng) * rng.lognormal(0.0, 1.0, 6)
+            x *= np.where(rng.uniform(size=6) < 0.05, -1.0, 1.0)
+            assert priors.logpdf(x) == oracles.named_log_prior(x, priors)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("bad", [0.0, -3.0, np.inf, -np.inf, np.nan])
+    def test_entry_outside_support_or_not_finite(self, spec, bad):
+        priors = self.SPECS[spec]()
+        x0 = oracles.named_sample(priors, np.random.default_rng(5))
+        for i, name in enumerate(PARAM_NAMES):
+            x = x0.copy()
+            x[i] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lp = priors.logpdf(x)
+                assert lp == oracles.named_log_prior(x, priors)
+            gamma = isinstance(priors.priors[name], GammaPrior)
+            if gamma or not math.isfinite(bad):
+                assert lp == -np.inf
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_sample_draws_as_name_keyed_prior(self, spec):
+        priors = self.SPECS[spec]()
+        ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(50):
+            x = priors.sample(ours)
+            assert x.shape == (6,)
+            assert np.array_equal(x, oracles.named_sample(priors, theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_moments_equal_name_keyed_moments(self, spec):
+        priors = self.SPECS[spec]()
+        assert priors.mean.tolist() == [
+            oracles.named_internal_mean(priors, n) for n in PARAM_NAMES]
+        assert priors.var.tolist() == [
+            oracles.named_internal_var(priors, n) for n in PARAM_NAMES]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p.pop("sigma"), r"missing \['sigma'\], unknown \[\]"),
+        (lambda p: p.update(sgima=p.pop("sigma")),
+         r"missing \['sigma'\], unknown \['sgima'\]"),
+        (lambda p: p.update(tau=GammaPrior(2.0, 1.0)),
+         r"missing \[\], unknown \['tau'\]"),
+    ], ids=["missing", "misspelt", "unknown"])
+    def test_every_parameter_named_once(self, change, message):
+        # a spec without sigma used to build, then fail with a bare
+        # KeyError on the sampler's first draw; unknown names were ignored
+        priors = dict(default_priors().priors)
+        change(priors)
+        with pytest.raises(ValueError, match=message):
+            PriorSpec(priors=priors)
 
 
 class TestLikelihood:
@@ -274,6 +346,15 @@ class TestSampler:
         with pytest.raises(ValueError, match="n_samples"):
             SamplerConfig(n_samples=n_samples, warmup=10, seed=1, init=init)
 
+    @pytest.mark.parametrize("init", [
+        [28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3],
+        np.array([28.1e9, 7.8e9, 16.7e9, 8.2e9, 1200.0, 2e3]),
+        {"c11": 28.1e9}], ids=["list", "array", "dict"])
+    def test_init_that_is_no_param_vector_rejected(self, init):
+        # a list used to build, then fail with AttributeError in mcmc_sample
+        with pytest.raises(ValueError, match="init must be a ParamVector"):
+            SamplerConfig(init=init)
+
     @pytest.mark.parametrize("order", [0, 2.5])
     def test_bad_forward_order_rejected(self, order):
         # a prior-only chain used to run with either order
@@ -341,17 +422,13 @@ class TestSampler:
         # closed-form Gaussian target: all-normal "priors", no likelihood;
         # chain moments must match analytic moments within 3 MCSE.  The
         # stiffness priors are in GPa, so c11's mean is 5e9 Pa
-        priors = PriorSpec(priors={
-            "c11": NormalPrior(5.0, 1.0), "c13": NormalPrior(4.0, 1.0),
-            "c33": NormalPrior(3.0, 1.0), "c55": NormalPrior(2.0, 1.0),
-            "rho": NormalPrior(10.0, 2.0), "sigma": NormalPrior(7.0, 0.5),
-        })
+        priors = all_normal_priors()
         cfg = SamplerConfig(n_samples=30_000, warmup=4_000, seed=5,
                             proposal_scale=1.0)
         chain = mcmc_sample(None, priors, plate, cfg)
         from lambid.analysis import mc_standard_error
         for name, mu in [("c11", 5e9), ("rho", 10.0), ("sigma", 7.0)]:
-            x = chain.param(name)
+            x = chain.post_warmup[:, PARAM_NAMES.index(name)]
             se = mc_standard_error(x)
             assert abs(x.mean() - mu) < 3 * se
 
@@ -460,7 +537,7 @@ class TestEarlyRejection:
             if i % 4:
                 x = truth * np.exp(rng.normal(0.0, 0.05, 6))
             else:
-                x = priors.sample(rng).to_array()
+                x = priors.sample(rng)
             if not self.anchor_at(post, x):
                 continue
             for rel in (1e-4, 1e-3, 1e-2, 0.1, 0.3):
@@ -478,7 +555,7 @@ class TestEarlyRejection:
 
         for rel, y in self.proposals(post, priors):
             exact = bayes.log_posterior(
-                synth_obs, ParamVector.from_array(y), priors, plate, 10)
+                synth_obs, ParamVector(*y), priors, plate, 10)
             # with the exact value as its floor the screen rejects nothing
             got, _ = post.log_posterior(y, exact)
             assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
@@ -490,7 +567,7 @@ class TestEarlyRejection:
                     assert post.log_posterior(y, math.inf) == (-np.inf, None)
             if eig is None:
                 continue
-            theta = ParamVector.from_array(y).material()
+            theta = ParamVector(*y).material()
             top = np.linalg.eigvalsh(oracles.parity_blocks(
                 theta, kh, synth_obs.pair_branch, 10))[:, -1]
             assert np.all((eig[0] <= top) & (top <= eig[1]))
@@ -634,7 +711,7 @@ class TestEarlyRejection:
         # each prior draw
         starts, calls = [], []
         priors = default_priors()
-        sample, prior = PriorSpec.sample, bayes.log_prior
+        sample, prior = PriorSpec.sample, PriorSpec.logpdf
 
         def drawn(*args):
             starts.append(1)
@@ -645,10 +722,26 @@ class TestEarlyRejection:
             return prior(*args)
 
         monkeypatch.setattr(PriorSpec, "sample", drawn)
-        monkeypatch.setattr(bayes, "log_prior", counted)
+        monkeypatch.setattr(PriorSpec, "logpdf", counted)
         cfg = SamplerConfig(n_samples=600, warmup=300, seed=11, init=init)
         mcmc_sample(synth_obs, priors, plate, cfg)
         assert len(calls) == cfg.warmup + cfg.n_samples + max(len(starts), 1)
+
+    @pytest.mark.parametrize("init", [INIT, None])
+    def test_no_param_vector_built_per_step(self, synth_obs, plate,
+                                            monkeypatch, init):
+        # a point stays one array from the proposal to the prior
+        built = []
+        check = ParamVector.__post_init__
+
+        def counted(self):
+            built.append(1)
+            check(self)
+
+        monkeypatch.setattr(ParamVector, "__post_init__", counted)
+        cfg = SamplerConfig(n_samples=300, warmup=100, seed=11, init=init)
+        mcmc_sample(synth_obs, default_priors(), plate, cfg)
+        assert built == []
 
     def test_eigvalsh_only_anchors_the_bounds(self, synth_obs, plate,
                                               monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from lambid import analysis, bayes, cli, dispersion, textio, wavefield
-from lambid.analysis import CurveEnsemble, ParamSummary, PosteriorSummary
+from lambid.analysis import CurveEnsemble, ParamSummary
 from lambid.dispersion import DispersionCurve, Mode, PlateSpec
 
 UNITS = "# units: c11..c55 Pa, rho kg/m^3, sigma rad/s\n"
@@ -51,11 +51,11 @@ def _observations():
 
 
 def _summary():
-    return PosteriorSummary({
+    return {
         name: ParamSummary(mean=1.5 * (i + 1), variance=0.25e21 / (i + 1),
                            kde_mode=1.4 * (i + 1), ci_lo=1.0 * (i + 1),
                            ci_hi=2.0 * (i + 1) + 1e-9)
-        for i, name in enumerate(bayes.PARAM_NAMES)})
+        for i, name in enumerate(bayes.PARAM_NAMES)}
 
 
 CHAIN_TEXT = (
