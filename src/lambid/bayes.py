@@ -107,8 +107,9 @@ class GammaPrior:
         return self.shape / self.rate**2
 
     def logpdf(self, x: float) -> float:
-        if x <= 0:
-            return -np.inf
+        """-inf outside (0, inf), NaN included."""
+        if not 0 < x < math.inf:
+            return -math.inf
         return (
             self.shape * math.log(self.rate)
             + (self.shape - 1) * math.log(x)
@@ -134,6 +135,9 @@ class NormalPrior:
         return self.sd**2
 
     def logpdf(self, x: float) -> float:
+        """-inf at ±inf and NaN."""
+        if not math.isfinite(x):
+            return -math.inf
         z = (x - self.mean) / self.sd
         return -0.5 * z * z - math.log(self.sd) - 0.5 * math.log(2 * math.pi)
 
@@ -172,8 +176,7 @@ class PriorSpec:
         total = 0.0
         for name, value in zip(PARAM_NAMES, x.tolist()):
             s = _PRIOR_SCALES[name]
-            lp = (self.priors[name].logpdf(value * s) + math.log(s)
-                  if math.isfinite(value) else -math.inf)
+            lp = self.priors[name].logpdf(value * s) + math.log(s)
             if lp == -math.inf:
                 return -math.inf
             total += lp

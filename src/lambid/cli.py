@@ -35,6 +35,18 @@ class CliError(Exception):
         self.category = category
 
 
+# the failure kinds that main reports, in precedence order, each with its
+# EXIT_CODES category; None takes the CliError's own
+FAILURES = (
+    (CliError, None),
+    (ValueError, "config"),  # a ConfigError, or a value the library rejects
+    (wavefield.RidgeError, "ridge"),
+    (dispersion.TracingError, "solver"),
+    (bayes.InitializationError, "sampler"),
+    (OSError, "io"),
+)
+
+
 def _band_grid(cfg: RunConfig) -> np.ndarray:
     material = cfg.require_material()
     plate = cfg.require_plate()
@@ -45,7 +57,7 @@ def _band_grid(cfg: RunConfig) -> np.ndarray:
     )
 
 
-def cmd_solve(cfg: RunConfig, out: Path) -> None:
+def cmd_solve(cfg: RunConfig, out: Path, args) -> None:
     material = cfg.require_material()
     plate = cfg.require_plate()
     grid = _band_grid(cfg)
@@ -64,8 +76,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> None:
           + (" (auto-converged)" if cfg.solver["auto_converge"] else ""))
 
 
-def cmd_sensitivity(cfg: RunConfig, out: Path, perturbation: float,
-                    params: list[str] | None) -> None:
+def cmd_sensitivity(cfg: RunConfig, out: Path, args) -> None:
+    perturbation, params = args.perturbation, args.params
     if not 0 <= perturbation < 1:
         raise CliError("args", f"--perturbation {perturbation} is not in [0, 1)")
     material = cfg.require_material()
@@ -87,7 +99,7 @@ def cmd_sensitivity(cfg: RunConfig, out: Path, perturbation: float,
                        "parameter,mode,max_rel_omega_shift", list(zip(*rows)))
 
 
-def cmd_synth(cfg: RunConfig, out: Path) -> None:
+def cmd_synth(cfg: RunConfig, out: Path, args) -> None:
     material = cfg.require_material()
     plate = cfg.require_plate()
     s = cfg.synth
@@ -105,13 +117,10 @@ def cmd_synth(cfg: RunConfig, out: Path) -> None:
     wavefield.write_txfield(out / cfg.files["wavefield"], field)
 
 
-def cmd_extract(cfg: RunConfig, out: Path) -> None:
+def cmd_extract(cfg: RunConfig, out: Path, args) -> None:
     plate = cfg.require_plate()
     prefix = out / cfg.files["wavefield"]
-    try:
-        field = wavefield.read_txfield(prefix)
-    except (OSError, ValueError) as exc:
-        raise CliError("io", f"cannot read wavefield at {prefix}: {exc}")
+    field = _read(wavefield.read_txfield, prefix, "wavefield")
     image = wavefield.normalize_energy(
         wavefield.two_dft(field, window=cfg.extract["window"])
     )
@@ -133,23 +142,30 @@ def _chain_file(name: str, i: int) -> str:
     return str(path.with_name(f"{stem}_{i}{dot}{ext}"))
 
 
-def _read_chain(path: Path) -> bayes.Chain:
-    """The chain file at path; CliError "io" naming it where it cannot be read."""
+def _read(read, path: Path, what: str):
+    """read(path); CliError "io" naming the file where it cannot be read."""
     try:
-        return bayes.read_chain(path)
+        return read(path)
     except (OSError, ValueError, IndexError) as exc:
-        raise CliError("io", f"cannot read chain at {path}: {exc}")
+        raise CliError("io", f"cannot read {what} at {path}: {exc}")
+
+
+def _run_chain_files(out: Path, name: str) -> list[Path]:
+    """The per-chain files of a multi-chain run, chain_0 up to the first
+    missing index; a chain_<i> past a gap belongs to no run."""
+    paths: list[Path] = []
+    while (out / _chain_file(name, len(paths))).exists():
+        paths.append(out / _chain_file(name, len(paths)))
+    return paths
 
 
 def _read_run_chain(out: Path, name: str) -> bayes.Chain:
     """The named chain file or, when it is absent, the post-warmup rows of
     every per-chain file of a multi-chain run pooled into one chain."""
-    parts: list[bayes.Chain] = []
-    if not (out / name).exists():
-        while (out / _chain_file(name, len(parts))).exists():
-            parts.append(_read_chain(out / _chain_file(name, len(parts))))
-    if not parts:
-        return _read_chain(out / name)
+    paths = [] if (out / name).exists() else _run_chain_files(out, name)
+    if not paths:
+        return _read(bayes.read_chain, out / name, "chain")
+    parts = [_read(bayes.read_chain, path, "chain") for path in paths]
     return bayes.Chain(
         samples=np.concatenate([c.post_warmup for c in parts]),
         log_posts=np.concatenate([c.log_posts[c.warmup_len:] for c in parts]),
@@ -160,36 +176,29 @@ def _read_run_chain(out: Path, name: str) -> bayes.Chain:
     )
 
 
-def cmd_identify(cfg: RunConfig, out: Path, n_chains: int) -> None:
+def cmd_identify(cfg: RunConfig, out: Path, args) -> None:
+    n_chains = args.chains
     if n_chains < 1:
         raise CliError("args", f"--chains {n_chains} is not a positive count")
     plate = cfg.require_plate()
-    obs_path = out / cfg.files["observations"]
-    try:
-        obs = wavefield.read_observations(obs_path)
-    except (OSError, ValueError) as exc:
-        raise CliError("io", f"cannot read observations at {obs_path}: {exc}")
+    obs = _read(wavefield.read_observations, out / cfg.files["observations"],
+                "observations")
     # a run that fails leaves _read_run_chain none of an earlier run's files
-    # to pool; a chain_<i>.csv past a gap is never read
+    # to pool
     name = cfg.files["chain"]
     (out / name).unlink(missing_ok=True)
-    i = 0
-    while (out / _chain_file(name, i)).exists():
-        (out / _chain_file(name, i)).unlink()
-        i += 1
+    for path in _run_chain_files(out, name):
+        path.unlink()
     for i in range(n_chains):
         scfg = bayes.SamplerConfig(**cfg.sampler, seed=cfg.seed + i)
-        try:
-            chain = bayes.mcmc_sample(obs, cfg.priors, plate, scfg)
-        except bayes.InitializationError as exc:
-            raise CliError("sampler", str(exc))
+        chain = bayes.mcmc_sample(obs, cfg.priors, plate, scfg)
         bayes.write_chain(out / (_chain_file(name, i) if n_chains > 1 else name),
                           chain)
         for w in chain.warnings:
             print(f"warning: chain {i}: {w}", file=sys.stderr)
 
 
-def cmd_summarize(cfg: RunConfig, out: Path) -> None:
+def cmd_summarize(cfg: RunConfig, out: Path, args) -> None:
     plate = cfg.require_plate()
     chain = _read_run_chain(out, cfg.files["chain"])
     try:
@@ -228,22 +237,22 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
 
-    sub.add_parser("solve", parents=[common],
-                   help="trace A0/S0 dispersion curves")
-    p = sub.add_parser("sensitivity", parents=[common],
-                       help="perturb each material parameter and re-trace")
+    def command(name, run, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    command("solve", cmd_solve, "trace A0/S0 dispersion curves")
+    p = command("sensitivity", cmd_sensitivity,
+                "perturb each material parameter and re-trace")
     p.add_argument("--perturbation", type=float, default=0.3)
     p.add_argument("--params", nargs="*", default=None,
                    help="restrict to these parameter names")
-    sub.add_parser("synth", parents=[common],
-                   help="synthesize a time-distance wavefield")
-    sub.add_parser("extract", parents=[common],
-                   help="2DFT + ridge picking to observations")
-    p = sub.add_parser("identify", parents=[common],
-                       help="MCMC identification from observations")
+    command("synth", cmd_synth, "synthesize a time-distance wavefield")
+    command("extract", cmd_extract, "2DFT + ridge picking to observations")
+    p = command("identify", cmd_identify, "MCMC identification from observations")
     p.add_argument("--chains", type=int, default=1)
-    sub.add_parser("summarize", parents=[common],
-                   help="posterior summary and curve ensembles")
+    command("summarize", cmd_summarize, "posterior summary and curve ensembles")
     return parser
 
 
@@ -251,45 +260,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ValueError as exc:
-        print(f"error:config: {exc}", file=sys.stderr)
-        return EXIT_CODES["config"]
-    if args.seed is not None:
-        if args.seed < 0:
-            print(f"error:args: --seed {args.seed} is negative", file=sys.stderr)
-            return EXIT_CODES["args"]
-        cfg.seed = args.seed
-    out = Path(args.out)
-    try:
+        if args.seed is not None:
+            if args.seed < 0:
+                raise CliError("args", f"--seed {args.seed} is negative")
+            cfg.seed = args.seed
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "solve":
-            cmd_solve(cfg, out)
-        elif args.command == "sensitivity":
-            cmd_sensitivity(cfg, out, args.perturbation, args.params)
-        elif args.command == "synth":
-            cmd_synth(cfg, out)
-        elif args.command == "extract":
-            cmd_extract(cfg, out)
-        elif args.command == "identify":
-            cmd_identify(cfg, out, args.chains)
-        elif args.command == "summarize":
-            cmd_summarize(cfg, out)
+        args.run(cfg, out, args)
         cfg.dump_resolved(out / f"resolved_config_{args.command}.yaml")
-    except CliError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(exc.category, 1)
-    except ValueError as exc:  # a ConfigError, or a value the library rejects
-        print(f"error:config: {exc}", file=sys.stderr)
-        return EXIT_CODES["config"]
-    except wavefield.RidgeError as exc:
-        print(f"error:ridge: {exc}", file=sys.stderr)
-        return EXIT_CODES["ridge"]
-    except dispersion.TracingError as exc:
-        print(f"error:solver: {exc}", file=sys.stderr)
-        return EXIT_CODES["solver"]
-    except OSError as exc:
-        print(f"error:io: {exc}", file=sys.stderr)
-        return EXIT_CODES["io"]
+    except tuple(kind for kind, _ in FAILURES) as exc:
+        category = next(category or exc.category
+                        for kind, category in FAILURES if isinstance(exc, kind))
+        print(f"error:{category}: {exc}", file=sys.stderr)
+        return EXIT_CODES[category]
     return 0
 
 

@@ -19,8 +19,10 @@ Each mode is the smallest-magnitude negative eigenvalue of its own block,
 so the labels are exact where A0 and S0 cross.
 Deflated inverse power iteration, the paper's solver, is inverse_power_eigs:
 one vectorised iteration over a whole stack of blocks.  branch_cp runs it with
-method="power" and gives the same eigenvalues at about 1.5 times the dense
-cost.  smallest_physical_cp solves one full realified system densely; it is
+method="power" and gives the same eigenvalues at about 1.3 times the dense
+cost (6.5-6.7 ms against 4.9-5.1 ms on the 200-point default band at order
+14, 400 blocks of 15 x 15, with numpy 2.4.6 and one OpenBLAS thread on a
+2-core Xeon VM).  smallest_physical_cp solves one full realified system densely; it is
 the unlabelled per-k reference of the benchmark's checks.  The curves fix kh
 and ask for c_p; k_grid_for_fh_band asks the converse, the kh at which a mode
 reaches a given fh, and because A is quadratic in s that is one quadratic

@@ -90,6 +90,15 @@ class TestPriors:
         with pytest.raises(ValueError, match="must be positive and finite"):
             prior()
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_logpdf_off_the_real_line_is_minus_inf(self, x):
+        # GammaPrior.logpdf(inf) and NormalPrior.logpdf(nan) gave NaN; the
+        # entries of PriorSpec.logpdf are checked in TestPriorArray
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert GammaPrior(2.0, 0.02).logpdf(x) == -math.inf
+            assert NormalPrior(1600.0, 300.0).logpdf(x) == -math.inf
+
     def test_gamma_moments(self):
         g = GammaPrior(shape=1.5, rate=0.05)
         assert g.mean == pytest.approx(30.0)

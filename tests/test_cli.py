@@ -1,6 +1,9 @@
 """End-to-end CLI runs and exit-code contracts."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -660,3 +663,36 @@ def test_seed_override_changes_synth(tmp_path):
 def test_missing_command_rejected(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_readme_lists_every_exit_code():
+    # the codes of the "Exit codes:" paragraph, its parentheses dropped
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = readme[readme.index("Exit codes:"):].split("\n\n")[0]
+    while re.search(r"\([^()]*\)", text):
+        text = re.sub(r"\([^()]*\)", "", text)
+    codes = {int(code) for code in re.findall(r"\b(\d+) [A-Za-z]", text)}
+    assert codes == set(cli.EXIT_CODES.values()) | {0}
+
+
+def test_every_failure_category_has_an_exit_code():
+    # the table's categories, and those that cli.py raises CliError with
+    source = ast.parse(Path(cli.__file__).read_text())
+    raised = {node.args[0].value for node in ast.walk(source)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "CliError"}
+    table = {category for _, category in cli.FAILURES if category}
+    assert raised and table <= set(cli.EXIT_CODES)
+    assert raised <= set(cli.EXIT_CODES)
+
+
+def test_failure_outside_the_table_propagates(tmp_path, monkeypatch, capsys):
+    def fail(cfg, out, args):
+        raise KeyError("not a failure kind main reports")
+
+    monkeypatch.setattr(cli, "cmd_solve", fail)
+    cfg = write_cfg(tmp_path, base_cfg())
+    with pytest.raises(KeyError, match="not a failure kind"):
+        cli.main(["solve", "--config", cfg, "--out", str(tmp_path)])
+    assert "error:" not in capsys.readouterr().err
+    assert not (tmp_path / "resolved_config_solve.yaml").exists()
